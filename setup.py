@@ -1,7 +1,8 @@
 """Build script: compiles the exact-cut search kernel as a C extension.
 
 The package works without the extension (a pure-Python twin is selected at
-import time), but the compiled kernel is ~100x faster on 20+ vertex graphs.
+import time), but the compiled kernel is 4.4-6.1x faster on 16-28 vertex
+graphs.
 """
 
 from setuptools import Extension, setup

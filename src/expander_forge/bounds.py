@@ -19,12 +19,13 @@ the pendant term P (pendant_term), the exact expected number of vertex
 subsets with statistics (a, b, s) and at least one such crossing edge.
 first_moment_bound = X*Y*Z + P therefore bounds the expected unrestricted
 count (count_all_Nabs).  mu_pair_sum and the `bounds` CLI table keep the
-X*Y*Z form.
+X*Y*Z form, so they bound the interior-cut class only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -186,7 +187,14 @@ def iter_mu_pairs(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
 
 
 def mu_pair_sum(chi: int, n: int, mu) -> Fraction:
-    """Sum of the X*Y*Z bound over all mu-pairs, exact."""
+    """Sum of the X*Y*Z bound over all mu-pairs, exact.
+
+    X*Y*Z bounds only interior-cut subsets (count_all_Nabs_interior_cut),
+    so this sum, and the `bounds` CLI table built from it, leaves out the
+    pendant terms.  They can dominate: at chi=20, n=4, mu=1/2 the sum is
+    555.6 and the pendant terms over the same mu-pairs add 734.9.  Sum
+    first_moment_bound instead for a bound on the unrestricted count.
+    """
     total = Fraction(0)
     for a, b, s in iter_mu_pairs(chi, n, mu):
         total += xyz_bound(chi, n, a, b, s).product
@@ -211,14 +219,16 @@ def _connected_subset_masks(adj: list[int], nv: int) -> Iterator[int]:
         yield from rec(1 << r, adj[r], (1 << r) - 1)
 
 
-def count_all_Nabs(g: MultiGraph) -> dict[tuple[int, int, int], int]:
-    """Counts of connected subsets keyed by (a, b, s); {} if disconnected.
+def _connected_subset_stats(g: MultiGraph) -> Iterator[tuple[int, int, int, bool]]:
+    """(a, b, s, touches_pendant) of every connected vertex subset; nothing
+    for a disconnected graph.
 
-    a/b classify by vertex degree (1 vs 3); s is the crossing-edge count
-    with multiplicity, loops never crossing.
+    a/b count the degree-1/degree-3 vertices inside, s the crossing edges
+    with multiplicity (loops never cross), and touches_pendant tells
+    whether some crossing edge ends at a degree-1 vertex.
     """
     if not is_connected(g):
-        return {}
+        return
     nv = g.num_vertices
     degs = g.degrees()
     n_interior = sum(1 for d in degs if d == 3)
@@ -227,28 +237,32 @@ def count_all_Nabs(g: MultiGraph) -> dict[tuple[int, int, int], int]:
             f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
         )
     adj = [0] * nv
-    nonloop: list[tuple[int, int]] = []
+    nonloop: list[tuple[int, int, bool]] = []
     for u, v in g.edges:
         if u == v:
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        nonloop.append((u, v))
-    deg1_mask = 0
-    for v in range(nv):
-        if degs[v] == 1:
-            deg1_mask |= 1 << v
-    counts: dict[tuple[int, int, int], int] = {}
+        nonloop.append((u, v, degs[u] == 1 or degs[v] == 1))
+    deg1_mask = sum(1 << v for v in range(nv) if degs[v] == 1)
     for mask in _connected_subset_masks(adj, nv):
         a = (mask & deg1_mask).bit_count()
-        b = mask.bit_count() - a
         s = 0
-        for u, v in nonloop:
+        touches_pendant = False
+        for u, v, pendant in nonloop:
             if ((mask >> u) & 1) != ((mask >> v) & 1):
                 s += 1
-        key = (a, b, s)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+                touches_pendant |= pendant
+        yield a, mask.bit_count() - a, s, touches_pendant
+
+
+def count_all_Nabs(g: MultiGraph) -> dict[tuple[int, int, int], int]:
+    """Counts of connected subsets keyed by (a, b, s); {} if disconnected.
+
+    a/b classify by vertex degree (1 vs 3); s is the crossing-edge count
+    with multiplicity, loops never crossing.
+    """
+    return dict(Counter((a, b, s) for a, b, s, _ in _connected_subset_stats(g)))
 
 
 def count_Nabs(g: MultiGraph, a: int, b: int, s: int) -> int:
@@ -272,44 +286,13 @@ def count_all_Nabs_interior_cut(g: MultiGraph) -> dict[tuple[int, int, int], int
     attached degree-1 vertices, which is why the restriction is harmless
     where the bound is applied.
     """
-    if not is_connected(g):
-        return {}
-    nv = g.num_vertices
-    degs = g.degrees()
-    n_interior = sum(1 for d in degs if d == 3)
-    if n_interior > NABS_INTERIOR_GUARD:
-        raise GuardExceededError(
-            f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
+    return dict(
+        Counter(
+            (a, b, s)
+            for a, b, s, touches_pendant in _connected_subset_stats(g)
+            if not touches_pendant
         )
-    adj = [0] * nv
-    nonloop: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        if u == v:
-            continue
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        nonloop.append((u, v))
-    deg1_mask = 0
-    for v in range(nv):
-        if degs[v] == 1:
-            deg1_mask |= 1 << v
-    counts: dict[tuple[int, int, int], int] = {}
-    for mask in _connected_subset_masks(adj, nv):
-        s = 0
-        interior_only = True
-        for u, v in nonloop:
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                s += 1
-                if degs[u] == 1 or degs[v] == 1:
-                    interior_only = False
-                    break
-        if not interior_only:
-            continue
-        a = (mask & deg1_mask).bit_count()
-        b = mask.bit_count() - a
-        key = (a, b, s)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Command-line experiment harness.
 
 Subcommands: sample, sweep, bounds, construct, spectra, cheeger, split.
-Exit codes: 0 success, 2 invalid arguments or parity, 3 guard exceeded,
-4 base certification failure.  Every file-writing command also writes a
-JSON run manifest with sha256 digests of its outputs; the data files
-themselves contain no timestamps, so re-runs are byte-identical.
+Exit codes (errors.EXIT_CODES): 0 success, 2 invalid arguments, parity or
+graph input, 3 guard exceeded, 4 base certification failure; these errors
+print one `error:` line on stderr instead of a traceback.  Every
+file-writing command also writes a JSON run manifest with sha256 digests of
+its outputs; the data files themselves contain no timestamps, so re-runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ from .construct import (
     expander_family,
     two_tree_split,
 )
-from .errors import (
-    CertificationError,
-    GuardExceededError,
-    ParityError,
-)
+from .errors import ExpanderForgeError, ParityError, exit_code
 from .graph_core import check_parity, from_text, is_connected, to_text, topology
 from .sampler import SampleConfig, estimate_connectivity, sample_graph
 from .spectra import laplacian_spectrum, report_json, steklov_spectrum
@@ -274,7 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bounds", help="mu-pair sum and per-pair bound dump")
+    p = sub.add_parser(
+        "bounds",
+        help="mu-pair sum and per-pair dump of the X*Y*Z bound, which covers "
+        "interior-cut subsets only (bounds.first_moment_bound adds the pendant "
+        "term for all connected subsets)",
+    )
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", required=True)
@@ -310,15 +313,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, argv)
-    except (ParityError, ValueError) as exc:
+    except (ExpanderForgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

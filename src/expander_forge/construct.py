@@ -21,9 +21,10 @@ from .graph_core import (
     BOUNDARY,
     INTERIOR,
     MultiGraph,
-    _UnionFind,
+    components,
     is_connected,
     relabel_canonical,
+    spanning_forest,
     topology,
 )
 from .sampler import SampleConfig, sample_graph
@@ -45,14 +46,6 @@ class BalancedSubset:
     boundary_vertices_inside: int
 
 
-def _edges_connected(nv: int, edges: list[tuple[int, int]]) -> bool:
-    uf = _UnionFind(nv)
-    for u, v in edges:
-        if u != v:
-            uf.union(u, v)
-    return uf.count == 1
-
-
 def two_tree_split(g: MultiGraph) -> TreeSplit:
     """Remove g+1 edges so the rest is a disjoint union of two trees.
 
@@ -60,39 +53,25 @@ def two_tree_split(g: MultiGraph) -> TreeSplit:
     cycle (equivalently: whose removal keeps the graph connected) is
     removed; the final removal takes the smallest edge of the remaining
     spanning tree.
+
+    That rule is reverse-delete in ascending order: an edge found to be a
+    bridge stays one, so the removals come in ascending order and what is
+    left is the spanning tree Kruskal's algorithm builds from the edges in
+    descending order.  The edges Kruskal rejects, reversed, are the
+    removals.
     """
     if not is_connected(g):
         raise ExpanderForgeError("two_tree_split requires a connected graph")
     nv = g.num_vertices
-    edges = list(g.edges)
-    removed: list[tuple[int, int]] = []
-    cycles = len(edges) - nv + 1
-    for _ in range(cycles):
-        for e in sorted(set(edges)):
-            trial = list(edges)
-            trial.remove(e)
-            if _edges_connected(nv, trial):
-                edges = trial
-                removed.append(e)
-                break
-        else:
-            raise ExpanderForgeError("cycle expected but none found")
-    # edges now form a spanning tree
-    final = sorted(edges)[0]
-    edges.remove(final)
-    removed.append(final)
-    uf = _UnionFind(nv)
-    for u, v in edges:
-        if u != v:
-            uf.union(u, v)
-    roots: dict[int, set[int]] = {}
-    for v in range(nv):
-        roots.setdefault(uf.find(v), set()).add(v)
-    comps = sorted(roots.values(), key=min)
+    tree, rejected = spanning_forest(nv, sorted(g.edges, reverse=True))
+    if not tree:
+        raise ExpanderForgeError("two_tree_split requires at least two vertices")
+    final = tree.pop()  # the smallest tree edge
+    comps = components(nv, tree)
     if len(comps) != 2:
         raise ExpanderForgeError("final removal did not split into two trees")
     return TreeSplit(
-        removed_edges=tuple(removed),
+        removed_edges=tuple(reversed(rejected)) + (final,),
         side_a=frozenset(comps[0]),
         side_b=frozenset(comps[1]),
     )
@@ -103,20 +82,11 @@ def _in_window(c: int, n: int) -> bool:
 
 
 def _tree_components_without(
-    tree_edges: list[tuple[int, int]], vertices: frozenset[int], w: int
+    nv: int, tree_edges: list[tuple[int, int]], vertices: frozenset[int], w: int
 ) -> list[frozenset[int]]:
-    rest = vertices - {w}
-    if not rest:
-        return []
-    idx = {v: i for i, v in enumerate(sorted(rest))}
-    uf = _UnionFind(len(rest))
-    for u, v in tree_edges:
-        if u != w and v != w and u != v:
-            uf.union(idx[u], idx[v])
-    comps: dict[int, set[int]] = {}
-    for v in rest:
-        comps.setdefault(uf.find(idx[v]), set()).add(v)
-    return [frozenset(c) for c in sorted(comps.values(), key=min)]
+    """Components of the tree on `vertices` once vertex w is cut out."""
+    edges = [e for e in tree_edges if w not in e]
+    return [frozenset(c) for c in components(nv, edges, vertices - {w})]
 
 
 def _subset_search_fallback(g: MultiGraph, genus: int) -> BalancedSubset:
@@ -216,7 +186,7 @@ def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
         progressed = False
         for e in crossing:
             w = e[0] if e[0] in h_cur else e[1]
-            comps = _tree_components_without(tree_cur, h_cur, w)
+            comps = _tree_components_without(g.num_vertices, tree_cur, h_cur, w)
             comps.sort(key=lambda cset: (-bcount(cset), min(cset)))
             for cset in comps:
                 c = bcount(cset)

@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the CLI exit codes.
 
-Exit-code mapping used by the CLI:
-    ParityError / bad arguments  -> 2
-    GuardExceededError           -> 3
-    CertificationError           -> 4
+Exit-code mapping used by the CLI (EXIT_CODES, first match wins):
+    ValueError (bad arguments)                      -> 2
+    GuardExceededError                              -> 3
+    CertificationError                              -> 4
+    any other ExpanderForgeError (ParityError, bad
+    graph input, ...)                               -> 2
 """
 
 
@@ -27,3 +29,16 @@ class CertificationError(ExpanderForgeError):
 class SolverError(ExpanderForgeError):
     """Internal inconsistency in a numerical solve (e.g. an interior
     Dirichlet block that fails its positive-definite factorization)."""
+
+
+EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (ValueError, 2),
+    (GuardExceededError, 3),
+    (CertificationError, 4),
+    (ExpanderForgeError, 2),
+)
+
+
+def exit_code(exc: ExpanderForgeError | ValueError) -> int:
+    """CLI exit code of an error: the first EXIT_CODES row it matches."""
+    return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

@@ -9,7 +9,10 @@ least one interior label, so no edge ever joins two boundary vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ExpanderForgeError, ParityError
 
@@ -111,9 +114,6 @@ class MultiGraph:
             deg[v] += 1  # a loop hits the same entry twice
         return deg
 
-    def degree(self, v: int) -> int:
-        return self.degrees()[v]
-
     def index(self, name: str) -> int:
         return self.names.index(name)
 
@@ -131,21 +131,6 @@ class MultiGraph:
     def n(self) -> int:
         return len(self.boundary_indices())
 
-    def adjacency_lists(self) -> list[list[int]]:
-        """Neighbor lists ignoring multiplicity; loops listed once."""
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in set(self.edges):
-            adj[u].append(v)
-            if u != v:
-                adj[v].append(u)
-        return adj
-
-    def edge_multiplicities(self) -> dict[tuple[int, int], int]:
-        mult: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            mult[e] = mult.get(e, 0) + 1
-        return mult
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -160,12 +145,11 @@ def model_vertex_names(chi: int, n: int) -> tuple[str, ...]:
     )
 
 
-def label_to_vertex(label: int, chi: int) -> int:
-    """Map a half-edge label to the index of its owning vertex
-    (interior vertices first, then boundary)."""
-    if label <= 3 * chi:
-        return (label - 1) // 3
-    return chi + (label - 3 * chi - 1)
+def label_to_vertex(labels: np.ndarray, chi: int) -> np.ndarray:
+    """Map an array of half-edge labels elementwise to the indices of their
+    owning vertices (interior vertices first, then boundary): label l <=
+    3*chi belongs to v_{ceil(l/3)}, label 3*chi + j to w_j."""
+    return np.where(labels <= 3 * chi, (labels - 1) // 3, labels - 2 * chi - 1)
 
 
 def build_graph(p: HalfEdgePairing) -> MultiGraph:
@@ -177,9 +161,9 @@ def build_graph(p: HalfEdgePairing) -> MultiGraph:
     chi, n = p.chi, p.n
     names = model_vertex_names(chi, n)
     roles = (INTERIOR,) * chi + (BOUNDARY,) * n
-    edges = tuple(
-        (label_to_vertex(i, chi), label_to_vertex(j, chi)) for i, j in p.pairs
-    )
+    # fromiter: np.array on a tuple of pairs costs more than the mapping
+    labels = np.fromiter(chain.from_iterable(p.pairs), np.int64, 2 * len(p.pairs))
+    edges = label_to_vertex(labels, chi).reshape(-1, 2).tolist()
     return MultiGraph(names=names, roles=roles, edges=edges)
 
 
@@ -199,29 +183,57 @@ class _UnionFind:
             p[x], x = root, p[x]
         return root
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False if they were already joined."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        self.count -= 1
+        return True
 
 
-def connected_components(g: MultiGraph) -> list[set[int]]:
-    """Partition of vertex indices into maximal connected sets."""
-    uf = _UnionFind(g.num_vertices)
-    for u, v in g.edges:
-        if u != v:
-            uf.union(u, v)
+def union_find(nv: int, edges: Iterable[Sequence[int]]) -> _UnionFind:
+    """Vertices 0..nv-1 joined along `edges`; `count` is the number of
+    connected components."""
+    uf = _UnionFind(nv)
+    for u, v in edges:
+        uf.union(u, v)
+    return uf
+
+
+def components(
+    nv: int, edges: Iterable[Sequence[int]], vertices: Iterable[int] | None = None
+) -> list[set[int]]:
+    """Connected components of `vertices` (default: all of 0..nv-1) joined
+    along `edges`, whose ends must lie in `vertices`; sorted by least member."""
+    uf = union_find(nv, edges)
     comps: dict[int, set[int]] = {}
-    for v in range(g.num_vertices):
+    for v in range(nv) if vertices is None else vertices:
         comps.setdefault(uf.find(v), set()).add(v)
     return sorted(comps.values(), key=min)
 
 
+def spanning_forest(
+    nv: int, edges: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Kruskal's algorithm in the given edge order: the edges it keeps and
+    the edges (loops included) that would close a cycle, each in input order."""
+    uf = _UnionFind(nv)
+    kept: list[tuple[int, int]] = []
+    closing: list[tuple[int, int]] = []
+    for e in edges:
+        (kept if uf.union(*e) else closing).append(e)
+    return kept, closing
+
+
+def connected_components(g: MultiGraph) -> list[set[int]]:
+    """Partition of vertex indices into maximal connected sets."""
+    return components(g.num_vertices, g.edges)
+
+
 def is_connected(g: MultiGraph) -> bool:
-    if g.num_vertices == 0:
-        return True
-    return len(connected_components(g)) == 1
+    return union_find(g.num_vertices, g.edges).count <= 1
 
 
 def topology(g: MultiGraph) -> Topology:

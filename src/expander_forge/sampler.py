@@ -21,7 +21,14 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GuardExceededError
-from .graph_core import HalfEdgePairing, _UnionFind, build_graph, check_parity
+from .graph_core import (
+    HalfEdgePairing,
+    build_graph,
+    check_parity,
+    is_connected,
+    label_to_vertex,
+    union_find,
+)
 
 ENUM_GUARD = 10**7
 
@@ -69,30 +76,26 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
-def _sample_label_pairs(
-    chi: int, n: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Draw the label pairs of a uniform good partition (labels 1-based)."""
+def _sample_label_pairs(chi: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the label pairs of a uniform good partition as an (m, 2) array
+    (labels 1-based): the n boundary pairs first, then the shuffled rest
+    of the interior labels paired off consecutively."""
     boundary_targets = rng.choice(3 * chi, size=n, replace=False)
-    pairs = [(int(t) + 1, 3 * chi + j + 1) for j, t in enumerate(boundary_targets)]
-    taken = set(int(t) for t in boundary_targets)
-    remaining = np.array(
-        [l for l in range(3 * chi) if l not in taken], dtype=np.int64
-    )
+    free = np.ones(3 * chi, dtype=bool)
+    free[boundary_targets] = False
+    remaining = np.flatnonzero(free)  # ascending, as the stream requires
     rng.shuffle(remaining)
-    it = iter(remaining)
-    for a, b in zip(it, it):
-        pairs.append((int(a) + 1, int(b) + 1))
-    return pairs
+    boundary = np.column_stack(
+        (boundary_targets + 1, np.arange(3 * chi + 1, 3 * chi + n + 1))
+    )
+    return np.concatenate((boundary, remaining.reshape(-1, 2) + 1))
 
 
 def sample_partition(cfg: SampleConfig, trial_index: int) -> HalfEdgePairing:
     """Uniformly distributed good partition, deterministic in
     (cfg.seed, trial_index)."""
-    rng = trial_rng(cfg.seed, trial_index)
-    return HalfEdgePairing(
-        chi=cfg.chi, n=cfg.n, pairs=tuple(_sample_label_pairs(cfg.chi, cfg.n, rng))
-    )
+    pairs = _sample_label_pairs(cfg.chi, cfg.n, trial_rng(cfg.seed, trial_index))
+    return HalfEdgePairing(chi=cfg.chi, n=cfg.n, pairs=pairs.tolist())
 
 
 def sample_graph(cfg: SampleConfig, trial_index: int):
@@ -101,13 +104,8 @@ def sample_graph(cfg: SampleConfig, trial_index: int):
 
 def _trial_is_connected(chi: int, n: int, rng: np.random.Generator) -> bool:
     """Connectivity of one sampled graph without building a MultiGraph."""
-    uf = _UnionFind(chi + n)
-    for i, j in _sample_label_pairs(chi, n, rng):
-        u = (i - 1) // 3 if i <= 3 * chi else chi + (i - 3 * chi - 1)
-        v = (j - 1) // 3 if j <= 3 * chi else chi + (j - 3 * chi - 1)
-        if u != v:
-            uf.union(u, v)
-    return uf.count == 1
+    edges = label_to_vertex(_sample_label_pairs(chi, n, rng), chi).tolist()
+    return union_find(chi + n, edges).count == 1
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -173,12 +171,5 @@ def exact_connectivity_fraction(chi: int, n: int, guard: int = ENUM_GUARD) -> Fr
     connected = 0
     for p in enumerate_family(chi, n, guard=guard):
         total += 1
-        uf = _UnionFind(chi + n)
-        for i, j in p.pairs:
-            u = (i - 1) // 3 if i <= 3 * chi else chi + (i - 3 * chi - 1)
-            v = (j - 1) // 3 if j <= 3 * chi else chi + (j - 3 * chi - 1)
-            if u != v:
-                uf.union(u, v)
-        if uf.count == 1:
-            connected += 1
+        connected += is_connected(build_graph(p))
     return Fraction(connected, total)

@@ -161,3 +161,21 @@ def test_sample_parity_exit_2(tmp_path):
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
+
+
+ISOLATED = "G 2 2\nE v1 v2\n"  # isolated vertices: not a model graph
+LONE = "G 1 0\n"  # one vertex, no edge to split
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [("cheeger", ISOLATED), ("spectra", ISOLATED), ("split", ISOLATED),
+     ("spectra", LONE), ("split", LONE)],
+)
+def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from expander_forge.cheeger import boundary_size, cheeger_exact, cheeger_upper
 from expander_forge.construct import (
     BASE_CHEEGER_TARGET,
+    TreeSplit,
     FamilySpec,
     add_loops,
     balanced_boundary_subset,
@@ -25,7 +27,9 @@ from expander_forge.construct import (
 from expander_forge.errors import ExpanderForgeError
 from expander_forge.graph_core import (
     BOUNDARY,
+    INTERIOR,
     HalfEdgePairing,
+    MultiGraph,
     _UnionFind,
     build_graph,
     is_connected,
@@ -55,6 +59,60 @@ def _sides_are_trees(g, split):
     assert not [
         e for e in remaining if (e[0] in split.side_a) != (e[1] in split.side_a)
     ]
+
+
+def _split_by_retesting(g):
+    """Reference two-tree split: each round removes the smallest edge whose
+    removal keeps the graph connected, retesting connectivity per edge."""
+
+    def connected(edges):
+        uf = _UnionFind(g.num_vertices)
+        for u, v in edges:
+            uf.union(u, v)
+        return uf.count == 1
+
+    edges = list(g.edges)
+    removed = []
+    for _ in range(len(edges) - g.num_vertices + 1):
+        for e in sorted(set(edges)):
+            trial = list(edges)
+            trial.remove(e)
+            if connected(trial):
+                edges = trial
+                removed.append(e)
+                break
+    final = min(edges)
+    edges.remove(final)
+    removed.append(final)
+    uf = _UnionFind(g.num_vertices)
+    for u, v in edges:
+        uf.union(u, v)
+    sides: dict[int, set[int]] = {}
+    for v in range(g.num_vertices):
+        sides.setdefault(uf.find(v), set()).add(v)
+    a, b = sorted(sides.values(), key=min)
+    return TreeSplit(tuple(removed), frozenset(a), frozenset(b))
+
+
+def _random_connected_multigraphs(count, seed):
+    """Connected multigraphs on 2..12 vertices with loops and parallel edges."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nv = rnd.randint(2, 12)
+        edges = [
+            (rnd.randrange(nv), rnd.randrange(nv))
+            for _ in range(rnd.randint(nv - 1, 3 * nv))
+        ]
+        edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 3))]
+        g = MultiGraph(
+            names=tuple(f"x{i}" for i in range(nv)),
+            roles=(INTERIOR,) * nv,
+            edges=tuple(edges),
+        )
+        if is_connected(g):
+            out.append(g)
+    return out
 
 
 def test_split_star():
@@ -109,6 +167,19 @@ def test_split_invariants_on_samples():
         assert split.side_a | split.side_b == set(range(g.num_vertices))
         assert not (split.side_a & split.side_b)
         _sides_are_trees(g, split)
+
+
+def test_split_matches_retesting_reference():
+    planted = [
+        plant_trees(base(), k)
+        for base in (theta_base, k4_graph, k33_graph, petersen_graph)
+        for k in (1, 2, 3)
+    ]
+    graphs = SAMPLES + planted + _random_connected_multigraphs(300, seed=3)
+    assert any(u == v for g in graphs for u, v in g.edges)  # loops
+    assert any(len(set(g.edges)) < g.num_edges for g in graphs)  # parallels
+    for g in graphs:
+        assert two_tree_split(g) == _split_by_retesting(g)
 
 
 def test_balanced_subset_invariants_on_samples():

@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 
 from expander_forge.errors import GuardExceededError, ParityError
-from expander_forge.graph_core import validate_partition
+from expander_forge.graph_core import is_connected, validate_partition
 from expander_forge.sampler import (
     SampleConfig,
+    _trial_is_connected,
     count_family,
     enumerate_family,
     estimate_connectivity,
     exact_connectivity_fraction,
     matching_count,
+    sample_graph,
     sample_partition,
+    trial_rng,
     wilson_interval,
 )
 
@@ -78,6 +81,29 @@ def test_sampler_uniform_on_small_family():
     sigma = math.sqrt(trials * p * (1 - p))
     for count in freq.values():
         assert abs(count - trials * p) <= 3 * sigma
+
+
+def test_sampled_pairs_are_pinned():
+    """Literal draws under the RNG contract: a change to the sampling stream
+    (such as the order of the leftover interior labels) shows here."""
+    assert sample_partition(SampleConfig(4, 2, 1, 123), 0).pairs == (
+        (1, 9), (2, 6), (3, 13), (4, 7), (5, 10), (8, 12), (11, 14),
+    )
+    assert sample_partition(SampleConfig(5, 3, 1, 2024), 3).pairs == (
+        (1, 16), (2, 17), (3, 11), (4, 13), (5, 15), (6, 9), (7, 18), (8, 14),
+        (10, 12),
+    )
+
+
+@pytest.mark.parametrize("chi,n", [(16, 4), (50, 18), (400, 100)])
+def test_trial_connectivity_follows_the_rng_contract(chi, n):
+    """The array fast path sees the same graph as sample_graph, trial by trial."""
+    cfg = SampleConfig(chi=chi, n=n, trials=150, seed=17)
+    verdicts = [
+        _trial_is_connected(chi, n, trial_rng(cfg.seed, t)) for t in range(cfg.trials)
+    ]
+    assert verdicts == [is_connected(sample_graph(cfg, t)) for t in range(cfg.trials)]
+    assert True in verdicts and False in verdicts
 
 
 def test_exact_connectivity_small_families():

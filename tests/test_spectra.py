@@ -14,6 +14,8 @@ from expander_forge.graph_core import (
 )
 from expander_forge.sampler import SampleConfig, sample_graph
 from expander_forge.spectra import (
+    DENSE_LIMIT,
+    _smallest_eigs_iterative,
     harmonic_extension,
     laplacian_spectrum,
     rayleigh_quotient,
@@ -146,6 +148,22 @@ def test_domination_on_star_and_samples():
     for g in _connected_samples([(3, 3), (4, 2)], 20, seed=21):
         ok, rep = verify_domination(g)
         assert ok, rep
+
+
+def test_iterative_smallest_eigs_match_dense():
+    graphs = [LOOP_PENDANT, *_connected_samples([(12, 6), (30, 4)], 3, seed=5)]
+    for g in graphs:
+        dense = laplacian_spectrum(g).laplacian_eigs
+        k = min(5, g.num_vertices - 1)
+        assert np.allclose(_smallest_eigs_iterative(g, k, TOL), dense[:k], atol=1e-8)
+
+
+def test_domination_above_dense_limit():
+    (g,) = _connected_samples([(2000, 4)], 1, seed=1)
+    assert g.num_vertices == 2004 > DENSE_LIMIT
+    ok, rep = verify_domination(g)
+    assert ok and rep["min_margin"] >= -TOL
+    assert len(rep["lambda"]) == len(rep["sigma"]) == 4
 
 
 def test_report_json_shape():
