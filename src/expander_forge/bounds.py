@@ -40,16 +40,6 @@ NABS_INTERIOR_GUARD = 20
 
 
 @dataclass(frozen=True)
-class MuPair:
-    a: int
-    b: int
-    s: int
-    chi: int
-    n: int
-    mu: Fraction
-
-
-@dataclass(frozen=True)
 class MuPairBound:
     x: Fraction
     y: Fraction

@@ -91,12 +91,12 @@ def cheeger_exact(g: MultiGraph, guard: int | None = None) -> CheegerCertificate
         raise ExpanderForgeError("cheeger_exact requires a connected graph")
     limit = resolve_guard(guard)
     nv = g.num_vertices
+    if nv < 2:
+        raise ExpanderForgeError("cheeger_exact needs at least 2 vertices")
     if nv > limit:
         raise GuardExceededError(f"|V| = {nv} exceeds exact-search guard {limit}")
     adj, mult = _bitmask_inputs(g)
     s, k, mask, _visited = _kernel.min_ratio_cut(adj, mult, nv, nv // 2)
-    if k == 0:
-        raise ExpanderForgeError("empty search (single-vertex graph?)")
     witness = tuple(v for v in range(nv) if (mask >> v) & 1)
     return CheegerCertificate(
         h=Fraction(s, k), witness=witness, boundary_size=s, exact=True

@@ -13,19 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
+
+import numpy as np
 
 from .cheeger import boundary_size, cheeger_exact, cheeger_upper, resolve_guard
 from .errors import CertificationError, ExpanderForgeError
 from .graph_core import (
     BOUNDARY,
     INTERIOR,
+    HalfEdgePairing,
     MultiGraph,
+    build_graph,
     components,
     is_connected,
+    label_to_vertex,
+    model_vertex_names,
     relabel_canonical,
     spanning_forest,
     topology,
+    union_find,
 )
 from .sampler import SampleConfig, sample_graph
 
@@ -77,18 +85,6 @@ def two_tree_split(g: MultiGraph) -> TreeSplit:
     )
 
 
-def _in_window(c: int, n: int) -> bool:
-    return n <= 4 * c and 2 * c <= n
-
-
-def _tree_components_without(
-    nv: int, tree_edges: list[tuple[int, int]], vertices: frozenset[int], w: int
-) -> list[frozenset[int]]:
-    """Components of the tree on `vertices` once vertex w is cut out."""
-    edges = [e for e in tree_edges if w not in e]
-    return [frozenset(c) for c in components(nv, edges, vertices - {w})]
-
-
 def _subset_search_fallback(g: MultiGraph, genus: int) -> BalancedSubset:
     """Direct search over interior subsets with optimal pendant inclusion.
 
@@ -137,12 +133,13 @@ def _subset_search_fallback(g: MultiGraph, genus: int) -> BalancedSubset:
 def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
     """A subset H with |boundary(H)| <= g+1 and n/4 <= |H ∩ dG| <= n/2.
 
-    Follows the tree-split descent: start from the two-tree split, keep the
-    side holding more than half the boundary vertices, and repeatedly cut
-    its spanning tree at the attachment vertex of a crossing edge, keeping
-    the piece with at least half the current boundary count, until the
-    window is hit.  Falls back to a direct subset search if no cut choice
-    preserves the |boundary| <= g+1 invariant.
+    Follows the tree-split descent.  The first cut is the two-tree split;
+    each later cut removes the inside end of a crossing edge of the current
+    side from that side's spanning tree.  Among a cut's pieces with
+    |boundary| <= g+1, sorted by boundary count (descending, then least
+    vertex), the first in the window is returned, else the first holding
+    more than half the boundary vertices becomes the current side.  Falls
+    back to a direct subset search if no cut yields such a piece.
     """
     if not is_connected(g):
         raise ExpanderForgeError("requires a connected graph")
@@ -151,60 +148,42 @@ def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
         raise ExpanderForgeError("needs n >= 2 (integer window empty)")
     genus = topology(g).genus
     boundary_set = set(g.boundary_indices())
+    nv = g.num_vertices
 
     def bcount(vs) -> int:
         return len(boundary_set & vs)
 
-    def make(vs: frozenset[int]) -> BalancedSubset:
-        return BalancedSubset(
-            h_set=vs,
-            boundary_edges=boundary_size(g, vs),
-            boundary_vertices_inside=bcount(vs),
-        )
+    def kept(vs) -> bool:
+        return boundary_size(g, vs) <= genus + 1
+
+    def cuts(side: frozenset[int], tree: list[tuple[int, int]]):
+        for e in sorted(e for e in set(g.edges) if (e[0] in side) != (e[1] in side)):
+            w = e[0] if e[0] in side else e[1]
+            rest = [te for te in tree if w not in te]
+            yield [frozenset(c) for c in components(nv, rest, side - {w})]
 
     split = two_tree_split(g)
-    tree_edges = list(g.edges)
+    tree = list(g.edges)
     for e in split.removed_edges:
-        tree_edges.remove(e)
-
-    for side in (split.side_a, split.side_b):
-        c = bcount(side)
-        if _in_window(c, n) and boundary_size(g, side) <= genus + 1:
-            return make(side)
-
-    sides = [split.side_a, split.side_b]
-    sides.sort(key=bcount, reverse=True)
-    h_cur = sides[0]
-    if 2 * bcount(h_cur) <= n:
-        return _subset_search_fallback(g, genus)
-    tree_cur = [e for e in tree_edges if e[0] in h_cur and e[1] in h_cur]
-
-    for _ in range(g.num_vertices):
-        crossing = sorted(
-            e for e in set(g.edges) if (e[0] in h_cur) != (e[1] in h_cur)
-        )
-        progressed = False
-        for e in crossing:
-            w = e[0] if e[0] in h_cur else e[1]
-            comps = _tree_components_without(g.num_vertices, tree_cur, h_cur, w)
-            comps.sort(key=lambda cset: (-bcount(cset), min(cset)))
-            for cset in comps:
-                c = bcount(cset)
-                if _in_window(c, n) and boundary_size(g, cset) <= genus + 1:
-                    return make(cset)
-            for cset in comps:
-                if 2 * bcount(cset) > n and boundary_size(g, cset) <= genus + 1:
-                    h_cur = cset
-                    tree_cur = [
-                        te for te in tree_cur if te[0] in cset and te[1] in cset
-                    ]
-                    progressed = True
-                    break
-            if progressed:
+        tree.remove(e)
+    candidates = [[split.side_a, split.side_b]]
+    while True:  # each step strictly shrinks the current side
+        for pieces in candidates:
+            pieces.sort(key=lambda cset: (-bcount(cset), min(cset)))
+            for cset in pieces:
+                if n <= 4 * bcount(cset) <= 2 * n and kept(cset):
+                    return BalancedSubset(
+                        h_set=cset,
+                        boundary_edges=boundary_size(g, cset),
+                        boundary_vertices_inside=bcount(cset),
+                    )
+            side = next((c for c in pieces if 2 * bcount(c) > n and kept(c)), None)
+            if side is not None:
                 break
-        if not progressed:
+        else:
             return _subset_search_fallback(g, genus)
-    return _subset_search_fallback(g, genus)
+        tree = [e for e in tree if e[0] in side and e[1] in side]
+        candidates = cuts(side, tree)
 
 
 def steklov_test_function(
@@ -242,12 +221,10 @@ def build_Tk(k: int) -> MultiGraph:
     names = tuple(f"v{i}" for i in range(k + 1)) + tuple(
         f"w{i}" for i in range(1, k)
     )
-    roles = [INTERIOR] * (k + 1) + [BOUNDARY] * (k - 1)
-    roles[k] = BOUNDARY  # v_k is a pendant of the planted tree
-    roles[0] = INTERIOR
+    roles = (INTERIOR,) * k + (BOUNDARY,) * k  # v_k and the hairs are pendants
     edges = [(i, i + 1) for i in range(k)]
     edges += [(i, k + i) for i in range(1, k)]
-    return MultiGraph(names=names, roles=tuple(roles), edges=tuple(edges))
+    return MultiGraph(names=names, roles=roles, edges=tuple(edges))
 
 
 def plant_trees(g: MultiGraph, k: int) -> MultiGraph:
@@ -262,21 +239,15 @@ def plant_trees(g: MultiGraph, k: int) -> MultiGraph:
         raise ExpanderForgeError("plant_trees requires a 3-regular base")
     if not is_connected(g):
         raise ExpanderForgeError("plant_trees requires a connected base")
-    nv = g.num_vertices
-    roles = [INTERIOR] * nv
-    names = [f"b{i}" for i in range(nv)]
+    tk = build_Tk(k)
+    names, roles = list(g.names), [INTERIOR] * g.num_vertices
     edges: list[tuple[int, int]] = []
     for u1, u2 in g.edges:
-        base = len(names)
-        # fragment layout: spine v_0..v_k at base..base+k, hairs after
-        names += [f"t{base}_{i}" for i in range(2 * k)]
-        roles += [INTERIOR] * (k + 1) + [BOUNDARY] * (k - 1)
-        roles[base + k] = BOUNDARY
-        roles[base] = INTERIOR
-        edges += [(base + i, base + i + 1) for i in range(k)]
-        edges += [(base + i, base + k + i) for i in range(1, k)]
-        edges.append((u1, base))
-        edges.append((u2, base))
+        base = len(names)  # the fragment's root v_0
+        names += tk.names
+        roles += tk.roles
+        edges += [(base + a, base + b) for a, b in tk.edges]
+        edges += [(u1, base), (u2, base)]
     return relabel_canonical(names, roles, edges)
 
 
@@ -305,8 +276,18 @@ def tree_planting_lower_bound(h_base: Fraction, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Target boundary-to-genus ratio theta and the derived tree depth k
-    with theta <= 3k < theta + 3."""
+    """Target boundary-to-genus ratio theta; one rule builds every member.
+
+    - Tree depth k = ceil(theta/3), so theta <= 3k < theta + 3.
+    - Planting depth-k caterpillars on a cubic base with 2m vertices gives
+      genus m + 1 and 3km pendants; t(m) = max(0, floor(((3k - theta) m -
+      theta)/(1 + theta))) of them get loops, for genus g_of(m) = m + 1 + t(m).
+    - m0 = max(1, ceil(theta/(3k - theta))), or 1 when 3k = theta, where
+      that formula divides by zero; the family starts at genus g_of(m0).
+    - Genus g >= g_of(m0) uses the largest m with g_of(m) <= g and puts
+      t(m) + g - g_of(m) loops.  When 3k = theta, t(m) = 0, so m = g - 1 and
+      no loop is added.
+    """
 
     theta: Fraction
     k: int
@@ -331,87 +312,50 @@ class FamilySpec:
         return max(1, math.ceil(self.theta / (3 * self.k - self.theta)))
 
     def t(self, m: int) -> int:
-        if self.exact_multiple:
-            return 0
         val = ((3 * self.k - self.theta) * m - self.theta) / (1 + self.theta)
         return max(0, math.floor(val))
 
     def g_of(self, m: int) -> int:
-        if self.exact_multiple:
-            return m + 1
         return m + 1 + self.t(m)
-
-    def n_of(self, m: int) -> int:
-        return 3 * self.k * m - self.t(m)
-
-    @property
-    def loop_step_bound(self) -> Fraction:
-        return 1 + (3 * self.k - self.theta) / (1 + self.theta)
 
 
 # --- certified cubic bases ----------------------------------------------------
 
 
-def theta_base() -> MultiGraph:
+def _cubic(nv: int, edges) -> MultiGraph:
+    """All-interior graph on vertices v1..v{nv}."""
     return MultiGraph(
-        names=("v1", "v2"),
-        roles=(INTERIOR, INTERIOR),
-        edges=((0, 1), (0, 1), (0, 1)),
+        names=model_vertex_names(nv, 0), roles=(INTERIOR,) * nv, edges=tuple(edges)
     )
+
+
+def theta_base() -> MultiGraph:
+    return _cubic(2, [(0, 1)] * 3)
 
 
 def k4_graph() -> MultiGraph:
-    edges = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-    return MultiGraph(
-        names=tuple(f"v{i}" for i in range(1, 5)),
-        roles=(INTERIOR,) * 4,
-        edges=edges,
-    )
+    return _cubic(4, combinations(range(4), 2))
 
 
 def k33_graph() -> MultiGraph:
-    edges = tuple((i, 3 + j) for i in range(3) for j in range(3))
-    return MultiGraph(
-        names=tuple(f"v{i}" for i in range(1, 7)),
-        roles=(INTERIOR,) * 6,
-        edges=edges,
-    )
+    return _cubic(6, [(i, 3 + j) for i in range(3) for j in range(3)])
 
 
 def cube_graph() -> MultiGraph:
-    edges = []
-    for v in range(8):
-        for bit in (1, 2, 4):
-            if v < v ^ bit:
-                edges.append((v, v ^ bit))
-    return MultiGraph(
-        names=tuple(f"v{i}" for i in range(1, 9)),
-        roles=(INTERIOR,) * 8,
-        edges=tuple(edges),
-    )
+    edges = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+    return _cubic(8, edges)
 
 
 def petersen_graph() -> MultiGraph:
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))  # outer cycle
-        edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
-        edges.append((i, 5 + i))  # spokes
-    return MultiGraph(
-        names=tuple(f"v{i}" for i in range(1, 11)),
-        roles=(INTERIOR,) * 10,
-        edges=tuple(edges),
-    )
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    pentagram = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return _cubic(10, outer + pentagram + spokes)
 
 
 def heawood_graph() -> MultiGraph:
-    edges = [(i, (i + 1) % 14) for i in range(14)]
-    edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
-    return MultiGraph(
-        names=tuple(f"v{i}" for i in range(1, 15)),
-        roles=(INTERIOR,) * 14,
-        edges=tuple(sorted((min(u, v), max(u, v)) for u, v in edges)),
-    )
+    cycle = [(i, (i + 1) % 14) for i in range(14)]
+    return _cubic(14, cycle + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
 
 
 NAMED_BASES: dict[int, Callable[[], MultiGraph]] = {
@@ -484,45 +428,29 @@ def expander_family(
 ) -> FamilyMember:
     """The genus-g member of the family with n(g)/g -> theta.
 
-    For g below the construction threshold the first connected member of
-    F_{2g,2} under enumeration order is used; otherwise the certified base
-    on 2m vertices is planted at depth k and t_m + (g - g_m) pendants get
-    loops, lowest canonical id first.
+    Below g_of(m0) it is the first connected member of F_{2g,2} in
+    enumeration order.  Otherwise m is the largest with g_of(m) <= g, the
+    certified base on 2m vertices is planted at depth k, and the
+    t(m) + g - g_of(m) pendants with the lowest canonical ids get loops
+    (see FamilySpec).
     """
     if g < 1:
         raise ExpanderForgeError("genus must be >= 1")
     provider = base_provider or default_base_provider
 
-    if not spec.exact_multiple and g < spec.g_of(spec.m0):
+    if g < spec.g_of(spec.m0):
         member = _first_connected_member(2 * g, 2)
         return FamilyMember(
             graph=member, genus=g, n=2, chi=2 * g, h_lower=Fraction(0), base_exact=False
         )
 
-    if spec.exact_multiple:
-        m = g - 1
-        if m < 1:
-            member = _first_connected_member(2 * g, 2)
-            return FamilyMember(
-                graph=member, genus=g, n=2, chi=2 * g,
-                h_lower=Fraction(0), base_exact=False,
-            )
-        loops = 0
-    else:
-        m = spec.m0
-        while spec.g_of(m + 1) <= g:
-            m += 1
-        loops = spec.t(m) + (g - spec.g_of(m))
-
+    m = spec.m0
+    while spec.g_of(m + 1) <= g:
+        m += 1
     base = provider(m)
     planted = plant_trees(base.graph, spec.k)
-    if loops:
-        pendants = [
-            v for v in range(planted.num_vertices) if planted.roles[v] == BOUNDARY
-        ]
-        result = add_loops(planted, pendants[:loops])
-    else:
-        result = planted
+    loops = spec.t(m) + g - spec.g_of(m)
+    result = add_loops(planted, planted.boundary_indices()[:loops])
     top = topology(result)
     if top.genus != g:
         raise ExpanderForgeError(
@@ -539,11 +467,35 @@ def expander_family(
 
 
 def _first_connected_member(chi: int, n: int) -> MultiGraph:
-    from .graph_core import build_graph
-    from .sampler import enumerate_family
+    """The first connected member of F_{chi,n} in enumerate_family order.
 
-    for p in enumerate_family(chi, n, guard=None):
-        graph = build_graph(p)
-        if is_connected(graph):
-            return graph
-    raise ExpanderForgeError(f"no connected member in F_{{{chi},{n}}}")
+    Walks the same depth-first order, but drops a partial pairing once some
+    component of its graph has no free half-edge left while vertices remain
+    outside it, since no completion of it is connected.
+    """
+    labels = list(range(1, 3 * chi + n + 1))
+    owner = dict(zip(labels, label_to_vertex(np.array(labels), chi).tolist()))
+    pairs: list[tuple[int, int]] = []
+
+    def doomed(free: list[int]) -> bool:
+        uf = union_find(chi + n, ((owner[i], owner[j]) for i, j in pairs))
+        return uf.count > 1 and len({uf.find(owner[x]) for x in free}) < uf.count
+
+    def walk(free: list[int]) -> bool:
+        if doomed(free):
+            return False
+        if not free:
+            return True
+        i, rest = free[0], free[1:]
+        if i > 3 * chi:
+            return False  # only boundary labels left: any pair would be bad
+        for k, j in enumerate(rest):
+            pairs.append((i, j))
+            if walk(rest[:k] + rest[k + 1 :]):
+                return True
+            pairs.pop()
+        return False
+
+    if not walk(labels):
+        raise ExpanderForgeError(f"no connected member in F_{{{chi},{n}}}")
+    return build_graph(HalfEdgePairing(chi=chi, n=n, pairs=tuple(pairs)))

@@ -45,10 +45,6 @@ class HalfEdgePairing:
         if not validate_partition(self.chi, self.n, self.pairs):
             raise ExpanderForgeError("pairs do not form a good partition")
 
-    @property
-    def num_labels(self) -> int:
-        return 3 * self.chi + self.n
-
 
 def validate_partition(
     chi: int, n: int, pairs: Iterable[tuple[int, int]]
@@ -113,9 +109,6 @@ class MultiGraph:
             deg[u] += 1
             deg[v] += 1  # a loop hits the same entry twice
         return deg
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
     def boundary_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.roles) if r == BOUNDARY]

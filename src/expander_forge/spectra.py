@@ -10,7 +10,7 @@ boundary data to the outward derivative of its harmonic extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ExpanderForgeError, SolverError
-from .graph_core import BOUNDARY, MultiGraph, is_connected, topology
+from .graph_core import MultiGraph, is_connected, topology
 
 DEFAULT_TOL = 1e-9
 DENSE_LIMIT = 2000
@@ -86,7 +86,12 @@ def laplacian_spectrum(g: MultiGraph, tol: float = DEFAULT_TOL) -> SpectralRepor
 
 def _smallest_eigs_iterative(g: MultiGraph, k: int, tol: float) -> np.ndarray:
     """The k smallest normalized-Laplacian eigenvalues, ascending: Lanczos
-    for the k largest eigenvalues of the flipped operator 2I - L."""
+    for the k largest eigenvalues of the flipped operator 2I - L.
+
+    The start vector is fixed, so repeated calls agree bit for bit.  It is
+    drawn at random because a constant vector is orthogonal to every
+    eigenvector that is antisymmetric under a graph automorphism.
+    """
     nv = g.num_vertices
     a = scipy.sparse.csr_matrix(
         (np.ones(2 * g.num_edges), _adjacency_entries(g)), shape=(nv, nv)
@@ -97,8 +102,9 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int, tol: float) -> np.ndarray:
     dinv = scipy.sparse.diags(1.0 / np.sqrt(deg))
     lap = scipy.sparse.identity(nv) - dinv @ a @ dinv
     flipped = 2.0 * scipy.sparse.identity(nv) - lap
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nv)
     vals = scipy.sparse.linalg.eigsh(
-        flipped, k=k, which="LA", return_eigenvectors=False, tol=tol
+        flipped, k=k, which="LA", return_eigenvectors=False, tol=tol, v0=v0
     )
     return np.sort(2.0 - vals)
 

@@ -112,6 +112,17 @@ def test_construct_family_and_rerun(tmp_path):
         assert graph.num_vertices == graph.chi + graph.n
 
 
+def test_construct_small_genus_below_threshold(tmp_path):
+    # theta = 5/2 starts planting at genus 6; genera 1..5 are the first
+    # connected members of F_{2g,2}, found by the pruned walk
+    out = tmp_path / "f"
+    argv = ["construct", "--theta", "5/2", "--g-min", "1", "--g-max", "8"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in (out / "manifest.csv").read_text().splitlines()[1:]]
+    assert [r[:3] for r in rows[:5]] == [[str(g), "2", str(2 * g)] for g in range(1, 6)]
+    assert all(int(r[1]) > 2 for r in rows[5:])
+
+
 def test_spectra_cheeger_split_subcommands(tmp_path, capsys):
     d = tmp_path / "fam"
     assert main(
@@ -170,12 +181,12 @@ LONE = "G 1 0\n"  # one vertex, no edge to split
 @pytest.mark.parametrize(
     "command,text",
     [("cheeger", ISOLATED), ("spectra", ISOLATED), ("split", ISOLATED),
-     ("spectra", LONE), ("split", LONE)],
+     ("spectra", LONE), ("split", LONE), ("cheeger", LONE)],
 )
 def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

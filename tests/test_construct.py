@@ -6,6 +6,7 @@ import pytest
 from expander_forge.cheeger import boundary_size, cheeger_exact, cheeger_upper
 from expander_forge.construct import (
     BASE_CHEEGER_TARGET,
+    _first_connected_member,
     TreeSplit,
     FamilySpec,
     add_loops,
@@ -35,7 +36,7 @@ from expander_forge.graph_core import (
     is_connected,
     topology,
 )
-from expander_forge.sampler import SampleConfig, sample_graph
+from expander_forge.sampler import SampleConfig, enumerate_family, sample_graph
 from expander_forge.spectra import rayleigh_quotient, steklov_spectrum
 
 STAR = build_graph(HalfEdgePairing(chi=1, n=3, pairs=((1, 4), (2, 5), (3, 6))))
@@ -399,3 +400,13 @@ def test_default_base_provider_sampled():
     assert all(d == 3 for d in base.graph.degrees())
     assert base.exact and base.h_bound >= BASE_CHEEGER_TARGET
     assert cheeger_exact(base.graph).h == base.h_bound
+
+
+@pytest.mark.parametrize("chi", [2, 4, 6])
+def test_first_connected_member_matches_exhaustive_search(chi):
+    # chi = 6: the exhaustive walk tests 124,831 pairings before a hit
+    exhaustive = next(
+        g for g in map(build_graph, enumerate_family(chi, 2, guard=None))
+        if is_connected(g)
+    )
+    assert _first_connected_member(chi, 2) == exhaustive

@@ -1,0 +1,79 @@
+"""Golden digests of the construction outputs and of the tree-split descent.
+
+Any change to a family member, a manifest row, a two-tree split or a
+balanced subset changes them; outputs must stay byte-identical.
+"""
+
+import hashlib
+
+import pytest
+
+from expander_forge.cli import main
+from expander_forge.construct import balanced_boundary_subset, two_tree_split
+from expander_forge.graph_core import is_connected
+from expander_forge.sampler import SampleConfig, sample_graph
+
+# sha256 over manifest.csv and g1.txt..g16.txt of `construct --g-min 1 --g-max 16`
+CONSTRUCT_DIGESTS = {
+    "1": "04048043de6511a772cb775a61ee6c3028478240f4cace344be18357966aebcf",
+    "3/2": "7b0eaab7cedfe2254dcef2a959b0a9d2e36f58a638b71354ce73230ace55756b",
+    "2": "11a0d1b26682ea707395cb582ccc8ace28ce4ab574bf9ff168e014356618e66f",
+    "3": "79dacb6f092319f853c4457627aac0382cfc9b6ac821fd26533503b1b3d21f02",
+    "4": "a1e2f59af3c076be896239f9f02a119cd02968ff4ddd11c2e3aeef6aa2a22a58",
+    "6": "43303f3879a1ed94d3e60caa0163666e74f8efc988934c926f874614a7ea818a",
+    "9": "ef446d9658c02188d338f40d961c3843b28b7fec84b6eaf82967882fb8bab441",
+}
+
+# sha256 over the split and balanced subset of the connected draws among
+# trials 0..19 of SampleConfig(chi, n, seed=7)
+SPLIT_DIGESTS = {
+    (4, 2): "b91ffc67526b4658694962a918fd221d082d062d0da7f934d41b67f46d76a086",
+    (5, 3): "88d831192a3f10462db80a848882ed926f97ae08f74c54953ff86ff2a02f2356",
+    (6, 4): "ad881df51887ebe52498915a908476ae9e6fff38d82745d3e7b2e6d56f785341",
+    (8, 6): "24868d400d665c5cce9dd4b4cb5cc5afca5d8b9cf6b94b7ef0d184e5e9ef98e7",
+    (10, 4): "643618b6ee9e27a1e9cd077b727a60317773f0a0a7931a03eeca5ff7a3e8c572",
+    (12, 8): "3476ddfb69e2f777b174bb60414b836fe8abd42f448ab9e61ad66b5fe028a1a6",
+    (16, 6): "15939251f4547a1227cd09b5b86d657513b9ede81233ccd5cc9b23660c0693e6",
+    (20, 10): "af97864bfb58abe540c53d7b043cfcf532b520f51b12739e34d0ae3bb0be85cd",
+    (30, 12): "adcf73a25609811b511ecaa04a81587f4dc9c965ff9507ef0f809e47048f00da",
+    (40, 20): "265c512810c16b5884cf93c19b2a3c9fd7c020f9caa3bd85d3d8decb9633da60",
+    (60, 16): "1f5ef389e789166aa351967d4c5b328657cd140e96b9fd4a1f3ef832e3798e6d",
+    (80, 40): "008d56a1f0f3ad8a33bc35f360a6d287847279f5002110dc590313e1a3f3e98c",
+    (120, 30): "eb6e3ed31eb3d6dd42c2ad95fddc2d2084684370152deeed605d81197ed1a77e",
+    (160, 50): "e1577812fc3de594cc725b87220c8ddd050a39a29c82f7e0e4f9f52bcfb3cd04",
+    (200, 24): "12051e7f95d268978f26c390dac7957b3f037489dc02b302279dfc1e71aeb8ae",
+    (200, 60): "4380243ac7b8f9658077b227813ec50105199977e6cd14b3519478be7a029baa",
+}
+
+
+@pytest.mark.parametrize("theta", sorted(CONSTRUCT_DIGESTS))
+def test_construct_outputs_match_golden(tmp_path, theta):
+    out = tmp_path / "family"
+    argv = ["construct", "--theta", theta, "--g-min", "1", "--g-max", "16"]
+    assert main(argv + ["--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for name in ["manifest.csv"] + [f"g{g}.txt" for g in range(1, 17)]:
+        digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+    assert digest.hexdigest() == CONSTRUCT_DIGESTS[theta]
+
+
+@pytest.mark.parametrize("chi,n", sorted(SPLIT_DIGESTS))
+def test_split_and_balanced_subset_match_golden(chi, n):
+    cfg = SampleConfig(chi=chi, n=n, trials=20, seed=7)
+    digest = hashlib.sha256()
+    for t in range(cfg.trials):
+        g = sample_graph(cfg, t)
+        if not is_connected(g):
+            continue
+        split = two_tree_split(g)
+        bal = balanced_boundary_subset(g)
+        record = [
+            t,
+            split.removed_edges,
+            sorted(split.side_a),
+            sorted(bal.h_set),
+            bal.boundary_edges,
+            bal.boundary_vertices_inside,
+        ]
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == SPLIT_DIGESTS[chi, n]
