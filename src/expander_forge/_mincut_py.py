@@ -1,8 +1,9 @@
-"""Pure-Python twin of the compiled minimum-ratio-cut kernel.
+"""The package's one Python enumerator of connected vertex subsets,
+connected_subsets, and the minimum-ratio-cut kernel built on it.
 
-Same contract as _mincut_core.min_ratio_cut; used when the extension is not
-built.  Measured 4.4-6.1x slower than the compiled kernel on 16-28 vertex
-graphs.
+min_ratio_cut is the pure-Python twin of _mincut_core.min_ratio_cut, used
+when the extension is not built: measured 4.4-6.1x slower on 16-28 vertex
+graphs.  bounds counts N_{a,b,s} with connected_subsets.
 """
 
 from __future__ import annotations
@@ -30,37 +31,18 @@ def _lex_less(a: int, b: int) -> bool:
     return (a & (d & -d)) != 0
 
 
-def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
-    """Exact min of boundary/|S| over doubly-connected S, |S| <= half."""
-    if nv < 1 or nv > 63:
-        raise ValueError("kernel supports 1..63 vertices")
-    adj = [int(x) for x in adj_masks]
-    mult = [[int(mult_matrix[i][j]) for j in range(nv)] for i in range(nv)]
+def connected_subsets(adj: list[int], mult: list[list[int]], half: int, visit):
+    """Call visit(S, size, s, nbrs) once per vertex mask S inducing a
+    connected subgraph with size = |S| <= half, in the compiled kernel's
+    order; s = |boundary(S)| and nbrs is the union of adj over S.
+
+    adj and mult are graph_core's bitmask view.  s is updated as each
+    vertex v joins: v's edges into S turn inward.
+    """
     degw = [sum(row) for row in mult]
-    full = (1 << nv) - 1
-
-    best_s, best_k, best_mask = 0, 0, 0
-    visited = 0
-
-    def consider(S: int, size: int, s: int) -> None:
-        nonlocal best_s, best_k, best_mask, visited
-        visited += 1
-        if best_k == 0:
-            better = True
-        elif s * best_k != best_s * size:
-            better = s * best_k < best_s * size
-        elif size != best_k:
-            better = size < best_k
-        else:
-            better = _lex_less(S, best_mask)
-        if not better:
-            return
-        if not _mask_connected(full & ~S, adj):
-            return
-        best_s, best_k, best_mask = s, size, S
 
     def rec(S: int, nbrs: int, forbidden: int, size: int, s: int) -> None:
-        consider(S, size, s)
+        visit(S, size, s, nbrs)
         if size == half:
             return
         cand = nbrs & ~S & ~forbidden
@@ -78,6 +60,37 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
             rec(S | bit, nbrs | adj[v], forbidden | block, size + 1, s2)
             block |= bit
 
-    for r in range(nv):
+    for r in range(len(adj)):
         rec(1 << r, adj[r], (1 << r) - 1, 1, degw[r])
+
+
+def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
+    """Exact min of boundary/|S| over doubly-connected S, |S| <= half."""
+    if nv < 1 or nv > 63:
+        raise ValueError("kernel supports 1..63 vertices")
+    adj = [int(x) for x in adj_masks]
+    mult = [[int(mult_matrix[i][j]) for j in range(nv)] for i in range(nv)]
+    full = (1 << nv) - 1
+
+    best_s, best_k, best_mask = 0, 0, 0
+    visited = 0
+
+    def consider(S: int, size: int, s: int, _nbrs: int) -> None:
+        nonlocal best_s, best_k, best_mask, visited
+        visited += 1
+        if best_k == 0:
+            better = True
+        elif s * best_k != best_s * size:
+            better = s * best_k < best_s * size
+        elif size != best_k:
+            better = size < best_k
+        else:
+            better = _lex_less(S, best_mask)
+        if not better:
+            return
+        if not _mask_connected(full & ~S, adj):
+            return
+        best_s, best_k, best_mask = s, size, S
+
+    connected_subsets(adj, mult, half, consider)
     return best_s, best_k, best_mask, visited

@@ -20,6 +20,9 @@ subsets with statistics (a, b, s) and at least one such crossing edge.
 first_moment_bound = X*Y*Z + P therefore bounds the expected unrestricted
 count (count_all_Nabs).  mu_pair_sum and the `bounds` CLI table keep the
 X*Y*Z form, so they bound the interior-cut class only.
+
+Both counts come from one pass of _mincut_py.connected_subsets, the engine
+of the exact Cheeger search.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GuardExceededError
-from .graph_core import MultiGraph, check_parity, is_connected
+from ._mincut_py import connected_subsets
+from .graph_core import MultiGraph, _bitmask_inputs, check_parity, is_connected
 from .sampler import SampleConfig, count_family, matching_count, sample_graph
 
 NABS_INTERIOR_GUARD = 20
@@ -191,59 +195,33 @@ def mu_pair_sum(chi: int, n: int, mu) -> Fraction:
     return total
 
 
-def _connected_subset_masks(adj: list[int], nv: int) -> Iterator[int]:
-    """Every vertex subset inducing a connected subgraph, each once."""
-
-    def rec(S: int, nbrs: int, forbidden: int) -> Iterator[int]:
-        yield S
-        cand = nbrs & ~S & ~forbidden
-        block = 0
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            cand &= cand - 1
-            yield from rec(S | bit, nbrs | adj[v], forbidden | block)
-            block |= bit
-
-    for r in range(nv):
-        yield from rec(1 << r, adj[r], (1 << r) - 1)
-
-
-def _connected_subset_stats(g: MultiGraph) -> Iterator[tuple[int, int, int, bool]]:
-    """(a, b, s, touches_pendant) of every connected vertex subset; nothing
-    for a disconnected graph.
-
-    a/b count the degree-1/degree-3 vertices inside, s the crossing edges
-    with multiplicity (loops never cross), and touches_pendant tells
-    whether some crossing edge ends at a degree-1 vertex.
-    """
+def _connected_subset_counts(g: MultiGraph) -> tuple[Counter, Counter]:
+    """Counters of (a, b, s) over every connected vertex subset and over
+    the interior-cut ones, filled in one pass; empty if disconnected."""
+    unrestricted, interior_cut = Counter(), Counter()
     if not is_connected(g):
-        return
-    nv = g.num_vertices
+        return unrestricted, interior_cut
     degs = g.degrees()
     n_interior = sum(1 for d in degs if d == 3)
     if n_interior > NABS_INTERIOR_GUARD:
         raise GuardExceededError(
             f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
         )
-    adj = [0] * nv
-    nonloop: list[tuple[int, int, bool]] = []
-    for u, v in g.edges:
-        if u == v:
-            continue
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        nonloop.append((u, v, degs[u] == 1 or degs[v] == 1))
-    deg1_mask = sum(1 << v for v in range(nv) if degs[v] == 1)
-    for mask in _connected_subset_masks(adj, nv):
-        a = (mask & deg1_mask).bit_count()
-        s = 0
-        touches_pendant = False
-        for u, v, pendant in nonloop:
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                s += 1
-                touches_pendant |= pendant
-        yield a, mask.bit_count() - a, s, touches_pendant
+    pendants = sum(1 << v for v, d in enumerate(degs) if d == 1)
+
+    def tally(S: int, size: int, s: int, nbrs: int) -> None:
+        a = (S & pendants).bit_count()
+        key = (a, size - a, s)
+        unrestricted[key] += 1
+        # a degree-1 vertex p has one neighbour, so p is in nbrs exactly
+        # when that neighbour is in S, and p's edge crosses exactly when p
+        # is in one of S and nbrs
+        if not pendants & (S ^ nbrs):
+            interior_cut[key] += 1
+
+    adj, mult = _bitmask_inputs(g)
+    connected_subsets(adj, mult, g.num_vertices, tally)
+    return unrestricted, interior_cut
 
 
 def count_all_Nabs(g: MultiGraph) -> dict[tuple[int, int, int], int]:
@@ -252,7 +230,7 @@ def count_all_Nabs(g: MultiGraph) -> dict[tuple[int, int, int], int]:
     a/b classify by vertex degree (1 vs 3); s is the crossing-edge count
     with multiplicity, loops never crossing.
     """
-    return dict(Counter((a, b, s) for a, b, s, _ in _connected_subset_stats(g)))
+    return dict(_connected_subset_counts(g)[0])
 
 
 def count_Nabs(g: MultiGraph, a: int, b: int, s: int) -> int:
@@ -276,13 +254,7 @@ def count_all_Nabs_interior_cut(g: MultiGraph) -> dict[tuple[int, int, int], int
     attached degree-1 vertices, which is why the restriction is harmless
     where the bound is applied.
     """
-    return dict(
-        Counter(
-            (a, b, s)
-            for a, b, s, touches_pendant in _connected_subset_stats(g)
-            if not touches_pendant
-        )
-    )
+    return dict(_connected_subset_counts(g)[1])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ExpanderForgeError, GuardExceededError
-from .graph_core import MultiGraph, is_connected
+from .graph_core import MultiGraph, _bitmask_inputs, boundary_size, is_connected
 from .spectra import normalized_laplacian
 
 try:  # compiled kernel, built by setup.py
@@ -54,30 +54,6 @@ class CheegerCertificate:
             "boundary": self.boundary_size,
             "exact": self.exact,
         }
-
-
-def _bitmask_inputs(g: MultiGraph):
-    """Neighbor masks and non-loop multiplicity matrix for the kernel."""
-    nv = g.num_vertices
-    adj = np.zeros(nv, dtype=np.uint64)
-    mult = np.zeros((nv, nv), dtype=np.int64)
-    for u, v in g.edges:
-        if u == v:
-            continue  # loops never cross a cut
-        adj[u] |= np.uint64(1 << v)
-        adj[v] |= np.uint64(1 << u)
-        mult[u, v] += 1
-        mult[v, u] += 1
-    return adj, mult
-
-
-def boundary_size(g: MultiGraph, subset: set[int] | frozenset[int]) -> int:
-    """|edges leaving subset| with multiplicity; loops never count."""
-    s = 0
-    for u, v in g.edges:
-        if u != v and (u in subset) != (v in subset):
-            s += 1
-    return s
 
 
 def cheeger_exact(g: MultiGraph, guard: int | None = None) -> CheegerCertificate:

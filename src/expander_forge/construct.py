@@ -18,13 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cheeger import boundary_size, cheeger_exact, cheeger_upper, resolve_guard
+from .cheeger import cheeger_exact, cheeger_upper, resolve_guard
 from .errors import CertificationError, ExpanderForgeError
 from .graph_core import (
     BOUNDARY,
     INTERIOR,
     HalfEdgePairing,
     MultiGraph,
+    boundary_size,
     build_graph,
     components,
     is_connected,
@@ -240,15 +241,14 @@ def plant_trees(g: MultiGraph, k: int) -> MultiGraph:
     if not is_connected(g):
         raise ExpanderForgeError("plant_trees requires a connected base")
     tk = build_Tk(k)
-    names, roles = list(g.names), [INTERIOR] * g.num_vertices
+    roles = [INTERIOR] * g.num_vertices
     edges: list[tuple[int, int]] = []
     for u1, u2 in g.edges:
-        base = len(names)  # the fragment's root v_0
-        names += tk.names
+        base = len(roles)  # the fragment's root v_0
         roles += tk.roles
         edges += [(base + a, base + b) for a, b in tk.edges]
         edges += [(u1, base), (u2, base)]
-    return relabel_canonical(names, roles, edges)
+    return relabel_canonical(roles, edges)
 
 
 def add_loops(g: MultiGraph, vs: list[int]) -> MultiGraph:
@@ -263,7 +263,7 @@ def add_loops(g: MultiGraph, vs: list[int]) -> MultiGraph:
     for v in vs:
         roles[v] = INTERIOR
     edges = list(g.edges) + [(v, v) for v in vs]
-    return relabel_canonical(g.names, roles, edges)
+    return relabel_canonical(roles, edges)
 
 
 def tree_planting_lower_bound(h_base: Fraction, k: int) -> Fraction:

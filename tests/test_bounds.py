@@ -17,9 +17,20 @@ from expander_forge.bounds import (
     subset_mean_rt,
     xyz_bound,
 )
+from expander_forge.construct import add_loops, plant_trees, theta_base
 from expander_forge.errors import GuardExceededError, ParityError
-from expander_forge.graph_core import HalfEdgePairing, MultiGraph, build_graph
-from expander_forge.sampler import count_family, enumerate_family
+from expander_forge.graph_core import (
+    HalfEdgePairing,
+    MultiGraph,
+    build_graph,
+    is_connected,
+)
+from expander_forge.sampler import (
+    SampleConfig,
+    count_family,
+    enumerate_family,
+    sample_graph,
+)
 
 STAR = build_graph(HalfEdgePairing(chi=1, n=3, pairs=((1, 4), (2, 5), (3, 6))))
 THETA = build_graph(HalfEdgePairing(chi=2, n=0, pairs=((1, 4), (2, 5), (3, 6))))
@@ -127,6 +138,59 @@ def test_count_nabs_guard():
     )
     with pytest.raises(GuardExceededError):
         count_all_Nabs(g)
+
+
+def _nabs_brute_force(g):
+    """Both N_{a,b,s} counters by definition: every vertex mask, the induced
+    subgraph's connectivity checked by depth-first search, and every
+    crossing edge classified by the degrees of its ends."""
+    nv = g.num_vertices
+    degs = g.degrees()
+    nbrs = [set() for _ in range(nv)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def connected(vs):
+        start = next(iter(vs))
+        seen, stack = {start}, [start]
+        while stack:
+            for w in nbrs[stack.pop()] & vs - seen:
+                seen.add(w)
+                stack.append(w)
+        return seen == vs
+
+    if not connected(set(range(nv))):
+        return {}, {}
+    unrestricted, interior_cut = {}, {}
+    for mask in range(1, 1 << nv):
+        inside = {v for v in range(nv) if (mask >> v) & 1}
+        if not connected(inside):
+            continue
+        crossing = [(u, v) for u, v in g.edges if (u in inside) != (v in inside)]
+        a = sum(1 for v in inside if degs[v] == 1)
+        key = (a, len(inside) - a, len(crossing))
+        unrestricted[key] = unrestricted.get(key, 0) + 1
+        if all(degs[u] == 3 and degs[v] == 3 for u, v in crossing):
+            interior_cut[key] = interior_cut.get(key, 0) + 1
+    return unrestricted, interior_cut
+
+
+def test_nabs_counters_match_brute_force():
+    graphs = [
+        sample_graph(SampleConfig(chi=chi, n=n, trials=8, seed=9), t)
+        for chi, n in [(1, 1), (2, 2), (3, 1), (3, 3), (4, 2), (2, 6), (5, 3), (6, 0)]
+        for t in range(8)
+    ]
+    planted = plant_trees(theta_base(), 2)
+    graphs += [planted, add_loops(planted, planted.boundary_indices()[::2])]
+    assert any(u == v for g in graphs for u, v in g.edges)  # loops
+    assert any(len(set(g.edges)) < g.num_edges for g in graphs)  # parallel edges
+    assert any(not is_connected(g) for g in graphs)
+    for g in graphs:
+        unrestricted, interior_cut = _nabs_brute_force(g)
+        assert count_all_Nabs(g) == unrestricted, g.edges
+        assert count_all_Nabs_interior_cut(g) == interior_cut, g.edges
 
 
 def test_interior_cut_count_is_a_subset():

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,19 @@ def test_compiled_and_python_kernels_identical():
         out_c = _mincut_core.min_ratio_cut(adj, mult, nv, nv // 2)
         out_py = py_min_ratio_cut(adj, mult, nv, nv // 2)
         assert out_c == out_py
+
+
+# sha256 of the .pyx that the committed _mincut_core.c was generated from
+KERNEL_PYX_SHA256 = "ebd6a08e3da167a755c2b2c576c999ee552edfadfe2c9858d60ba853872bf9ca"
+
+
+def test_kernel_pyx_digest_pinned():
+    pyx = Path(__file__).parents[1] / "src" / "expander_forge" / "_mincut_core.pyx"
+    digest = hashlib.sha256(pyx.read_bytes()).hexdigest()
+    assert digest == KERNEL_PYX_SHA256, (
+        "_mincut_core.pyx changed: regenerate _mincut_core.c with Cython, "
+        "then update KERNEL_PYX_SHA256"
+    )
 
 
 def test_upper_bound_sound_and_tight_on_star():

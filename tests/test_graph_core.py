@@ -131,7 +131,6 @@ def test_from_text_errors():
 
 def test_relabel_canonical_reorders_roles():
     g = relabel_canonical(
-        ["x", "y", "z"],
         [BOUNDARY, INTERIOR, INTERIOR],
         [(0, 1), (1, 2), (1, 2), (2, 2)],
     )

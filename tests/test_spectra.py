@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from expander_forge.construct import petersen_graph, plant_trees
-from expander_forge.errors import ExpanderForgeError
+from expander_forge import spectra
+from expander_forge.construct import add_loops, petersen_graph, plant_trees
+from expander_forge.errors import ExpanderForgeError, SolverError
 from expander_forge.graph_core import (
     BOUNDARY,
     INTERIOR,
@@ -19,6 +20,7 @@ from expander_forge.spectra import (
     _smallest_eigs_iterative,
     harmonic_extension,
     laplacian_spectrum,
+    normalized_laplacian,
     rayleigh_quotient,
     report_json,
     steklov_spectrum,
@@ -179,6 +181,34 @@ def test_domination_above_dense_limit():
     ok, rep = verify_domination(g)
     assert ok and rep["min_margin"] >= -TOL
     assert len(rep["lambda"]) == len(rep["sigma"]) == 4
+
+
+def test_domination_compares_the_dense_spectrum(monkeypatch):
+    # Planted Petersen graph with a loop on every hair, so the 15 spine tips
+    # are the boundary.  Its 15 smallest eigenvalues repeat 0.043125 five
+    # times, 0.073915 four and 0.079481 five; Lanczos for the 15 smallest
+    # found three copies of each, and domination failed on them.  lambda
+    # must be the dense spectrum whatever DENSE_LIMIT is.
+    planted = plant_trees(petersen_graph(), 2)
+    g = add_loops(planted, planted.boundary_indices()[1::2])
+    assert g.n == 15
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 10)
+    ok, rep = verify_domination(g)
+    dense = np.sort(np.linalg.eigvalsh(normalized_laplacian(g)))
+    assert np.allclose(rep["lambda"], dense[: g.n], atol=1e-8)
+    assert ok
+
+
+def test_harmonic_extension_all_interior_component_is_solver_error():
+    # v1 carries a loop and w1; v2 and v3 form a theta with no boundary, so
+    # the interior Dirichlet block is singular
+    g = MultiGraph(
+        names=("v1", "v2", "v3", "w1"),
+        roles=(INTERIOR, INTERIOR, INTERIOR, BOUNDARY),
+        edges=((0, 0), (0, 3), (1, 2), (1, 2), (1, 2)),
+    )
+    with pytest.raises(SolverError):
+        harmonic_extension(g, [1.0])
 
 
 def test_report_json_shape():
