@@ -4,11 +4,19 @@ For a triple (a, b, s) — a degree-1 vertices inside, b degree-3 vertices
 inside, s crossing edges — the counting construction behind the paper's
 first-moment argument gives the exact rational X*Y*Z with
 
-    X = (3b)! (3chi-3b)! / (3chi)!
-    Y = 2^s ((3chi-n)/2)! / ( s! ((3b-a-s)/2)! ((3chi-n-(3b-a)-s)/2)! )
+    X = (3b)! (3chi-3b)! / (3chi)! = 1 / C(3chi, 3b)
+    Y = 2^s M! / (s! i! o!),  M = (3chi-n)/2,
+        i = (3b-a-s)/2, o = (3chi-n-(3b-a)-s)/2
     Z = C(n,a) C(chi,b)
 
 and Y = 0 whenever parity or negativity makes the configuration vacuous.
+Since i + o + s = M, Y is 2^s times a multinomial coefficient, an integer,
+and so is Z: the product is the integer Z*Y over C(3chi, 3b), which depends
+on b alone.  A sum over many triples therefore adds integer numerators per
+denominator and reduces one Fraction per b (sum_terms), instead of
+normalising three Fractions of factorials for every triple; mu_pair_terms
+yields the integers and xyz_bound is a view of the same formulas.
+
 The construction pairs every crossing half-edge of the subset with a
 half-edge of an outside degree-3 vertex, so X*Y*Z bounds the expected
 number of connected subsets in the *interior-cut* class only: those whose
@@ -27,11 +35,12 @@ of the exact Cheeger search.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +50,9 @@ from .graph_core import MultiGraph, _bitmask_inputs, check_parity, is_connected
 from .sampler import SampleConfig, count_family, matching_count, sample_graph
 
 NABS_INTERIOR_GUARD = 20
+
+# (a, b, s, C, Y, Z): a triple and its integer factors, X*Y*Z = Z*Y/C
+Term = tuple[int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -54,21 +66,20 @@ class MuPairBound:
         return self.x * self.y * self.z
 
 
-def _as_fraction(mu) -> Fraction:
-    """Exact threshold: floats are read as their decimal literal."""
-    if isinstance(mu, Fraction):
-        return mu
+def _as_mu(mu) -> Fraction:
+    """Exact positive threshold: floats are read as their decimal literal."""
     if isinstance(mu, float):
-        return Fraction(str(mu))
-    return Fraction(mu)
+        mu = Fraction(str(mu))
+    mu = Fraction(mu)
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return mu
 
 
 def is_mu_pair(a: int, b: int, s: int, chi: int, n: int, mu) -> bool:
     """The three mu-pair conditions, compared in exact rationals:
     1 <= a+b <= (chi+n)/2;  1 <= s <= mu*(a+b);  b >= a+s-2."""
-    mu = _as_fraction(mu)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    mu = _as_mu(mu)
     if min(a, b, s) < 0:
         return False
     if not (1 <= a + b and Fraction(a + b) <= Fraction(chi + n, 2)):
@@ -78,24 +89,31 @@ def is_mu_pair(a: int, b: int, s: int, chi: int, n: int, mu) -> bool:
     return b >= a + s - 2
 
 
+def _xyz_terms(
+    chi: int, n: int, triples: Iterable[tuple[int, int, int]]
+) -> Iterator[Term]:
+    """(a, b, s, C, Y, Z) per triple, all ints, with X = 1/C: the one site
+    of the X, Y, Z formulas (see the module docstring).  C(3chi, 3b) is
+    computed once per b."""
+    check_parity(chi, n)
+    m = (3 * chi - n) // 2
+    denominator = functools.cache(lambda b: math.comb(3 * chi, 3 * b))
+    for a, b, s in triples:
+        if not (0 <= a <= n and 0 <= b <= chi):
+            raise ValueError("need 0 <= a <= n and 0 <= b <= chi")
+        inner = 3 * b - a - s
+        outer = 3 * chi - n - (3 * b - a) - s
+        if inner < 0 or outer < 0 or inner % 2 != 0 or outer % 2 != 0:
+            y = 0
+        else:
+            y = math.comb(m, s) * math.comb(m - s, inner // 2) << s
+        yield a, b, s, denominator(b), y, math.comb(n, a) * math.comb(chi, b)
+
+
 def xyz_bound(chi: int, n: int, a: int, b: int, s: int) -> MuPairBound:
     """Exact X, Y, Z factors; Y = 0 for vacuous (parity/negativity) cases."""
-    check_parity(chi, n)
-    if not (0 <= a <= n and 0 <= b <= chi):
-        raise ValueError("need 0 <= a <= n and 0 <= b <= chi")
-    fact = math.factorial
-    x = Fraction(fact(3 * b) * fact(3 * chi - 3 * b), fact(3 * chi))
-    z = Fraction(math.comb(n, a) * math.comb(chi, b))
-    inner = 3 * b - a - s
-    outer = 3 * chi - n - (3 * b - a) - s
-    if inner < 0 or outer < 0 or inner % 2 != 0 or outer % 2 != 0:
-        y = Fraction(0)
-    else:
-        y = Fraction(
-            2**s * fact((3 * chi - n) // 2),
-            fact(s) * fact(inner // 2) * fact(outer // 2),
-        )
-    return MuPairBound(x=x, y=y, z=z)
+    [(_, _, _, c, y, z)] = _xyz_terms(chi, n, [(a, b, s)])
+    return MuPairBound(x=Fraction(1, c), y=Fraction(y), z=Fraction(z))
 
 
 def _falling(x: int, j: int) -> int:
@@ -166,33 +184,51 @@ def first_moment_bound(chi: int, n: int, a: int, b: int, s: int) -> Fraction:
 
 
 def iter_mu_pairs(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
-    """All mu-pairs (a, b, s) for the given model parameters."""
-    mu = _as_fraction(mu)
-    half = Fraction(chi + n, 2)
+    """All mu-pairs (a, b, s) for the given model parameters, in (a, b, s)
+    order; ValueError if mu <= 0."""
+    mu = _as_mu(mu)
     for a in range(0, n + 1):
         for b in range(0, chi + 1):
             tot = a + b
-            if tot < 1 or Fraction(tot) > half:
+            if tot < 1 or 2 * tot > chi + n:
                 continue
-            s_max = int(mu * tot)  # floor, exact
+            # s <= floor(mu*tot) and b >= a + s - 2
+            s_max = min(mu.numerator * tot // mu.denominator, b - a + 2)
             for s in range(1, s_max + 1):
-                if b >= a + s - 2:
-                    yield (a, b, s)
+                yield (a, b, s)
+
+
+def mu_pair_terms(chi: int, n: int, mu) -> Iterator[Term]:
+    """(a, b, s, C, Y, Z) over the mu-pairs: X*Y*Z = Fraction(Z*Y, C)."""
+    return _xyz_terms(chi, n, iter_mu_pairs(chi, n, mu))
+
+
+def sum_terms(terms: Iterable[Term]) -> Fraction:
+    """Exact sum of Z*Y/C over (a, b, s, C, Y, Z) terms.
+
+    The numerators are integers, so they are added per denominator C (at
+    most one per b) and only those few sums become Fractions; the terms are
+    streamed, not stored.
+    """
+    numerators: dict[int, int] = defaultdict(int)
+    for _, _, _, c, y, z in terms:
+        numerators[c] += z * y
+    return sum((Fraction(num, c) for c, num in numerators.items()), Fraction(0))
 
 
 def mu_pair_sum(chi: int, n: int, mu) -> Fraction:
     """Sum of the X*Y*Z bound over all mu-pairs, exact.
 
+    X = 1/C(3chi, 3b) and Y, Z are integers, so the sum takes one Fraction
+    per b (sum_terms), not three per mu-pair.
+
     X*Y*Z bounds only interior-cut subsets (count_all_Nabs_interior_cut),
-    so this sum, and the `bounds` CLI table built from it, leaves out the
-    pendant terms.  They can dominate: at chi=20, n=4, mu=1/2 the sum is
+    so this sum, and the `bounds` CLI table, which sums the same terms,
+    leaves out the pendant terms.  They can dominate: at chi=20, n=4, mu=1/2 the sum is
     555.6 and the pendant terms over the same mu-pairs add 734.9.  Sum
     first_moment_bound instead for a bound on the unrestricted count.
     """
-    total = Fraction(0)
-    for a, b, s in iter_mu_pairs(chi, n, mu):
-        total += xyz_bound(chi, n, a, b, s).product
-    return total
+    return sum_terms(mu_pair_terms(chi, n, mu))
 
 
 def _connected_subset_counts(g: MultiGraph) -> tuple[Counter, Counter]:

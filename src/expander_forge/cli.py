@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import iter_mu_pairs, mu_pair_sum, xyz_bound
+from .bounds import mu_pair_terms, sum_terms
 from .cheeger import cheeger_exact, resolve_guard
 from .construct import (
     FamilySpec,
@@ -43,6 +43,23 @@ def _fmt(x: float) -> str:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """A --mu/--theta value: "p/q" exactly, a decimal as its float's
+    literal; ValueError (exit 2) for anything else, a zero denominator too."""
+    try:
+        return Fraction(text) if "/" in text else Fraction(str(float(text)))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _out_path(out: str) -> Path:
+    """The --out path, with its parent directory created (as `construct`
+    creates its output directory)."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_manifest(out_paths: list[Path], args: list[str], seed, started: str) -> None:
@@ -89,7 +106,7 @@ def cmd_sample(args, argv: list[str]) -> int:
         f" lambda1_q25={_fmt(q[0])} lambda1_q50={_fmt(q[1])}"
         f" lambda1_q75={_fmt(q[2])}"
     )
-    out = Path(args.out)
+    out = _out_path(args.out)
     out.write_text("\n".join(lines) + "\n")
     _write_manifest([out], argv, args.seed, started)
     return 0
@@ -129,7 +146,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
             f"{chi},{n},{est.trials},{_fmt(float(est.fraction))},"
             f"{_fmt(est.ci_low)},{_fmt(est.ci_high)},{args.seed}"
         )
-    out = Path(args.out)
+    out = _out_path(args.out)
     out.write_text("\n".join(lines) + "\n")
     _write_manifest([out], argv, args.seed, started)
     return 0
@@ -138,9 +155,29 @@ def cmd_sweep(args, argv: list[str]) -> int:
 def cmd_bounds(args, argv: list[str]) -> int:
     started = datetime.now(timezone.utc).isoformat()
     check_parity(args.chi, args.n)
-    mu = Fraction(args.mu) if "/" in args.mu else Fraction(str(float(args.mu)))
-    total = mu_pair_sum(args.chi, args.n, mu)
-    base = Path(args.out)
+    mu = _parse_fraction(args.mu)
+    pairs = []
+    x_text = {}  # str(X) per denominator C(3chi, 3b)
+
+    def recorded(terms):
+        for a, b, s, c, y, z in terms:
+            if c not in x_text:
+                x_text[c] = str(Fraction(1, c))
+            pairs.append(
+                {
+                    "a": a,
+                    "b": b,
+                    "s": s,
+                    "x": x_text[c],
+                    "y": str(y),
+                    "z": str(z),
+                    "product": str(Fraction(z * y, c)),
+                }
+            )
+            yield a, b, s, c, y, z
+
+    total = sum_terms(recorded(mu_pair_terms(args.chi, args.n, mu)))
+    base = _out_path(args.out)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
     csv_path.write_text(
@@ -148,20 +185,6 @@ def cmd_bounds(args, argv: list[str]) -> int:
         f"{args.chi},{args.n},{mu},{total.numerator},{total.denominator},"
         f"{_fmt(float(total))}\n"
     )
-    pairs = []
-    for a, b, s in iter_mu_pairs(args.chi, args.n, mu):
-        bd = xyz_bound(args.chi, args.n, a, b, s)
-        pairs.append(
-            {
-                "a": a,
-                "b": b,
-                "s": s,
-                "x": str(bd.x),
-                "y": str(bd.y),
-                "z": str(bd.z),
-                "product": str(bd.product),
-            }
-        )
     json_path.write_text(
         json.dumps(
             {
@@ -181,9 +204,7 @@ def cmd_bounds(args, argv: list[str]) -> int:
 
 def cmd_construct(args, argv: list[str]) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    spec = FamilySpec.from_theta(
-        Fraction(args.theta) if "/" in args.theta else Fraction(str(float(args.theta)))
-    )
+    spec = FamilySpec.from_theta(_parse_fraction(args.theta))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     guard = resolve_guard(args.guard)

@@ -1,7 +1,11 @@
+import json
+import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expander_forge.bounds import (
@@ -17,6 +21,7 @@ from expander_forge.bounds import (
     subset_mean_rt,
     xyz_bound,
 )
+from expander_forge.cli import main
 from expander_forge.construct import add_loops, plant_trees, theta_base
 from expander_forge.errors import GuardExceededError, ParityError
 from expander_forge.graph_core import (
@@ -108,6 +113,60 @@ def test_xyz_bound_nonnegative_and_iter_consistent(a, b, s):
     mu = Fraction(3, 4)
     in_iter = (a, b, s) in set(iter_mu_pairs(chi, n, mu))
     assert in_iter == (s >= 1 and is_mu_pair(a, b, s, chi, n, mu))
+
+
+def _xyz_oracle(chi, n, a, b, s):
+    """X, Y, Z straight from the factorial formulas, one Fraction each: the
+    reference for the integer tables of mu_pair_terms."""
+    fact = math.factorial
+    x = Fraction(fact(3 * b) * fact(3 * chi - 3 * b), fact(3 * chi))
+    z = Fraction(math.comb(n, a) * math.comb(chi, b))
+    inner = 3 * b - a - s
+    outer = 3 * chi - n - (3 * b - a) - s
+    if inner < 0 or outer < 0 or inner % 2 != 0 or outer % 2 != 0:
+        y = Fraction(0)
+    else:
+        y = Fraction(
+            2**s * fact((3 * chi - n) // 2),
+            fact(s) * fact(inner // 2) * fact(outer // 2),
+        )
+    return x, y, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chi=st.integers(1, 24),
+    half_n=st.integers(0, 10),
+    mu=st.fractions(Fraction(1, 12), Fraction(2), max_denominator=12),
+)
+def test_bounds_table_matches_factorial_oracle(chi, half_n, mu):
+    n = 2 * half_n + chi % 2  # 3*chi - n even
+    assume(n <= 3 * chi)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "b"
+        argv = ["bounds", "--chi", str(chi), "--n", str(n), "--mu",
+                f"{mu.numerator}/{mu.denominator}", "--out", str(base)]
+        assert main(argv) == 0
+        doc = json.loads(base.with_suffix(".json").read_text())
+    triples = [(q["a"], q["b"], q["s"]) for q in doc["pairs"]]
+    assert triples == [
+        (a, b, s)
+        for a in range(n + 1)
+        for b in range(chi + 1)
+        for s in range(1, 2 * (a + b) + 1)  # mu <= 2
+        if is_mu_pair(a, b, s, chi, n, mu)
+    ]
+    total = Fraction(0)
+    for q in doc["pairs"]:
+        x, y, z = _xyz_oracle(chi, n, q["a"], q["b"], q["s"])
+        assert (q["x"], q["y"], q["z"], q["product"]) == tuple(
+            map(str, (x, y, z, x * y * z))
+        )
+        bound = xyz_bound(chi, n, q["a"], q["b"], q["s"])
+        assert (bound.x, bound.y, bound.z) == (x, y, z)
+        total += x * y * z
+    assert doc["sum"] == str(total)
+    assert mu_pair_sum(chi, n, mu) == total
 
 
 def test_count_nabs_examples():

@@ -90,6 +90,37 @@ def test_bounds_parity_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--chi", "4", "--n", "2", "--mu", "0"],
+        ["bounds", "--chi", "4", "--n", "2", "--mu", "-1"],
+        ["bounds", "--chi", "4", "--n", "2", "--mu", "1/0"],
+        ["construct", "--theta", "1/0", "--g-min", "1", "--g-max", "1"],
+    ],
+)
+def test_bad_mu_or_theta_exit_2_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--chi", "4", "--n", "2", "--mu", "1/2"],
+        ["sweep", "--chi-list", "4", "--rule", "pow:0.5", "--trials", "5"],
+        ["sample", "--chi", "4", "--n", "2", "--trials", "2"],
+    ],
+)
+def test_out_parent_directory_is_created(tmp_path, argv):
+    out = tmp_path / "missing" / "dir" / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert list(out.parent.glob("*.manifest.json"))
+
+
 def test_construct_family_and_rerun(tmp_path):
     d1 = tmp_path / "f1"
     d2 = tmp_path / "f2"

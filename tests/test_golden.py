@@ -1,7 +1,9 @@
-"""Golden digests of the construction outputs and of the tree-split descent.
+"""Golden digests of the construction outputs, of the tree-split descent
+and of the first-moment tables.
 
-Any change to a family member, a manifest row, a two-tree split or a
-balanced subset changes them; outputs must stay byte-identical.
+Any change to a family member, a manifest row, a two-tree split, a
+balanced subset or a `bounds` CSV/JSON changes them; outputs must stay
+byte-identical.
 """
 
 import hashlib
@@ -45,6 +47,31 @@ SPLIT_DIGESTS = {
     (200, 60): "4380243ac7b8f9658077b227813ec50105199977e6cd14b3519478be7a029baa",
 }
 
+# sha256 of the .csv and of the .json that `bounds --chi --n --mu` writes;
+# mu = 0.02 at chi = 10 is the empty table
+BOUNDS_DIGESTS = {
+    (20, 4, "1/2"): (
+        "e918e8fc51db28743bfa531199cd1fc19e71ca170a239e36b8f337f2122c2500",
+        "3d701c86e865f531f462c4d12e0a4ad030f6755ef4e61a430b6323cabbaaee4a",
+    ),
+    (50, 14, "1/2"): (
+        "da7005a392a1f534071e0118d6e0bc8e7e154e0df3e5da5be599a0788e1f7225",
+        "37f31441af6fda223da79c7103e6641afda19511892ad2cd42dd74bbe2d6d045",
+    ),
+    (80, 14, "1/4"): (
+        "7be653edf286163cb0bad6ff86fe5219d5002013cd486a0079d9b631d55981a0",
+        "6d6aa10545a6bc9059b69ea3d18b02e5b83fedaeeb5e9e14cdac894fbb8d2bd6",
+    ),
+    (4, 2, "3/2"): (
+        "9e790254a670b6e58adb7495ccb88cdb825107be7476cc3c8033aa9bd9e0b6d8",
+        "8f21c694649cb4f89bed187841537632eb83ad2525799b789db41c69f9801d26",
+    ),
+    (10, 0, "0.02"): (
+        "c326be51ebc889bd3dea6aac975dc2bfca2e2353e71fb503ff57992884b54266",
+        "a2d9a7406cd42c5265c74aa020ba8a0c972904ec803ceb0106988541e1a2a022",
+    ),
+}
+
 
 @pytest.mark.parametrize("theta", sorted(CONSTRUCT_DIGESTS))
 def test_construct_outputs_match_golden(tmp_path, theta):
@@ -77,3 +104,15 @@ def test_split_and_balanced_subset_match_golden(chi, n):
         ]
         digest.update(repr(record).encode())
     assert digest.hexdigest() == SPLIT_DIGESTS[chi, n]
+
+
+@pytest.mark.parametrize("chi,n,mu", sorted(BOUNDS_DIGESTS))
+def test_bounds_outputs_match_golden(tmp_path, chi, n, mu):
+    base = tmp_path / "b"
+    argv = ["bounds", "--chi", str(chi), "--n", str(n), "--mu", mu]
+    assert main(argv + ["--out", str(base)]) == 0
+    digests = tuple(
+        hashlib.sha256(base.with_suffix(ext).read_bytes()).hexdigest()
+        for ext in (".csv", ".json")
+    )
+    assert digests == BOUNDS_DIGESTS[chi, n, mu]
