@@ -118,33 +118,27 @@ def cheeger_exact_naive(g: MultiGraph, guard: int = 12) -> CheegerCertificate:
     )
 
 
-def cheeger_upper(g: MultiGraph, sweep: bool = True) -> CheegerCertificate:
+def cheeger_upper(g: MultiGraph) -> CheegerCertificate:
     """Upper bound from the best prefix cut of the Fiedler-style ordering.
 
     Orders vertices by the degree-rescaled eigenvector of the second
-    normalized-Laplacian eigenvalue and sweeps all prefixes; with
-    sweep=False only single-vertex cuts are tried.  Always >= h(G).
+    normalized-Laplacian eigenvalue and sweeps all prefixes.  Always >= h(G).
     """
     if not is_connected(g):
         raise ExpanderForgeError("cheeger_upper requires a connected graph")
     nv = g.num_vertices
     if nv < 2:
         raise ExpanderForgeError("need at least 2 vertices")
-    if sweep:
-        lap = normalized_laplacian(g)
-        eigvals, eigvecs = np.linalg.eigh(lap)
-        fiedler = eigvecs[:, np.argsort(eigvals)[1]]
-        deg = np.array(g.degrees(), dtype=float)
-        order = np.argsort(fiedler / np.sqrt(deg), kind="stable")
-        prefixes = [set(int(v) for v in order[:k]) for k in range(1, nv)]
-    else:
-        prefixes = [{v} for v in range(nv)]
+    lap = normalized_laplacian(g)
+    eigvals, eigvecs = np.linalg.eigh(lap)
+    fiedler = eigvecs[:, np.argsort(eigvals)[1]]
+    deg = np.array(g.degrees(), dtype=float)
+    order = np.argsort(fiedler / np.sqrt(deg), kind="stable")
 
     best: tuple[int, int, tuple[int, ...]] | None = None
-    for subset in prefixes:
-        side = subset if len(subset) <= nv // 2 else set(range(nv)) - subset
-        if not side or len(side) > nv // 2:
-            continue
+    for j in range(1, nv):  # the smaller side of each prefix cut
+        prefix = set(int(v) for v in order[:j])
+        side = prefix if j <= nv // 2 else set(range(nv)) - prefix
         s = boundary_size(g, side)
         k = len(side)
         if best is None or s * best[1] < best[0] * k:

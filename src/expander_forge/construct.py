@@ -21,7 +21,6 @@ import numpy as np
 from .cheeger import cheeger_exact, cheeger_upper, resolve_guard
 from .errors import CertificationError, ExpanderForgeError
 from .graph_core import (
-    BOUNDARY,
     INTERIOR,
     HalfEdgePairing,
     MultiGraph,
@@ -30,13 +29,12 @@ from .graph_core import (
     components,
     is_connected,
     label_to_vertex,
-    model_vertex_names,
     relabel_canonical,
     spanning_forest,
     topology,
     union_find,
 )
-from .sampler import SampleConfig, sample_graph
+from .sampler import SampleConfig, enumerate_family, sample_graph
 
 BASE_CHEEGER_TARGET = Fraction(2, 11)
 
@@ -213,19 +211,16 @@ def steklov_test_function(
 def build_Tk(k: int) -> MultiGraph:
     """The depth-k caterpillar fragment on 2k vertices.
 
-    Spine v_0..v_k plus hairs w_1..w_{k-1} hanging off v_1..v_{k-1}.  The
-    root v_0 has degree 1 inside the fragment and becomes degree 3 once the
-    fragment is planted on an edge.
+    Spine v_0..v_k (indices 0..k) plus hairs w_1..w_{k-1} (indices
+    k+1..2k-1) hanging off v_1..v_{k-1}.  The root v_0 has degree 1 inside
+    the fragment and becomes degree 3 once the fragment is planted on an
+    edge; v_k and the hairs are the k pendants.
     """
     if k < 1:
         raise ExpanderForgeError("k must be >= 1")
-    names = tuple(f"v{i}" for i in range(k + 1)) + tuple(
-        f"w{i}" for i in range(1, k)
-    )
-    roles = (INTERIOR,) * k + (BOUNDARY,) * k  # v_k and the hairs are pendants
     edges = [(i, i + 1) for i in range(k)]
     edges += [(i, k + i) for i in range(1, k)]
-    return MultiGraph(names=names, roles=roles, edges=tuple(edges))
+    return MultiGraph(chi=k, n=k, edges=edges)
 
 
 def plant_trees(g: MultiGraph, k: int) -> MultiGraph:
@@ -322,40 +317,35 @@ class FamilySpec:
 # --- certified cubic bases ----------------------------------------------------
 
 
-def _cubic(nv: int, edges) -> MultiGraph:
-    """All-interior graph on vertices v1..v{nv}."""
-    return MultiGraph(
-        names=model_vertex_names(nv, 0), roles=(INTERIOR,) * nv, edges=tuple(edges)
-    )
-
-
 def theta_base() -> MultiGraph:
-    return _cubic(2, [(0, 1)] * 3)
+    return MultiGraph(chi=2, n=0, edges=[(0, 1)] * 3)
 
 
 def k4_graph() -> MultiGraph:
-    return _cubic(4, combinations(range(4), 2))
+    return MultiGraph(chi=4, n=0, edges=combinations(range(4), 2))
 
 
 def k33_graph() -> MultiGraph:
-    return _cubic(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    edges = [(i, 3 + j) for i in range(3) for j in range(3)]
+    return MultiGraph(chi=6, n=0, edges=edges)
 
 
 def cube_graph() -> MultiGraph:
     edges = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
-    return _cubic(8, edges)
+    return MultiGraph(chi=8, n=0, edges=edges)
 
 
 def petersen_graph() -> MultiGraph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     pentagram = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
-    return _cubic(10, outer + pentagram + spokes)
+    return MultiGraph(chi=10, n=0, edges=outer + pentagram + spokes)
 
 
 def heawood_graph() -> MultiGraph:
     cycle = [(i, (i + 1) % 14) for i in range(14)]
-    return _cubic(14, cycle + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+    chords = [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    return MultiGraph(chi=14, n=0, edges=cycle + chords)
 
 
 NAMED_BASES: dict[int, Callable[[], MultiGraph]] = {
@@ -466,36 +456,25 @@ def expander_family(
     )
 
 
-def _first_connected_member(chi: int, n: int) -> MultiGraph:
-    """The first connected member of F_{chi,n} in enumerate_family order.
-
-    Walks the same depth-first order, but drops a partial pairing once some
-    component of its graph has no free half-edge left while vertices remain
-    outside it, since no completion of it is connected.
-    """
+def _connectivity_prune(chi: int, n: int) -> Callable[[list, list], bool]:
+    """An `enumerate_family` prune for F_{chi,n} that keeps exactly the
+    connected members: it drops a partial pairing once some component of
+    its graph has no free half-edge left while vertices remain outside it,
+    since no completion of it is connected."""
     labels = list(range(1, 3 * chi + n + 1))
     owner = dict(zip(labels, label_to_vertex(np.array(labels), chi).tolist()))
-    pairs: list[tuple[int, int]] = []
 
-    def doomed(free: list[int]) -> bool:
+    def doomed(pairs: list[tuple[int, int]], free: list[int]) -> bool:
         uf = union_find(chi + n, ((owner[i], owner[j]) for i, j in pairs))
         return uf.count > 1 and len({uf.find(owner[x]) for x in free}) < uf.count
 
-    def walk(free: list[int]) -> bool:
-        if doomed(free):
-            return False
-        if not free:
-            return True
-        i, rest = free[0], free[1:]
-        if i > 3 * chi:
-            return False  # only boundary labels left: any pair would be bad
-        for k, j in enumerate(rest):
-            pairs.append((i, j))
-            if walk(rest[:k] + rest[k + 1 :]):
-                return True
-            pairs.pop()
-        return False
+    return doomed
 
-    if not walk(labels):
+
+def _first_connected_member(chi: int, n: int) -> MultiGraph:
+    """The first connected member of F_{chi,n} in enumerate_family order."""
+    prune = _connectivity_prune(chi, n)
+    p = next(enumerate_family(chi, n, guard=None, prune=prune), None)
+    if p is None:
         raise ExpanderForgeError(f"no connected member in F_{{{chi},{n}}}")
-    return build_graph(HalfEdgePairing(chi=chi, n=n, pairs=tuple(pairs)))
+    return build_graph(p)

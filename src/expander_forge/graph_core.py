@@ -9,6 +9,7 @@ least one interior label, so no edge ever joins two boundary vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -74,30 +75,40 @@ def validate_partition(
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Immutable multigraph: named vertices with role tags, edge multiset.
+    """Immutable multigraph of the model: chi interior vertices v1..vchi
+    (indices 0..chi-1), then n boundary vertices w1..wn (chi..chi+n-1).
 
     Edges are stored as index pairs (u, v) with u <= v; loops (u, u) are
     allowed and a loop contributes 2 to its vertex degree but 1 to |E|.
     Parallel edges appear with repetition.
     """
 
-    names: tuple[str, ...]
-    roles: tuple[str, ...]
+    chi: int
+    n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.names) != len(self.roles):
-            raise ExpanderForgeError("names/roles length mismatch")
-        nv = len(self.names)
+        if self.chi < 0 or self.n < 0:
+            raise ExpanderForgeError(f"need chi, n >= 0, got {self.chi}, {self.n}")
+        nv = self.chi + self.n
         canon = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
         for u, v in canon:
             if not (0 <= u < nv and 0 <= v < nv):
                 raise ExpanderForgeError(f"edge ({u},{v}) out of range")
         object.__setattr__(self, "edges", canon)
 
+    # cached: callers index these once per vertex
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return model_vertex_names(self.chi, self.n)
+
+    @cached_property
+    def roles(self) -> tuple[str, ...]:
+        return (INTERIOR,) * self.chi + (BOUNDARY,) * self.n
+
     @property
     def num_vertices(self) -> int:
-        return len(self.names)
+        return self.chi + self.n
 
     @property
     def num_edges(self) -> int:
@@ -110,19 +121,11 @@ class MultiGraph:
             deg[v] += 1  # a loop hits the same entry twice
         return deg
 
-    def boundary_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r == BOUNDARY]
+    def interior_indices(self) -> range:
+        return range(self.chi)
 
-    def interior_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r == INTERIOR]
-
-    @property
-    def chi(self) -> int:
-        return len(self.interior_indices())
-
-    @property
-    def n(self) -> int:
-        return len(self.boundary_indices())
+    def boundary_indices(self) -> range:
+        return range(self.chi, self.chi + self.n)
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,10 @@ def build_graph(p: HalfEdgePairing) -> MultiGraph:
     Interior vertex v_i owns labels (3i-2, 3i-1, 3i) and ends up with
     degree 3; boundary vertex w_j owns label 3*chi + j and has degree 1.
     """
-    chi, n = p.chi, p.n
-    names = model_vertex_names(chi, n)
-    roles = (INTERIOR,) * chi + (BOUNDARY,) * n
     # fromiter: np.array on a tuple of pairs costs more than the mapping
     labels = np.fromiter(chain.from_iterable(p.pairs), np.int64, 2 * len(p.pairs))
-    edges = label_to_vertex(labels, chi).reshape(-1, 2).tolist()
-    return MultiGraph(names=names, roles=roles, edges=edges)
+    edges = label_to_vertex(labels, p.chi).reshape(-1, 2).tolist()
+    return MultiGraph(chi=p.chi, n=p.n, edges=edges)
 
 
 class _UnionFind:
@@ -281,13 +281,7 @@ def topology(g: MultiGraph) -> Topology:
 
 
 def to_text(g: MultiGraph) -> str:
-    chi, n = g.chi, g.n
-    expected = model_vertex_names(chi, n)
-    if g.names != expected:
-        raise ExpanderForgeError(
-            "text format requires canonical vertex names v1..vchi, w1..wn"
-        )
-    lines = [f"G {chi} {n}"]
+    lines = [f"G {g.chi} {g.n}"]
     for u, v in g.edges:
         lines.append(f"E {g.names[u]} {g.names[v]}")
     return "\n".join(lines) + "\n"
@@ -299,9 +293,7 @@ def from_text(text: str) -> MultiGraph:
         raise ExpanderForgeError("missing `G <chi> <n>` header")
     _, chi_s, n_s = lines[0].split()
     chi, n = int(chi_s), int(n_s)
-    names = model_vertex_names(chi, n)
-    idx = {name: i for i, name in enumerate(names)}
-    roles = (INTERIOR,) * chi + (BOUNDARY,) * n
+    idx = {name: i for i, name in enumerate(model_vertex_names(chi, n))}
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -311,7 +303,7 @@ def from_text(text: str) -> MultiGraph:
             edges.append((idx[parts[1]], idx[parts[2]]))
         except KeyError as exc:
             raise ExpanderForgeError(f"unknown vertex id in {ln!r}") from exc
-    return MultiGraph(names=names, roles=roles, edges=tuple(edges))
+    return MultiGraph(chi=chi, n=n, edges=tuple(edges))
 
 
 def relabel_canonical(
@@ -324,9 +316,8 @@ def relabel_canonical(
     ]
     new_index = {old: new for new, old in enumerate(order)}
     chi = sum(1 for r in roles if r == INTERIOR)
-    n = len(order) - chi
     return MultiGraph(
-        names=model_vertex_names(chi, n),
-        roles=(INTERIOR,) * chi + (BOUNDARY,) * n,
+        chi=chi,
+        n=len(order) - chi,
         edges=tuple((new_index[u], new_index[v]) for u, v in edges),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -134,13 +134,19 @@ def estimate_connectivity(cfg: SampleConfig) -> ConnectivityEstimate:
 
 
 def enumerate_family(
-    chi: int, n: int, guard: int | None = ENUM_GUARD
+    chi: int,
+    n: int,
+    guard: int | None = ENUM_GUARD,
+    prune: Callable[[list[tuple[int, int]], list[int]], bool] | None = None,
 ) -> Iterator[HalfEdgePairing]:
     """Yield every good partition of F_{chi,n} exactly once.
 
     Enumeration order is deterministic: the smallest unmatched label is
     paired with each admissible partner in increasing order.  `guard`
     bounds count_family; pass None to stream an over-guard family lazily.
+    `prune(pairs, unmatched)`, when given, is asked at every step, complete
+    pairings included; a True drops that partial pairing and all its
+    completions.
     """
     check_parity(chi, n)
     if guard is not None and count_family(chi, n) > guard:
@@ -150,6 +156,8 @@ def enumerate_family(
     total = 3 * chi + n
 
     def rec(unmatched: list[int], acc: list[tuple[int, int]]):
+        if prune is not None and prune(acc, unmatched):
+            return
         if not unmatched:
             yield HalfEdgePairing(chi=chi, n=n, pairs=tuple(acc))
             return

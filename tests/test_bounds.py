@@ -173,9 +173,7 @@ def test_count_nabs_examples():
     assert count_Nabs(STAR, 1, 0, 1) == 3
     assert count_Nabs(STAR, 0, 1, 3) == 1
     assert count_Nabs(THETA, 0, 1, 3) == 2
-    disc = MultiGraph(
-        names=("v1", "v2"), roles=("interior", "interior"), edges=()
-    )
+    disc = MultiGraph(chi=2, n=0, edges=())
     assert count_Nabs(disc, 0, 1, 0) == 0  # disconnected convention
 
 

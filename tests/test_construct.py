@@ -6,7 +6,9 @@ import pytest
 from expander_forge.cheeger import boundary_size, cheeger_exact, cheeger_upper
 from expander_forge.construct import (
     BASE_CHEEGER_TARGET,
+    _connectivity_prune,
     _first_connected_member,
+    _subset_search_fallback,
     TreeSplit,
     FamilySpec,
     add_loops,
@@ -28,7 +30,6 @@ from expander_forge.construct import (
 from expander_forge.errors import ExpanderForgeError
 from expander_forge.graph_core import (
     BOUNDARY,
-    INTERIOR,
     HalfEdgePairing,
     MultiGraph,
     _UnionFind,
@@ -106,11 +107,7 @@ def _random_connected_multigraphs(count, seed):
             for _ in range(rnd.randint(nv - 1, 3 * nv))
         ]
         edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 3))]
-        g = MultiGraph(
-            names=tuple(f"x{i}" for i in range(nv)),
-            roles=(INTERIOR,) * nv,
-            edges=tuple(edges),
-        )
+        g = MultiGraph(chi=nv, n=0, edges=tuple(edges))
         if is_connected(g):
             out.append(g)
     return out
@@ -136,7 +133,7 @@ def test_split_loop_pendant():
 def test_split_rejects_disconnected():
     from expander_forge.graph_core import MultiGraph
 
-    g = MultiGraph(names=("a", "b"), roles=("interior", "interior"), edges=())
+    g = MultiGraph(chi=2, n=0, edges=())
     with pytest.raises(ExpanderForgeError):
         two_tree_split(g)
 
@@ -197,6 +194,30 @@ def test_balanced_subset_invariants_on_samples():
             1 for v in bal.h_set if g.roles[v] == BOUNDARY
         )
         assert inside_boundary == c
+
+
+def test_subset_search_fallback_window_and_cut():
+    # genus-0 draws leave |dH| <= 1, which no set of pendants alone meets
+    trees = _connected_samples([(4, 6), (5, 7), (6, 8), (7, 9)], trials=40, seed=5)
+    searched_interior = False
+    for g in SAMPLES[:200] + trees:
+        if g.n < 2:
+            continue
+        genus = topology(g).genus
+        bal = _subset_search_fallback(g, genus)
+        boundary = set(g.boundary_indices())
+        c = len(bal.h_set & boundary)
+        assert c == bal.boundary_vertices_inside
+        assert g.n <= 4 * c <= 2 * g.n
+        assert boundary_size(g, bal.h_set) == bal.boundary_edges <= genus + 1
+        searched_interior |= bool(bal.h_set - boundary)
+    assert searched_interior  # not only pendant-only answers
+
+
+def test_subset_search_fallback_interior_limit():
+    g = plant_trees(petersen_graph(), 1)  # 25 interior vertices
+    with pytest.raises(ExpanderForgeError):
+        _subset_search_fallback(g, topology(g).genus)
 
 
 def test_balanced_subset_star():
@@ -410,3 +431,12 @@ def test_first_connected_member_matches_exhaustive_search(chi):
         if is_connected(g)
     )
     assert _first_connected_member(chi, 2) == exhaustive
+
+
+@pytest.mark.parametrize(
+    "chi,n", [(1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3), (4, 0)]
+)
+def test_connectivity_prune_keeps_exactly_connected_members(chi, n):
+    connected = [p for p in enumerate_family(chi, n) if is_connected(build_graph(p))]
+    pruned = enumerate_family(chi, n, prune=_connectivity_prune(chi, n))
+    assert list(pruned) == connected

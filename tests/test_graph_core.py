@@ -56,6 +56,18 @@ def test_build_graph_star():
     assert g.degrees() == [3, 1, 1, 1]
 
 
+def test_multigraph_views_and_checks():
+    g = build_graph(STAR)
+    assert (g.chi, g.n, g.num_vertices) == (1, 3, 4)
+    assert list(g.interior_indices()) == [0]
+    assert list(g.boundary_indices()) == [1, 2, 3]
+    assert g.names is g.names and g.roles is g.roles  # cached, built once
+    with pytest.raises(ExpanderForgeError):
+        MultiGraph(chi=-1, n=2, edges=())
+    with pytest.raises(ExpanderForgeError):
+        MultiGraph(chi=1, n=0, edges=((0, 1),))
+
+
 def test_build_graph_loop_pendant():
     g = build_graph(LOOP_PENDANT)
     assert g.edges == ((0, 0), (0, 1))
@@ -72,7 +84,7 @@ def test_build_graph_theta():
 def test_connected_components():
     star = build_graph(STAR)
     assert connected_components(star) == [{0, 1, 2, 3}]
-    iso = MultiGraph(names=("a", "b"), roles=(INTERIOR, INTERIOR), edges=())
+    iso = MultiGraph(chi=2, n=0, edges=())
     assert connected_components(iso) == [{0}, {1}]
     assert is_connected(build_graph(THETA))
 
@@ -87,9 +99,7 @@ def test_topology_examples():
 
 
 def test_topology_rejects_bad_degrees():
-    g = MultiGraph(
-        names=("a", "b"), roles=(INTERIOR, INTERIOR), edges=((0, 1), (0, 1))
-    )
+    g = MultiGraph(chi=2, n=0, edges=((0, 1), (0, 1)))
     with pytest.raises(ExpanderForgeError):
         topology(g)  # both vertices have degree 2
 

@@ -58,6 +58,17 @@ def test_enumeration_guard():
         list(enumerate_family(8, 0, guard=10))
 
 
+def test_enumeration_prune_drops_completions():
+    def drop_12(pairs, unmatched):
+        return (1, 2) in pairs
+
+    kept = list(enumerate_family(3, 1, prune=drop_12))
+    assert kept == [p for p in enumerate_family(3, 1) if (1, 2) not in p.pairs]
+    assert 0 < len(kept) < count_family(3, 1)
+    # complete pairings are offered to the prune as well
+    assert not list(enumerate_family(2, 0, prune=lambda pairs, unmatched: not unmatched))
+
+
 def test_sampling_deterministic():
     cfg = SampleConfig(chi=4, n=2, trials=3, seed=123)
     assert sample_partition(cfg, 1).pairs == sample_partition(cfg, 1).pairs

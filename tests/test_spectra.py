@@ -7,8 +7,6 @@ from expander_forge import spectra
 from expander_forge.construct import add_loops, petersen_graph, plant_trees
 from expander_forge.errors import ExpanderForgeError, SolverError
 from expander_forge.graph_core import (
-    BOUNDARY,
-    INTERIOR,
     HalfEdgePairing,
     MultiGraph,
     build_graph,
@@ -35,10 +33,8 @@ LOOP_PENDANT = build_graph(HalfEdgePairing(chi=1, n=1, pairs=((1, 4), (2, 3))))
 
 
 def star_graph(leaves: int) -> MultiGraph:
-    names = ("v1",) + tuple(f"w{j}" for j in range(1, leaves + 1))
-    roles = (INTERIOR,) + (BOUNDARY,) * leaves
     edges = tuple((0, j) for j in range(1, leaves + 1))
-    return MultiGraph(names=names, roles=roles, edges=edges)
+    return MultiGraph(chi=1, n=leaves, edges=edges)
 
 
 def test_star_laplacian_closed_form():
@@ -70,9 +66,7 @@ def test_star_steklov_general(leaves):
 
 
 def test_steklov_requires_connectivity_and_boundary():
-    disc = MultiGraph(
-        names=("v1", "v2"), roles=(INTERIOR, INTERIOR), edges=()
-    )
+    disc = MultiGraph(chi=2, n=0, edges=())
     with pytest.raises(ExpanderForgeError):
         steklov_spectrum(disc)
     with pytest.raises(ExpanderForgeError):
@@ -202,11 +196,7 @@ def test_domination_compares_the_dense_spectrum(monkeypatch):
 def test_harmonic_extension_all_interior_component_is_solver_error():
     # v1 carries a loop and w1; v2 and v3 form a theta with no boundary, so
     # the interior Dirichlet block is singular
-    g = MultiGraph(
-        names=("v1", "v2", "v3", "w1"),
-        roles=(INTERIOR, INTERIOR, INTERIOR, BOUNDARY),
-        edges=((0, 0), (0, 3), (1, 2), (1, 2), (1, 2)),
-    )
+    g = MultiGraph(chi=3, n=1, edges=((0, 0), (0, 3), (1, 2), (1, 2), (1, 2)))
     with pytest.raises(SolverError):
         harmonic_extension(g, [1.0])
 
