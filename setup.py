@@ -3,8 +3,9 @@
 The committed `_mincut_core.c` (generated by Cython from `_mincut_core.pyx`)
 is compiled directly, so a C compiler is all the build needs.  The extension
 is optional: without a compiler the package still installs and selects its
-pure-Python twin at import time.  The compiled kernel is 4.4-6.1x faster on
-16-28 vertex graphs.
+batched numpy twin at import time.  The compiled kernel is 1.1-1.6x faster
+than the twin on 20-28 vertex graphs and 8x faster on 12-vertex graphs
+(perfbench exact-certify `cheeger` inputs: 1.3-1.9x).
 """
 
 import numpy

@@ -1,12 +1,42 @@
-"""The package's one Python enumerator of connected vertex subsets,
+"""The package's one enumerator of connected vertex subsets,
 connected_subsets, and the minimum-ratio-cut kernel built on it.
 
-min_ratio_cut is the pure-Python twin of _mincut_core.min_ratio_cut, used
-when the extension is not built: measured 4.4-6.1x slower on 16-28 vertex
-graphs.  bounds counts N_{a,b,s} with connected_subsets.
+The engine grows subsets level by level in numpy batches, so a batch of
+subsets costs a handful of array operations instead of one Python call per
+subset.  min_ratio_cut is the numpy twin of _mincut_core.min_ratio_cut, used
+when the extension is not built: measured 1.1-1.6x slower on 20-28 vertex
+graphs (1.3-1.9x over the perfbench exact-certify `cheeger` inputs) and 8x
+slower on 12-vertex graphs, where the fixed cost per batch dominates.
+bounds counts N_{a,b,s} with connected_subsets.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+# Rows per batch.  Children of one batch are split into batches of this
+# size and stacked, so the pending work stays small (depth-first).
+BATCH = 1024
+
+_ONE = np.uint64(1)
+_BITS = np.arange(64, dtype=np.uint64)
+_POW2 = _ONE << _BITS
+# bit reversal of each byte, and the number of set bits in each byte
+_REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+Batch = tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 entry, as int64."""
+    return _POP8[x.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+
+
+def _bit_reverse(x: np.ndarray) -> np.ndarray:
+    return _REV8[x.byteswap().view(np.uint8)].view(np.uint64)
 
 
 def _mask_connected(mask: int, adj: list[int]) -> bool:
@@ -24,73 +54,92 @@ def _mask_connected(mask: int, adj: list[int]) -> bool:
     return comp == mask
 
 
-def _lex_less(a: int, b: int) -> bool:
-    d = a ^ b
-    if d == 0:
-        return False
-    return (a & (d & -d)) != 0
+def connected_subsets(adj: np.ndarray, mult: np.ndarray, half: int) -> Iterator[Batch]:
+    """Yield batches (size, S, nbrs, s) covering every vertex mask S that
+    induces a connected subgraph with |S| <= half exactly once.
 
+    adj is a uint64 array of neighbour masks and mult the int64 matrix of
+    edge multiplicities, loops left out of both.  In a batch every row has
+    |S| = size; S, nbrs (the union of adj over S) and s (|boundary(S)|) are
+    arrays of equal length, at most BATCH.
 
-def connected_subsets(adj: list[int], mult: list[list[int]], half: int, visit):
-    """Call visit(S, size, s, nbrs) once per vertex mask S inducing a
-    connected subgraph with size = |S| <= half, in the compiled kernel's
-    order; s = |boundary(S)| and nbrs is the union of adj over S.
-
-    adj and mult are graph_core's bitmask view.  s is updated as each
-    vertex v joins: v's edges into S turn inward.
+    Each S grows from its least vertex r, with the vertices below r
+    forbidden.  A row's candidates are its neighbours outside S and outside
+    its forbidden set; the child that adds candidate v also forbids the
+    candidates below v, so each connected S is reached by one path only.
+    The cut updates as v joins: its edges into S turn inward.
     """
-    degw = [sum(row) for row in mult]
+    nv = len(adj)
+    if not nv:
+        return
+    degw = mult.sum(axis=1)
+    # padded neighbour slots: the neighbours nb[v, j] of v, ascending, with
+    # multiplicities w[v, j]; padding slots have multiplicity 0
+    width = max(1, int(np.count_nonzero(mult, axis=1).max()))
+    nb = np.argsort(mult == 0, axis=1, kind="stable")[:, :width]
+    w = np.take_along_axis(mult, nb, axis=1)
+    nb = nb.astype(np.uint64)
+    bits = _BITS[:nv]
+    pow2 = _POW2[:nv]
 
-    def rec(S: int, nbrs: int, forbidden: int, size: int, s: int) -> None:
-        visit(S, size, s, nbrs)
+    stack = [(1, pow2, adj, pow2 - _ONE, degw)]
+    while stack:
+        size, S, nbrs, forbidden, s = stack.pop()
+        yield size, S, nbrs, s
         if size == half:
-            return
+            continue
         cand = nbrs & ~S & ~forbidden
-        block = 0
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            cand &= cand - 1
-            s2 = s + degw[v]
-            inside = adj[v] & S
-            while inside:
-                u = (inside & -inside).bit_length() - 1
-                inside &= inside - 1
-                s2 -= 2 * mult[v][u]
-            rec(S | bit, nbrs | adj[v], forbidden | block, size + 1, s2)
-            block |= bit
-
-    for r in range(len(adj)):
-        rec(1 << r, adj[r], (1 << r) - 1, 1, degw[r])
+        row, v = np.divmod(np.flatnonzero((cand[:, None] >> bits) & _ONE), nv)
+        if not row.size:
+            continue
+        pS, bit = S[row], pow2[v]
+        inside = ((pS[:, None] >> nb[v]) & _ONE).astype(np.int64)
+        cS = pS | bit
+        cN = nbrs[row] | adj[v]
+        cF = forbidden[row] | (cand[row] & (bit - _ONE))
+        cs = s[row] + degw[v] - 2 * (inside * w[v]).sum(axis=1)
+        for i in range(0, len(row), BATCH):
+            j = slice(i, i + BATCH)
+            stack.append((size + 1, cS[j], cN[j], cF[j], cs[j]))
 
 
 def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
-    """Exact min of boundary/|S| over doubly-connected S, |S| <= half."""
+    """Exact min of boundary/|S| over doubly-connected S, |S| <= half.
+
+    Returns (s, k, mask, visited): the minimum of the order (s/k, then k,
+    then lexicographic, i.e. the lowest differing vertex in S wins) and the
+    number of connected S with |S| <= half.  Neither depends on the
+    enumeration order.
+    """
     if nv < 1 or nv > 63:
         raise ValueError("kernel supports 1..63 vertices")
-    adj = [int(x) for x in adj_masks]
-    mult = [[int(mult_matrix[i][j]) for j in range(nv)] for i in range(nv)]
+    adj = np.ascontiguousarray(adj_masks, dtype=np.uint64)
+    mult = np.ascontiguousarray(mult_matrix, dtype=np.int64)
+    adj_int = [int(x) for x in adj]
     full = (1 << nv) - 1
 
     best_s, best_k, best_mask = 0, 0, 0
     visited = 0
-
-    def consider(S: int, size: int, s: int, _nbrs: int) -> None:
-        nonlocal best_s, best_k, best_mask, visited
-        visited += 1
+    for size, S, _nbrs, s in connected_subsets(adj, mult, half):
+        visited += len(S)
         if best_k == 0:
-            better = True
-        elif s * best_k != best_s * size:
-            better = s * best_k < best_s * size
-        elif size != best_k:
-            better = size < best_k
+            better = np.ones(len(S), dtype=bool)
         else:
-            better = _lex_less(S, best_mask)
-        if not better:
-            return
-        if not _mask_connected(full & ~S, adj):
-            return
-        best_s, best_k, best_mask = s, size, S
-
-    connected_subsets(adj, mult, half, consider)
+            cross = s * best_k - best_s * size
+            better = cross < 0
+            if size < best_k:
+                better |= cross == 0
+            elif size == best_k:
+                d = S ^ np.uint64(best_mask)
+                better |= (cross == 0) & ((S & d & (~d + _ONE)) != 0)
+        (idx,) = np.nonzero(better)
+        if not idx.size:
+            continue
+        # ascending lexicographic order is descending bit-reversed mask
+        idx = idx[np.lexsort((~_bit_reverse(S[idx]), s[idx]))]
+        for i in idx:
+            mask = int(S[i])
+            if _mask_connected(full & ~mask, adj_int):
+                best_s, best_k, best_mask = int(s[i]), size, mask
+                break
     return best_s, best_k, best_mask, visited

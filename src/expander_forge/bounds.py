@@ -29,8 +29,8 @@ first_moment_bound = X*Y*Z + P therefore bounds the expected unrestricted
 count (count_all_Nabs).  mu_pair_sum and the `bounds` CLI table keep the
 X*Y*Z form, so they bound the interior-cut class only.
 
-Both counts come from one pass of _mincut_py.connected_subsets, the engine
-of the exact Cheeger search.
+Both counts come from one pass of _mincut_py.connected_subsets, the batched
+engine of the exact Cheeger search, tallied with array operations.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import GuardExceededError
-from ._mincut_py import connected_subsets
+from ._mincut_py import connected_subsets, popcount
 from .graph_core import MultiGraph, _bitmask_inputs, check_parity, is_connected
 from .sampler import SampleConfig, count_family, matching_count, sample_graph
 
@@ -243,20 +243,31 @@ def _connected_subset_counts(g: MultiGraph) -> tuple[Counter, Counter]:
         raise GuardExceededError(
             f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
         )
-    pendants = sum(1 << v for v, d in enumerate(degs) if d == 1)
+    nv = g.num_vertices
+    if nv > 63:
+        raise GuardExceededError(f"{nv} vertices exceed the 63-bit subset masks")
+    pendants = np.uint64(sum(1 << v for v, d in enumerate(degs) if d == 1))
 
-    def tally(S: int, size: int, s: int, nbrs: int) -> None:
-        a = (S & pendants).bit_count()
-        key = (a, size - a, s)
-        unrestricted[key] += 1
+    adj, mult = _bitmask_inputs(g)
+    batches = connected_subsets(
+        np.array(adj, dtype=np.uint64), np.array(mult, dtype=np.int64).reshape(nv, nv), nv
+    )
+    for size, S, nbrs, s in batches:
         # a degree-1 vertex p has one neighbour, so p is in nbrs exactly
         # when that neighbour is in S, and p's edge crosses exactly when p
         # is in one of S and nbrs
-        if not pendants & (S ^ nbrs):
-            interior_cut[key] += 1
-
-    adj, mult = _bitmask_inputs(g)
-    connected_subsets(adj, mult, g.num_vertices, tally)
+        inner = (pendants & (S ^ nbrs)) == 0
+        # one key per (a, s, interior-cut flag); b = size - a
+        base = int(s.max()) + 1
+        keys = 2 * (popcount(S & pendants) * base + s) + inner
+        counts = np.bincount(keys)
+        (uniq,) = np.nonzero(counts)
+        for key, c in zip(uniq.tolist(), counts[uniq].tolist()):
+            a, rest = divmod(key, 2 * base)
+            triple = (a, size - a, rest // 2)
+            unrestricted[triple] += c
+            if rest % 2:
+                interior_cut[triple] += c
     return unrestricted, interior_cut
 
 

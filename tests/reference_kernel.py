@@ -1,0 +1,98 @@
+"""Reference kernel for tests: a recursive connected-subset enumerator
+that handles one subset per call, and the minimum-ratio-cut search built on
+it, as an oracle independent of the batched engine in
+expander_forge._mincut_py.
+
+connected_subsets calls visit(S, size, s, nbrs) once per connected S,
+depth first; min_ratio_cut returns the same (s, k, mask, visited) as the
+compiled and batched kernels.
+"""
+
+from __future__ import annotations
+
+
+def _mask_connected(mask: int, adj: list[int]) -> bool:
+    if mask == 0:
+        return True
+    bit = mask & -mask
+    comp = bit
+    frontier = bit
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = adj[v] & mask & ~comp
+        comp |= new
+        frontier |= new
+    return comp == mask
+
+
+def _lex_less(a: int, b: int) -> bool:
+    d = a ^ b
+    if d == 0:
+        return False
+    return (a & (d & -d)) != 0
+
+
+def connected_subsets(adj: list[int], mult: list[list[int]], half: int, visit):
+    """Call visit(S, size, s, nbrs) once per vertex mask S inducing a
+    connected subgraph with size = |S| <= half, in the compiled kernel's
+    order; s = |boundary(S)| and nbrs is the union of adj over S.
+
+    adj and mult are graph_core's bitmask view.  s is updated as each
+    vertex v joins: v's edges into S turn inward.
+    """
+    degw = [sum(row) for row in mult]
+
+    def rec(S: int, nbrs: int, forbidden: int, size: int, s: int) -> None:
+        visit(S, size, s, nbrs)
+        if size == half:
+            return
+        cand = nbrs & ~S & ~forbidden
+        block = 0
+        while cand:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            cand &= cand - 1
+            s2 = s + degw[v]
+            inside = adj[v] & S
+            while inside:
+                u = (inside & -inside).bit_length() - 1
+                inside &= inside - 1
+                s2 -= 2 * mult[v][u]
+            rec(S | bit, nbrs | adj[v], forbidden | block, size + 1, s2)
+            block |= bit
+
+    for r in range(len(adj)):
+        rec(1 << r, adj[r], (1 << r) - 1, 1, degw[r])
+
+
+def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
+    """Exact min of boundary/|S| over doubly-connected S, |S| <= half."""
+    if nv < 1 or nv > 63:
+        raise ValueError("kernel supports 1..63 vertices")
+    adj = [int(x) for x in adj_masks]
+    mult = [[int(mult_matrix[i][j]) for j in range(nv)] for i in range(nv)]
+    full = (1 << nv) - 1
+
+    best_s, best_k, best_mask = 0, 0, 0
+    visited = 0
+
+    def consider(S: int, size: int, s: int, _nbrs: int) -> None:
+        nonlocal best_s, best_k, best_mask, visited
+        visited += 1
+        if best_k == 0:
+            better = True
+        elif s * best_k != best_s * size:
+            better = s * best_k < best_s * size
+        elif size != best_k:
+            better = size < best_k
+        else:
+            better = _lex_less(S, best_mask)
+        if not better:
+            return
+        if not _mask_connected(full & ~S, adj):
+            return
+        best_s, best_k, best_mask = s, size, S
+
+    connected_subsets(adj, mult, half, consider)
+    return best_s, best_k, best_mask, visited

@@ -197,6 +197,17 @@ def test_count_nabs_guard():
         count_all_Nabs(g)
 
 
+def test_count_nabs_rejects_more_than_63_vertices():
+    """The counters run on 63-bit subset masks.  A 64-vertex path has no
+    degree-3 vertex, so only the mask width stops it."""
+    path = MultiGraph(chi=64, n=0, edges=tuple((v, v + 1) for v in range(63)))
+    for counter in (count_all_Nabs, count_all_Nabs_interior_cut):
+        with pytest.raises(GuardExceededError):
+            counter(path)
+    path63 = MultiGraph(chi=63, n=0, edges=tuple((v, v + 1) for v in range(62)))
+    assert sum(count_all_Nabs(path63).values()) == 63 * 64 // 2
+
+
 def _nabs_brute_force(g):
     """Both N_{a,b,s} counters by definition: every vertex mask, the induced
     subgraph's connectivity checked by depth-first search, and every

@@ -1,11 +1,13 @@
 import hashlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expander_forge import cheeger
+import reference_kernel
+from expander_forge import _mincut_py, cheeger
 from expander_forge._mincut_py import min_ratio_cut as py_min_ratio_cut
 from expander_forge.cheeger import (
     GUARD_ENV_VAR,
@@ -17,10 +19,10 @@ from expander_forge.cheeger import (
     resolve_guard,
 )
 from expander_forge.errors import ExpanderForgeError, GuardExceededError
-from expander_forge.graph_core import HalfEdgePairing, build_graph, is_connected
-from expander_forge.construct import k4_graph, theta_base
+from expander_forge.graph_core import HalfEdgePairing, MultiGraph, build_graph, is_connected
+from expander_forge.construct import k4_graph, plant_trees, theta_base
 from expander_forge.sampler import SampleConfig, sample_graph
-from expander_forge.spectra import laplacian_spectrum
+from expander_forge.spectra import laplacian_spectrum, normalized_laplacian
 
 STAR = build_graph(HalfEdgePairing(chi=1, n=3, pairs=((1, 4), (2, 5), (3, 6))))
 
@@ -91,6 +93,143 @@ def test_pruned_search_matches_naive_oracle():
         assert 2 * len(pruned.witness) <= g.num_vertices
         checked += 1
     assert checked >= 100
+
+
+def _loopy_multigraphs(count, seed):
+    """Connected multigraphs with loops and parallel edges: a random
+    spanning tree plus random extra edges, a loop and a doubled edge."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(4, 14)
+        edges = [(v, rng.randrange(v)) for v in range(1, nv)]
+        edges += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(nv // 2)]
+        edges += [(0, 0), edges[0]]
+        out.append(MultiGraph(chi=nv, n=0, edges=tuple(edges)))
+    return out
+
+
+CUBIC_22 = _connected_samples([(22, 0)], trials=6, seed=11)[:3]
+LOOPY = _loopy_multigraphs(25, seed=5)
+REFERENCE_GRAPHS = (
+    SAMPLES_12
+    + [plant_trees(k4_graph(), 2), plant_trees(theta_base(), 3)]
+    + CUBIC_22
+    + LOOPY
+)
+
+
+def _halves(nv):
+    return sorted({1, nv // 2, nv})
+
+
+def test_batched_kernel_matches_recursive_reference():
+    """(s, k, mask, visited) of the batched kernel equal the recursive
+    reference's at |S| <= 1, |V|/2 and |V|."""
+    assert len(CUBIC_22) == 3
+    assert all(len(set(g.edges)) < len(g.edges) for g in LOOPY)
+    assert all(any(u == v for u, v in g.edges) for g in LOOPY)
+    for g in REFERENCE_GRAPHS:
+        adj, mult = _bitmask_inputs(g)
+        nv = g.num_vertices
+        for half in _halves(nv):
+            got = py_min_ratio_cut(adj, mult, nv, half)
+            want = reference_kernel.min_ratio_cut(adj, mult, nv, half)
+            assert got == want, (g.edges, half, got, want)
+
+
+def test_engine_yields_each_connected_subset_once():
+    """Every batch has one subset size and at most BATCH rows; together the
+    batches hold each connected S once, with the reference's cut and
+    neighbourhood."""
+    split = False
+    for g in CUBIC_22[:1] + LOOPY[:5] + [plant_trees(theta_base(), 3)]:
+        adj, mult = _bitmask_inputs(g)
+        nv = g.num_vertices
+        for half in _halves(nv):
+            want = {}
+
+            def visit(S, size, s, nbrs):
+                assert S not in want
+                want[S] = (size, s, nbrs)
+
+            reference_kernel.connected_subsets(adj, mult, half, visit)
+            got = {}
+            batches = _mincut_py.connected_subsets(
+                np.array(adj, dtype=np.uint64), np.array(mult, dtype=np.int64), half
+            )
+            for size, S, nbrs, s in batches:
+                assert 0 < len(S) <= _mincut_py.BATCH
+                split |= len(S) == _mincut_py.BATCH
+                for row in zip(S.tolist(), s.tolist(), nbrs.tolist()):
+                    assert row[0] not in got
+                    got[row[0]] = (size, row[1], row[2])
+            assert got == want
+    assert split  # some level spans several batches
+
+
+def _cycle(nv):
+    return MultiGraph(chi=nv, n=0, edges=tuple((v, (v + 1) % nv) for v in range(nv)))
+
+
+def _path(nv):
+    return MultiGraph(chi=nv, n=0, edges=tuple((v, v + 1) for v in range(nv - 1)))
+
+
+def _kernels():
+    kernels = [py_min_ratio_cut, reference_kernel.min_ratio_cut]
+    if cheeger.HAVE_COMPILED_KERNEL:
+        from expander_forge import _mincut_core
+
+        kernels.append(_mincut_core.min_ratio_cut)
+    return kernels
+
+
+def test_top_bit_cycle_and_path():
+    """Vertex 62 uses the top bit of the 63-bit masks.  Connected subsets
+    of size <= 31 are the 63 * 31 arcs of the cycle and the intervals of
+    the path; both minima are the arc or interval {0..30}."""
+    arc = (1 << 31) - 1
+    for g, want in ((_cycle(63), (2, 31, arc, 63 * 31)), (_path(63), (1, 31, arc, 1488))):
+        adj, mult = _bitmask_inputs(g)
+        for kernel in _kernels():
+            assert kernel(adj, mult, 63, 31) == want
+    assert cheeger_exact(_cycle(63), guard=63).h == Fraction(2, 31)
+    assert cheeger_exact(_path(63), guard=63).h == Fraction(1, 31)
+
+
+def test_kernels_reject_64_vertices():
+    adj, mult = _bitmask_inputs(_cycle(64))
+    for kernel in _kernels():
+        with pytest.raises(ValueError):
+            kernel(adj, mult, 64, 32)
+    with pytest.raises(ValueError):
+        cheeger_exact(_cycle(64), guard=64)
+
+
+def _upper_by_recount(g):
+    """The sweep with |boundary| recounted for every prefix, O(|V| |E|)."""
+    nv = g.num_vertices
+    eigvals, eigvecs = np.linalg.eigh(normalized_laplacian(g))
+    fiedler = eigvecs[:, np.argsort(eigvals)[1]]
+    deg = np.array(g.degrees(), dtype=float)
+    order = np.argsort(fiedler / np.sqrt(deg), kind="stable")
+    best = None
+    for j in range(1, nv):
+        prefix = set(int(v) for v in order[:j])
+        side = prefix if j <= nv // 2 else set(range(nv)) - prefix
+        s, k = boundary_size(g, side), len(side)
+        if best is None or s * best[1] < best[0] * k:
+            best = (s, k, tuple(sorted(side)))
+    return best
+
+
+def test_incremental_sweep_matches_recount():
+    graphs = SAMPLES_12 + CUBIC_22 + LOOPY + _connected_samples([(40, 6), (90, 10)], 5, seed=4)
+    for g in graphs:
+        up = cheeger_upper(g)
+        assert (up.boundary_size, len(up.witness), up.witness) == _upper_by_recount(g)
+        assert up.h == Fraction(up.boundary_size, len(up.witness))
 
 
 @pytest.mark.skipif(
