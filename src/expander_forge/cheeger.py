@@ -71,6 +71,8 @@ def cheeger_exact(g: MultiGraph, guard: int | None = None) -> CheegerCertificate
         raise ExpanderForgeError("cheeger_exact needs at least 2 vertices")
     if nv > limit:
         raise GuardExceededError(f"|V| = {nv} exceeds exact-search guard {limit}")
+    if nv > 63:
+        raise GuardExceededError(f"|V| = {nv} exceeds the kernel's 63-bit subset masks")
     adj, mult = _bitmask_inputs(g)
     s, k, mask, _visited = _kernel.min_ratio_cut(adj, mult, nv, nv // 2)
     witness = tuple(v for v in range(nv) if (mask >> v) & 1)

@@ -9,6 +9,11 @@ labels, so the output is exactly uniform on the family.
 RNG contract: the generator is numpy PCG64.  Trial t of a run with seed s
 uses ``default_rng(SeedSequence(entropy=s, spawn_key=(t,)))``; parallel and
 serial execution therefore produce identical trial streams.
+
+Monte Carlo connectivity draws each trial under that contract and decides
+connectivity a block of trials at a time: one sparse connected-components
+call on the disjoint union of the block's graphs, so batching changes no
+draw and no verdict.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GuardExceededError
 from .graph_core import (
@@ -27,10 +34,12 @@ from .graph_core import (
     check_parity,
     is_connected,
     label_to_vertex,
-    union_find,
 )
 
 ENUM_GUARD = 10**7
+# Vertices per block of Monte Carlo trials (at least one trial per block);
+# bounds the working set of the batched connectivity check.
+BLOCK_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -102,10 +111,38 @@ def sample_graph(cfg: SampleConfig, trial_index: int):
     return build_graph(sample_partition(cfg, trial_index))
 
 
-def _trial_is_connected(chi: int, n: int, rng: np.random.Generator) -> bool:
-    """Connectivity of one sampled graph without building a MultiGraph."""
-    edges = label_to_vertex(_sample_label_pairs(chi, n, rng), chi).tolist()
-    return union_find(chi + n, edges).count == 1
+def _connected_trials(cfg: SampleConfig) -> np.ndarray:
+    """Connectivity of the sampled graphs of trials 0..cfg.trials-1, as a
+    bool array in trial order, without building a MultiGraph.
+
+    Each block of trials becomes one graph: trial i of the block occupies
+    vertices i*(chi+n) .. (i+1)*(chi+n)-1.  Components never straddle two
+    trials, so a trial is connected exactly when one component lies in it.
+    """
+    chi, nv = cfg.chi, cfg.chi + cfg.n
+    per_block = max(1, BLOCK_VERTICES // nv)
+    verdicts = np.empty(cfg.trials, dtype=bool)
+    for start in range(0, cfg.trials, per_block):
+        stop = min(start + per_block, cfg.trials)
+        pairs = np.stack(
+            [
+                _sample_label_pairs(chi, cfg.n, trial_rng(cfg.seed, t))
+                for t in range(start, stop)
+            ]
+        )  # (trials, edges, 2)
+        offsets = nv * np.arange(stop - start)
+        edges = (label_to_vertex(pairs, chi) + offsets[:, None, None]).reshape(-1, 2)
+        size = nv * (stop - start)
+        graph = coo_matrix(
+            (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
+            shape=(size, size),
+        )
+        n_comp, labels = connected_components(graph, directed=False)
+        trial_of_component = np.empty(n_comp, dtype=np.int64)
+        trial_of_component[labels] = np.arange(size) // nv
+        components_per_trial = np.bincount(trial_of_component, minlength=stop - start)
+        verdicts[start:stop] = components_per_trial == 1
+    return verdicts
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -123,10 +160,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 def estimate_connectivity(cfg: SampleConfig) -> ConnectivityEstimate:
     """Monte Carlo connected fraction with a 95% Wilson interval."""
-    hits = 0
-    for t in range(cfg.trials):
-        if _trial_is_connected(cfg.chi, cfg.n, trial_rng(cfg.seed, t)):
-            hits += 1
+    hits = int(_connected_trials(cfg).sum())
     lo, hi = wilson_interval(hits, cfg.trials)
     return ConnectivityEstimate(
         fraction=Fraction(hits, cfg.trials), ci_low=lo, ci_high=hi, trials=cfg.trials

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from expander_forge.bounds import (
-    count_all_Nabs,
-    count_all_Nabs_interior_cut,
+    _connected_subset_counts,
     first_moment_bound,
     mu_pair_sum,
     xyz_bound,
@@ -277,10 +276,11 @@ def test_criterion_09_first_moment_bound():
         members = 0
         for p in enumerate_family(chi, n):
             members += 1
-            g = build_graph(p)
-            for key, v in count_all_Nabs(g).items():
+            # one engine pass fills both counters
+            unrestricted, interior_cut = _connected_subset_counts(build_graph(p))
+            for key, v in unrestricted.items():
                 totals[key] = totals.get(key, 0) + v
-            for key, v in count_all_Nabs_interior_cut(g).items():
+            for key, v in interior_cut.items():
                 interior[key] = interior.get(key, 0) + v
         for (a, b, s), tot in sorted(totals.items()):
             if a + b > 4:

@@ -203,7 +203,7 @@ def test_kernels_reject_64_vertices():
     for kernel in _kernels():
         with pytest.raises(ValueError):
             kernel(adj, mult, 64, 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardExceededError):
         cheeger_exact(_cycle(64), guard=64)
 
 

@@ -5,7 +5,8 @@ import pytest
 from expander_forge import cli
 from expander_forge.cli import main, parity_adjust
 from expander_forge.errors import CertificationError
-from expander_forge.graph_core import from_text
+from expander_forge.graph_core import from_text, is_connected, to_text
+from expander_forge.sampler import SampleConfig, sample_graph
 
 
 def test_parity_adjust():
@@ -183,6 +184,16 @@ def test_cheeger_guard_exit_3(tmp_path, capsys):
     capsys.readouterr()
     code = main(["cheeger", str(d / "g4.txt"), "--guard", "5"])
     assert code == 3
+
+
+def test_cheeger_over_63_vertices_exit_3(tmp_path, capsys):
+    cfg = SampleConfig(chi=60, n=4, trials=20, seed=0)
+    graphs = (sample_graph(cfg, t) for t in range(cfg.trials))
+    g = next(g for g in graphs if is_connected(g))
+    path = tmp_path / "g64.txt"
+    path.write_text(to_text(g))
+    assert main(["cheeger", str(path), "--guard", "64"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_certification_failure_exit_4(tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
-"""Golden digests of the construction outputs, of the tree-split descent
-and of the first-moment tables.
+"""Golden digests of the construction outputs, of the tree-split descent,
+of the first-moment tables and of the Monte Carlo sweep.
 
 Any change to a family member, a manifest row, a two-tree split, a
-balanced subset or a `bounds` CSV/JSON changes them; outputs must stay
-byte-identical.
+balanced subset, a `bounds` CSV/JSON or a `sweep` CSV changes them;
+outputs must stay byte-identical.
 """
 
 import hashlib
@@ -72,6 +72,13 @@ BOUNDS_DIGESTS = {
     ),
 }
 
+# sha256 of the CSV that `sweep --chi-list 10,50,400 --trials 200 --seed 3`
+# writes; every connected fraction lies strictly between 0 and 1
+SWEEP_DIGESTS = {
+    "pow:0.5": "d8928e5defba84ca93a032e378994001ecfd8a9613374f33aea8756d3d182fc6",
+    "linear:0.25": "31969c7c5efb622b898d7f3296417ed22552729b3f14b86c394f42eefc1d2818",
+}
+
 
 @pytest.mark.parametrize("theta", sorted(CONSTRUCT_DIGESTS))
 def test_construct_outputs_match_golden(tmp_path, theta):
@@ -116,3 +123,11 @@ def test_bounds_outputs_match_golden(tmp_path, chi, n, mu):
         for ext in (".csv", ".json")
     )
     assert digests == BOUNDS_DIGESTS[chi, n, mu]
+
+
+@pytest.mark.parametrize("rule", sorted(SWEEP_DIGESTS))
+def test_sweep_output_matches_golden(tmp_path, rule):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--chi-list", "10,50,400", "--rule", rule, "--trials", "200"]
+    assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[rule]

@@ -7,8 +7,9 @@ import pytest
 from expander_forge.errors import GuardExceededError, ParityError
 from expander_forge.graph_core import is_connected, validate_partition
 from expander_forge.sampler import (
+    BLOCK_VERTICES,
     SampleConfig,
-    _trial_is_connected,
+    _connected_trials,
     count_family,
     enumerate_family,
     estimate_connectivity,
@@ -16,7 +17,6 @@ from expander_forge.sampler import (
     matching_count,
     sample_graph,
     sample_partition,
-    trial_rng,
     wilson_interval,
 )
 
@@ -106,15 +106,29 @@ def test_sampled_pairs_are_pinned():
     )
 
 
-@pytest.mark.parametrize("chi,n", [(16, 4), (50, 18), (400, 100)])
-def test_trial_connectivity_follows_the_rng_contract(chi, n):
-    """The array fast path sees the same graph as sample_graph, trial by trial."""
-    cfg = SampleConfig(chi=chi, n=n, trials=150, seed=17)
-    verdicts = [
-        _trial_is_connected(chi, n, trial_rng(cfg.seed, t)) for t in range(cfg.trials)
-    ]
-    assert verdicts == [is_connected(sample_graph(cfg, t)) for t in range(cfg.trials)]
-    assert True in verdicts and False in verdicts
+@pytest.mark.parametrize(
+    "chi,n,trials",
+    [
+        pytest.param(16, 4, 150, id="16-4"),
+        pytest.param(50, 18, 150, id="50-18"),
+        pytest.param(400, 100, 150, id="400-100"),
+        # several blocks of BLOCK_VERTICES // 20 trials, the last one partial
+        pytest.param(16, 4, 2 * (BLOCK_VERTICES // 20) + 7, id="several-blocks"),
+        # chi + n above the block cap: one trial per block
+        pytest.param(4000, 800, 12, id="one-trial-per-block"),
+        pytest.param(16, 4, 1, id="one-trial"),
+    ],
+)
+def test_trial_connectivity_follows_the_rng_contract(chi, n, trials):
+    """The block-batched check sees the same graphs as sample_graph, trial
+    by trial."""
+    cfg = SampleConfig(chi=chi, n=n, trials=trials, seed=17)
+    verdicts = _connected_trials(cfg)
+    assert verdicts.dtype == bool and verdicts.shape == (trials,)
+    expected = [is_connected(sample_graph(cfg, t)) for t in range(trials)]
+    assert verdicts.tolist() == expected
+    if trials > 1:
+        assert True in expected and False in expected
 
 
 def test_exact_connectivity_small_families():
