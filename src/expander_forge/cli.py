@@ -114,11 +114,10 @@ def cmd_sample(args, argv: list[str]) -> int:
 
 def parity_adjust(chi: int, n: int) -> int:
     """Largest n' <= n with 3*chi - n' non-negative and even."""
-    n = min(n, 3 * chi)
-    if (3 * chi - n) % 2 != 0:
-        n -= 1
+    bound = min(n, 3 * chi)
+    n = bound - (3 * chi - bound) % 2
     if n < 0:
-        raise ParityError(f"no valid n <= {n} for chi={chi}")
+        raise ParityError(f"no valid n <= {bound} for chi={chi}")
     return n
 
 

@@ -13,7 +13,8 @@ serial execution therefore produce identical trial streams.
 Monte Carlo connectivity draws each trial under that contract and decides
 connectivity a block of trials at a time: one sparse connected-components
 call on the disjoint union of the block's graphs, so batching changes no
-draw and no verdict.
+draw and no verdict.  scipy is imported inside `_connected_trials`, where
+it is called, so commands that never call it do not pay for it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GuardExceededError
 from .graph_core import (
@@ -119,6 +118,9 @@ def _connected_trials(cfg: SampleConfig) -> np.ndarray:
     vertices i*(chi+n) .. (i+1)*(chi+n)-1.  Components never straddle two
     trials, so a trial is connected exactly when one component lies in it.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     chi, nv = cfg.chi, cfg.chi + cfg.n
     per_block = max(1, BLOCK_VERTICES // nv)
     verdicts = np.empty(cfg.trials, dtype=bool)

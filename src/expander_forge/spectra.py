@@ -6,6 +6,10 @@ the degree.  The Steklov spectrum is computed through the
 Dirichlet-to-Neumann reduction: the Schur complement
 L_BB - L_BI L_II^{-1} L_IB of the combinatorial Laplacian L = D - A maps
 boundary data to the outward derivative of its harmonic extension.
+
+scipy is imported inside the two functions that call it, the sparse
+Lanczos solve and the Cholesky solve, so commands that never call them do
+not pay for it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ExpanderForgeError, SolverError
 from .graph_core import MultiGraph, is_connected, topology
@@ -92,6 +93,9 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int, tol: float) -> np.ndarray:
     drawn at random because a constant vector is orthogonal to every
     eigenvector that is antisymmetric under a graph automorphism.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     nv = g.num_vertices
     a = scipy.sparse.csr_matrix(
         (np.ones(2 * g.num_edges), _adjacency_entries(g)), shape=(nv, nv)
@@ -114,6 +118,8 @@ def _dirichlet_solve(
 ) -> np.ndarray:
     """L_II^{-1} rhs for the interior block L_II of `lap`; SolverError when
     L_II is not positive definite (a component without boundary)."""
+    import scipy.linalg
+
     try:
         cho = scipy.linalg.cho_factor(lap[np.ix_(interior, interior)])
     except np.linalg.LinAlgError as exc:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from expander_forge import cli
 from expander_forge.cli import main, parity_adjust
+from expander_forge.construct import plant_trees, theta_base
 from expander_forge.errors import CertificationError
 from expander_forge.graph_core import from_text, is_connected, to_text
 from expander_forge.sampler import SampleConfig, sample_graph
@@ -53,6 +58,18 @@ def test_sweep_csv(tmp_path):
     assert len(lines) == 3
     chi, n, *_ = lines[1].split(",")
     assert (chi, n) == ("10", "2")  # floor(10^(1/3)) = 2, parity ok
+
+
+def test_sweep_no_valid_n_names_the_requested_bound(tmp_path, capsys):
+    # linear:0.25 asks for n = 0 at chi = 3, where 3*chi - n is odd
+    code = main(
+        ["sweep", "--chi-list", "2,3,5", "--rule", "linear:0.25",
+         "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n <= 0" in err and "chi=3" in err
 
 
 def test_sweep_bad_rule_exit_2(tmp_path):
@@ -232,3 +249,58 @@ def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+COLD_MAIN = """
+import json, sys
+from expander_forge import cli
+code = cli.main(sys.argv[1:])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+with open("cold.json", "w") as f:
+    json.dump({"code": code, "scipy": scipy}, f)
+"""
+
+
+def _cold_main(cwd: Path, argv: list[str]) -> dict:
+    """cli.main(argv) in a fresh interpreter running in `cwd`: its exit
+    code and the scipy modules it loaded."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_MAIN, *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((cwd / "cold.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--chi", "20", "--n", "4", "--mu", "1/2", "--out", "b"],
+        ["cheeger", "planted.txt"],
+        ["split", "planted.txt"],
+        ["construct", "--theta", "3", "--g-min", "1", "--g-max", "4",
+         "--out", "fam"],
+    ],
+    ids=["bounds", "cheeger", "split", "construct"],
+)
+def test_certified_commands_never_import_scipy(tmp_path, argv):
+    (tmp_path / "planted.txt").write_text(to_text(plant_trees(theta_base(), 3)))
+    assert _cold_main(tmp_path, argv) == {"code": 0, "scipy": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--chi", "16", "--n", "4", "--trials", "3"],
+        ["sweep", "--chi-list", "50", "--rule", "pow:0.5", "--trials", "20"],
+    ],
+    ids=["sample", "sweep"],
+)
+def test_scipy_commands_run_cold(tmp_path, argv):
+    # scipy is first imported inside the call, in a clean process
+    assert _cold_main(tmp_path, argv + ["--out", "cold.csv"])["code"] == 0
+    assert main(argv + ["--out", str(tmp_path / "warm.csv")]) == 0
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
