@@ -14,12 +14,7 @@ from .bounds import (
     pendant_term,
     xyz_bound,
 )
-from .cheeger import (
-    HAVE_COMPILED_KERNEL,
-    CheegerCertificate,
-    cheeger_exact,
-    cheeger_upper,
-)
+from .cheeger import CheegerCertificate, cheeger_exact, cheeger_upper
 from .construct import (
     BalancedSubset,
     FamilySpec,
@@ -76,7 +71,6 @@ __all__ = [
     "ExpanderForgeError",
     "FamilySpec",
     "GuardExceededError",
-    "HAVE_COMPILED_KERNEL",
     "HalfEdgePairing",
     "MultiGraph",
     "MuPairBound",

@@ -3,11 +3,9 @@ connected_subsets, and the minimum-ratio-cut kernel built on it.
 
 The engine grows subsets level by level in numpy batches, so a batch of
 subsets costs a handful of array operations instead of one Python call per
-subset.  min_ratio_cut is the numpy twin of _mincut_core.min_ratio_cut, used
-when the extension is not built: measured 1.1-1.6x slower on 20-28 vertex
-graphs (1.3-1.9x over the perfbench exact-certify `cheeger` inputs) and 8x
-slower on 12-vertex graphs, where the fixed cost per batch dominates.
-bounds counts N_{a,b,s} with connected_subsets.
+subset; on graphs of a dozen vertices the fixed cost per batch dominates.
+cheeger.cheeger_exact runs min_ratio_cut, and bounds counts N_{a,b,s} with
+connected_subsets.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Exact Cheeger constants with witnesses, plus a spectral sweep upper bound.
 
 The exact search enumerates only subsets whose two sides are both connected
-(the connected-realizer reduction), using a compiled bitmask kernel when the
-extension was built and its batched numpy twin otherwise.
+(the connected-realizer reduction), with the batched bitmask kernel of
+_mincut_py.
 """
 
 from __future__ import annotations
@@ -13,18 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _mincut_py as _kernel
 from .errors import ExpanderForgeError, GuardExceededError
 from .graph_core import MultiGraph, _bitmask_inputs, boundary_size, is_connected
 from .spectra import normalized_laplacian
 
-try:  # compiled kernel, built by setup.py
-    from . import _mincut_core as _kernel
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _mincut_py as _kernel
-
-    HAVE_COMPILED_KERNEL = False
+HAVE_COMPILED_KERNEL = False  # no compiled kernel; perfbench/run.py records it
 
 DEFAULT_GUARD = 24
 GUARD_ENV_VAR = "EXPANDER_FORGE_GUARD"

@@ -123,19 +123,27 @@ def parity_adjust(chi: int, n: int) -> int:
 
 def _parse_rule(rule: str):
     kind, _, val = rule.partition(":")
-    if kind == "pow":
-        alpha = float(val)
-        return lambda chi: math.floor(chi**alpha)
-    if kind == "linear":
-        c = float(val)
-        return lambda chi: math.floor(c * chi)
-    raise ValueError(f"unknown rule {rule!r} (expected pow:a or linear:c)")
+    if kind not in ("pow", "linear"):
+        raise ValueError(f"unknown rule {rule!r} (expected pow:a or linear:c)")
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError(f"rule parameter must be finite, got {val!r}")
+
+    def n_of(chi: int) -> int:
+        try:
+            return math.floor(chi**x if kind == "pow" else x * chi)
+        except OverflowError:  # |n| beyond floats; parity_adjust caps n > 3*chi
+            return 3 * chi if x > 0 else -1
+
+    return n_of
 
 
 def cmd_sweep(args, argv: list[str]) -> int:
     started = datetime.now(timezone.utc).isoformat()
     rule = _parse_rule(args.rule)
     chis = [int(c) for c in args.chi_list.split(",")]
+    if min(chis) < 1:
+        raise ValueError(f"every chi must be >= 1, got {args.chi_list!r}")
     lines = ["chi,n,trials,connected_fraction,ci_low,ci_high,seed"]
     for chi in chis:
         n = parity_adjust(chi, rule(chi))

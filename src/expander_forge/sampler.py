@@ -148,7 +148,8 @@ def _connected_trials(cfg: SampleConfig) -> np.ndarray:
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """95% Wilson score interval; stable near fractions 0 and 1."""
+    """95% Wilson score interval, stable near fractions 0 and 1.  It starts
+    at exactly 0 when no trial succeeds and ends at exactly 1 when all do."""
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
@@ -157,7 +158,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     half = (
         z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def estimate_connectivity(cfg: SampleConfig) -> ConnectivityEstimate:

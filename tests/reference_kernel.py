@@ -5,7 +5,7 @@ expander_forge._mincut_py.
 
 connected_subsets calls visit(S, size, s, nbrs) once per connected S,
 depth first; min_ratio_cut returns the same (s, k, mask, visited) as the
-compiled and batched kernels.
+batched kernel.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def _lex_less(a: int, b: int) -> bool:
 
 def connected_subsets(adj: list[int], mult: list[list[int]], half: int, visit):
     """Call visit(S, size, s, nbrs) once per vertex mask S inducing a
-    connected subgraph with size = |S| <= half, in the compiled kernel's
-    order; s = |boundary(S)| and nbrs is the union of adj over S.
+    connected subgraph with size = |S| <= half, depth first in increasing
+    vertex order; s = |boundary(S)| and nbrs is the union of adj over S.
 
     adj and mult are graph_core's bitmask view.  s is updated as each
     vertex v joins: v's edges into S turn inward.

@@ -80,6 +80,42 @@ def test_sweep_bad_rule_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "chis,rule",
+    [("50", "linear:inf"), ("50", "pow:inf"), ("50", "pow:nan"),
+     ("50", "linear:-1e308"), ("0", "pow:-1"), ("-2", "pow:0.5")],
+)
+def test_sweep_non_finite_rule_or_bad_chi_exit_2(tmp_path, capsys, chis, rule):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--chi-list", chis, "--rule", rule, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule", ["pow:1000", "linear:1e308"])
+def test_sweep_overflowing_n_is_capped_like_any_large_n(tmp_path, rule):
+    # n far above 3*chi is capped to 3*chi = 150, whether or not it fits a float
+    rows = []
+    for i, r in enumerate((rule, "pow:2")):
+        out = tmp_path / f"{i}.csv"
+        assert main(["sweep", "--chi-list", "50", "--rule", r, "--trials", "3",
+                     "--out", str(out)]) == 0
+        rows.append(out.read_text().splitlines()[1])
+    assert rows[0] == rows[1]
+    assert rows[0].startswith("50,150,")
+
+
+def test_sweep_zero_hits_has_ci_low_zero(tmp_path):
+    # no trial at chi = 50, n = 150 is connected: the interval must contain 0
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--chi-list", "50", "--rule", "pow:2", "--trials", "3",
+                 "--out", str(out)]) == 0
+    chi, n, trials, frac, lo, hi, seed = out.read_text().splitlines()[1].split(",")
+    assert (frac, lo) == ("0", "0")
+    assert 0 < float(hi) < 1
+
+
 def test_bounds_outputs(tmp_path):
     from expander_forge.bounds import mu_pair_sum
 

@@ -158,8 +158,10 @@ def test_disconnection_grows_with_n_exact():
 
 def test_wilson_interval_degenerate_edges():
     lo, hi = wilson_interval(0, 100)
-    assert lo < 1e-12 and hi < 0.05
+    assert lo == 0.0 and hi < 0.05
     lo, hi = wilson_interval(100, 100)
     assert hi == 1.0 and lo > 0.95
+    assert wilson_interval(0, 3)[0] == 0.0
+    assert wilson_interval(3, 3)[1] == 1.0
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
