@@ -7,7 +7,6 @@ _mincut_py.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,16 +20,6 @@ from .spectra import normalized_laplacian
 HAVE_COMPILED_KERNEL = False  # no compiled kernel; perfbench/run.py records it
 
 DEFAULT_GUARD = 24
-GUARD_ENV_VAR = "EXPANDER_FORGE_GUARD"
-
-
-def resolve_guard(guard: int | None = None) -> int:
-    if guard is not None:
-        return guard
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_GUARD
 
 
 @dataclass(frozen=True)
@@ -50,7 +39,7 @@ class CheegerCertificate:
         }
 
 
-def cheeger_exact(g: MultiGraph, guard: int | None = None) -> CheegerCertificate:
+def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertificate:
     """Minimum of |boundary(S)|/|S| over subsets with |S| <= |V|/2.
 
     By the connected-realizer reduction only subsets with both sides
@@ -59,12 +48,11 @@ def cheeger_exact(g: MultiGraph, guard: int | None = None) -> CheegerCertificate
     """
     if not is_connected(g):
         raise ExpanderForgeError("cheeger_exact requires a connected graph")
-    limit = resolve_guard(guard)
     nv = g.num_vertices
     if nv < 2:
         raise ExpanderForgeError("cheeger_exact needs at least 2 vertices")
-    if nv > limit:
-        raise GuardExceededError(f"|V| = {nv} exceeds exact-search guard {limit}")
+    if nv > guard:
+        raise GuardExceededError(f"|V| = {nv} exceeds exact-search guard {guard}")
     if nv > 63:
         raise GuardExceededError(f"|V| = {nv} exceeds the kernel's 63-bit subset masks")
     adj, mult = _bitmask_inputs(g)

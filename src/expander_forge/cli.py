@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import mu_pair_terms, sum_terms
-from .cheeger import cheeger_exact, resolve_guard
+from .cheeger import DEFAULT_GUARD, cheeger_exact
 from .construct import (
     FamilySpec,
     balanced_boundary_subset,
@@ -78,7 +78,6 @@ def _write_manifest(out_paths: list[Path], args: list[str], seed, started: str) 
 def cmd_sample(args, argv: list[str]) -> int:
     started = datetime.now(timezone.utc).isoformat()
     cfg = SampleConfig(chi=args.chi, n=args.n, trials=args.trials, seed=args.seed)
-    guard = resolve_guard(args.guard)
     lines = ["trial,connected,lambda1,sigma1,h,genus"]
     lambda1s = []
     hits = 0
@@ -93,8 +92,8 @@ def cmd_sample(args, argv: list[str]) -> int:
             s1 = steklov_spectrum(g).sigma1
             sigma1 = _fmt(s1) if s1 is not None else ""
         h = ""
-        if connected and g.num_vertices <= guard:
-            cert = cheeger_exact(g, guard=guard)
+        if connected and g.num_vertices <= args.guard:
+            cert = cheeger_exact(g, guard=args.guard)
             h = f"{cert.h.numerator}/{cert.h.denominator}"
         genus = (g.chi - g.n) // 2 + 1
         lines.append(
@@ -214,7 +213,6 @@ def cmd_construct(args, argv: list[str]) -> int:
     spec = FamilySpec.from_theta(_parse_fraction(args.theta))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    guard = resolve_guard(args.guard)
     lines = ["g,n,chi,h_lower,lambda1,h_exact,cheeger_check"]
     paths = []
     for g in range(args.g_min, args.g_max + 1):
@@ -225,8 +223,8 @@ def cmd_construct(args, argv: list[str]) -> int:
         lam1 = laplacian_spectrum(member.graph).lambda1
         h_exact = ""
         check = ""
-        if member.graph.num_vertices <= guard:
-            h = cheeger_exact(member.graph, guard=guard).h
+        if member.graph.num_vertices <= args.guard:
+            h = cheeger_exact(member.graph, guard=args.guard).h
             h_exact = f"{h.numerator}/{h.denominator}"
             check = str(int(lam1 >= float(h) ** 2 / 18 - 1e-9))
         hl = member.h_lower
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--g-min", type=int, required=True)
     p.add_argument("--g-max", type=int, required=True)
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_construct)
 
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheeger", help="exact Cheeger certificate of a graph file")
     p.add_argument("graphfile")
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.set_defaults(func=cmd_cheeger)
 
     p = sub.add_parser("split", help="two-tree split / balanced subset report")

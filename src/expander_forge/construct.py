@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cheeger import cheeger_exact, cheeger_upper, resolve_guard
+from .cheeger import DEFAULT_GUARD, cheeger_exact, cheeger_upper
 from .errors import CertificationError, ExpanderForgeError
 from .graph_core import (
     INTERIOR,
@@ -84,105 +84,68 @@ def two_tree_split(g: MultiGraph) -> TreeSplit:
     )
 
 
-def _subset_search_fallback(g: MultiGraph, genus: int) -> BalancedSubset:
-    """Direct search over interior subsets with optimal pendant inclusion.
-
-    Including a pendant attached to the chosen interior set lowers the
-    boundary by one; including an unattached pendant raises it by one, so
-    the best H for a target boundary-vertex count is determined per
-    interior subset.
-    """
-    degs = g.degrees()
-    interior = [v for v in range(g.num_vertices) if degs[v] != 1]
-    pendants = [v for v in range(g.num_vertices) if degs[v] == 1]
-    if len(interior) > 20:
-        raise ExpanderForgeError("fallback subset search limited to 20 interior")
-    adj: dict[int, list[int]] = {p: [] for p in pendants}
-    inner_edges = []
-    for u, v in g.edges:
-        if u == v:
-            continue
-        if degs[u] == 1:
-            adj[u].append(v)
-        elif degs[v] == 1:
-            adj[v].append(u)
-        else:
-            inner_edges.append((u, v))
-    n = len(pendants)
-    c_lo = -(-n // 4)  # ceil(n/4)
-    c_hi = n // 2
-    for mask in range(1 << len(interior)):
-        inside = {interior[i] for i in range(len(interior)) if (mask >> i) & 1}
-        cut3 = sum(1 for u, v in inner_edges if (u in inside) != (v in inside))
-        attached = [p for p in pendants if adj[p][0] in inside]
-        outside = [p for p in pendants if adj[p][0] not in inside]
-        p_att = len(attached)
-        for c in range(c_lo, c_hi + 1):
-            x = min(c, p_att)
-            y = c - x
-            bd = cut3 + (p_att - x) + y
-            if bd <= genus + 1:
-                h_set = frozenset(inside) | set(attached[:x]) | set(outside[:y])
-                return BalancedSubset(
-                    h_set=h_set, boundary_edges=bd, boundary_vertices_inside=c
-                )
-    raise ExpanderForgeError("no balanced subset found (should not happen)")
-
-
 def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
     """A subset H with |boundary(H)| <= g+1 and n/4 <= |H ∩ dG| <= n/2.
 
-    Follows the tree-split descent.  The first cut is the two-tree split;
-    each later cut removes the inside end of a crossing edge of the current
-    side from that side's spanning tree.  Among a cut's pieces with
-    |boundary| <= g+1, sorted by boundary count (descending, then least
-    vertex), the first in the window is returned, else the first holding
-    more than half the boundary vertices becomes the current side.  Falls
-    back to a direct subset search if no cut yields such a piece.
+    Needs a connected graph with n >= 2 whose degrees lie in {1, 3} and
+    whose boundary vertices all have degree 1.
+
+    The descent starts from the two sides of the two-tree split.  At each
+    step the pieces are sorted by boundary count (descending, then least
+    vertex) and the first piece in the window is returned.  Otherwise the
+    current side is the first piece; it is cut at the inside end w of its
+    least crossing edge (it has one: it is a proper part of a connected
+    graph), and the new pieces are the components of the side's tree
+    minus w.  Each step shrinks the side, so the descent ends.
+
+    No piece can exceed the boundary bound.  Let R be the g+1 edges the
+    split removes, and for a vertex set P let N(P) count the R-edges
+    touching P plus the forest edges with exactly one end in P; then
+    |boundary(P)| <= N(P).  Each side of the split has N <= g+1.  A piece P
+    of a cut at w loses the crossing edge e, which touches only w and the
+    outside, and gains only its one forest edge to w, so N(P) <= N(side).
+
+    The first cut always decides.  The side holds more than n/2 >= 1
+    boundary vertices, so it is not a lone pendant and w has degree 3.  e
+    uses one of w's three ends, so there are at most two pieces, and since
+    w is not a boundary vertex they hold all the side's boundary vertices.
+    Two pieces below n/4 would hold fewer than n/2, so if neither piece
+    lies in the window, one of them holds more than n/2.
     """
     if not is_connected(g):
         raise ExpanderForgeError("requires a connected graph")
     n = g.n
     if n <= 1:
         raise ExpanderForgeError("needs n >= 2 (integer window empty)")
-    genus = topology(g).genus
+    topology(g)  # rejects degrees outside {1, 3}
+    if any(d != 1 for d in g.degrees()[g.chi :]):
+        raise ExpanderForgeError("every boundary vertex must have degree 1")
     boundary_set = set(g.boundary_indices())
     nv = g.num_vertices
 
     def bcount(vs) -> int:
         return len(boundary_set & vs)
 
-    def kept(vs) -> bool:
-        return boundary_size(g, vs) <= genus + 1
-
-    def cuts(side: frozenset[int], tree: list[tuple[int, int]]):
-        for e in sorted(e for e in set(g.edges) if (e[0] in side) != (e[1] in side)):
-            w = e[0] if e[0] in side else e[1]
-            rest = [te for te in tree if w not in te]
-            yield [frozenset(c) for c in components(nv, rest, side - {w})]
-
     split = two_tree_split(g)
     tree = list(g.edges)
     for e in split.removed_edges:
         tree.remove(e)
-    candidates = [[split.side_a, split.side_b]]
-    while True:  # each step strictly shrinks the current side
-        for pieces in candidates:
-            pieces.sort(key=lambda cset: (-bcount(cset), min(cset)))
-            for cset in pieces:
-                if n <= 4 * bcount(cset) <= 2 * n and kept(cset):
-                    return BalancedSubset(
-                        h_set=cset,
-                        boundary_edges=boundary_size(g, cset),
-                        boundary_vertices_inside=bcount(cset),
-                    )
-            side = next((c for c in pieces if 2 * bcount(c) > n and kept(c)), None)
-            if side is not None:
-                break
-        else:
-            return _subset_search_fallback(g, genus)
+    pieces = [split.side_a, split.side_b]
+    while True:
+        pieces.sort(key=lambda cset: (-bcount(cset), min(cset)))
+        for cset in pieces:
+            if n <= 4 * bcount(cset) <= 2 * n:
+                return BalancedSubset(
+                    h_set=cset,
+                    boundary_edges=boundary_size(g, cset),
+                    boundary_vertices_inside=bcount(cset),
+                )
+        side = pieces[0]
         tree = [e for e in tree if e[0] in side and e[1] in side]
-        candidates = cuts(side, tree)
+        u, v = min(e for e in g.edges if (e[0] in side) != (e[1] in side))
+        w = u if u in side else v
+        rest = [e for e in tree if w not in e]
+        pieces = [frozenset(c) for c in components(nv, rest, side - {w})]
 
 
 def steklov_test_function(
@@ -366,7 +329,7 @@ class CertifiedBase:
 
 
 def default_base_provider(
-    m: int, seed: int = 20240601, guard: int | None = None, max_attempts: int = 500
+    m: int, seed: int = 20240601, guard: int = DEFAULT_GUARD, max_attempts: int = 500
 ) -> CertifiedBase:
     """Connected 3-regular graph on 2m vertices with h >= 2/11.
 
@@ -374,10 +337,9 @@ def default_base_provider(
     cubic samples, certified exactly while 2m fits the guard and screened
     by the sweep upper bound beyond it.
     """
-    limit = resolve_guard(guard)
     if m in NAMED_BASES:
         g = NAMED_BASES[m]()
-        h = cheeger_exact(g, guard=max(limit, 2 * m)).h
+        h = cheeger_exact(g, guard=max(guard, 2 * m)).h
         if h >= BASE_CHEEGER_TARGET:
             return CertifiedBase(graph=g, h_bound=h, exact=True)
     cfg = SampleConfig(chi=2 * m, n=0, trials=max_attempts, seed=seed + m)
@@ -385,8 +347,8 @@ def default_base_provider(
         g = sample_graph(cfg, t)
         if not is_connected(g):
             continue
-        if 2 * m <= limit:
-            h = cheeger_exact(g, guard=limit).h
+        if 2 * m <= guard:
+            h = cheeger_exact(g, guard=guard).h
             if h >= BASE_CHEEGER_TARGET:
                 return CertifiedBase(graph=g, h_bound=h, exact=True)
         else:

@@ -106,6 +106,12 @@ class MultiGraph:
     def roles(self) -> tuple[str, ...]:
         return (INTERIOR,) * self.chi + (BOUNDARY,) * self.n
 
+    # cached: each layer asks for connectivity, and the graph cannot change
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The connected components, sorted by least member."""
+        return tuple(map(frozenset, components(self.num_vertices, self.edges)))
+
     @property
     def num_vertices(self) -> int:
         return self.chi + self.n
@@ -247,12 +253,13 @@ def boundary_size(g: MultiGraph, subset: set[int] | frozenset[int]) -> int:
 
 
 def connected_components(g: MultiGraph) -> list[set[int]]:
-    """Partition of vertex indices into maximal connected sets."""
-    return components(g.num_vertices, g.edges)
+    """Partition of vertex indices into maximal connected sets (fresh sets,
+    free to mutate)."""
+    return [set(c) for c in g.components]
 
 
 def is_connected(g: MultiGraph) -> bool:
-    return union_find(g.num_vertices, g.edges).count <= 1
+    return len(g.components) <= 1
 
 
 def topology(g: MultiGraph) -> Topology:
@@ -268,7 +275,7 @@ def topology(g: MultiGraph) -> Topology:
         bad = sorted(set(d for d in degs if d not in (1, 3)))
         raise ExpanderForgeError(f"vertex degrees {bad} outside {{1, 3}}")
     return Topology(
-        components=len(connected_components(g)),
+        components=len(g.components),
         euler_char=g.num_vertices - g.num_edges,
         genus=(n3 - n1) // 2 + 1,
     )

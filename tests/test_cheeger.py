@@ -8,13 +8,12 @@ import reference_kernel
 from expander_forge import _mincut_py, cheeger
 from expander_forge._mincut_py import min_ratio_cut as py_min_ratio_cut
 from expander_forge.cheeger import (
-    GUARD_ENV_VAR,
+    DEFAULT_GUARD,
     _bitmask_inputs,
     boundary_size,
     cheeger_exact,
     cheeger_exact_naive,
     cheeger_upper,
-    resolve_guard,
 )
 from expander_forge.errors import ExpanderForgeError, GuardExceededError
 from expander_forge.graph_core import HalfEdgePairing, MultiGraph, build_graph, is_connected
@@ -252,16 +251,15 @@ def test_cheeger_inequality_spot_check():
 
 
 def test_guard_and_env_override(monkeypatch):
-    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
-    assert resolve_guard(None) == 24
-    assert resolve_guard(30) == 30
-    monkeypatch.setenv(GUARD_ENV_VAR, "10")
-    assert resolve_guard(None) == 10
-    big = _connected_samples([(8, 4)], 10, seed=2)[0]
+    # the guard is an argument only: no environment variable overrides it
+    assert DEFAULT_GUARD == 24
+    big = _connected_samples([(8, 4)], 10, seed=2)[0]  # 12 vertices
     with pytest.raises(GuardExceededError):
-        cheeger_exact(big)  # 12 vertices > env guard 10
-    monkeypatch.delenv(GUARD_ENV_VAR)
-    assert cheeger_exact(big).h > 0
+        cheeger_exact(big, guard=10)
+    expected = cheeger_exact(big)
+    assert expected.h > 0
+    monkeypatch.setenv("EXPANDER_FORGE_GUARD", "10")
+    assert cheeger_exact(big) == expected
 
 
 def test_disconnected_rejected():

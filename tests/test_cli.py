@@ -8,8 +8,8 @@ import pytest
 
 from expander_forge import cli
 from expander_forge.cli import main, parity_adjust
-from expander_forge.construct import plant_trees, theta_base
-from expander_forge.errors import CertificationError
+from expander_forge.construct import balanced_boundary_subset, plant_trees, theta_base
+from expander_forge.errors import CertificationError, ExpanderForgeError
 from expander_forge.graph_core import from_text, is_connected, to_text
 from expander_forge.sampler import SampleConfig, sample_graph
 
@@ -285,6 +285,25 @@ def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# K_{3,3} with one side named boundary: every degree is 3, so the genus
+# reads 4, but the balanced-subset descent needs degree-1 boundary vertices
+BOUNDARY_OF_DEGREE_3 = "G 3 3\n" + "".join(
+    f"E v{i} w{j}\n" for i in (1, 2, 3) for j in (1, 2, 3)
+)
+
+
+def test_degree_3_boundary_vertex_exit_2(tmp_path, capsys):
+    g = from_text(BOUNDARY_OF_DEGREE_3)
+    with pytest.raises(ExpanderForgeError, match="boundary vertex"):
+        balanced_boundary_subset(g)
+    bad = tmp_path / "k33.txt"
+    bad.write_text(BOUNDARY_OF_DEGREE_3)
+    assert main(["split", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -8,7 +8,6 @@ from expander_forge.construct import (
     BASE_CHEEGER_TARGET,
     _connectivity_prune,
     _first_connected_member,
-    _subset_search_fallback,
     TreeSplit,
     FamilySpec,
     add_loops,
@@ -181,7 +180,10 @@ def test_split_matches_retesting_reference():
 
 
 def test_balanced_subset_invariants_on_samples():
-    for g in SAMPLES[:500]:
+    # genus-0 draws leave |dH| <= 1, which no set of pendants alone meets
+    trees = _connected_samples([(4, 6), (5, 7), (6, 8), (7, 9)], trials=40, seed=5)
+    assert trees
+    for g in SAMPLES[:500] + trees:
         if g.n < 2:
             continue
         genus = topology(g).genus
@@ -194,30 +196,6 @@ def test_balanced_subset_invariants_on_samples():
             1 for v in bal.h_set if g.roles[v] == BOUNDARY
         )
         assert inside_boundary == c
-
-
-def test_subset_search_fallback_window_and_cut():
-    # genus-0 draws leave |dH| <= 1, which no set of pendants alone meets
-    trees = _connected_samples([(4, 6), (5, 7), (6, 8), (7, 9)], trials=40, seed=5)
-    searched_interior = False
-    for g in SAMPLES[:200] + trees:
-        if g.n < 2:
-            continue
-        genus = topology(g).genus
-        bal = _subset_search_fallback(g, genus)
-        boundary = set(g.boundary_indices())
-        c = len(bal.h_set & boundary)
-        assert c == bal.boundary_vertices_inside
-        assert g.n <= 4 * c <= 2 * g.n
-        assert boundary_size(g, bal.h_set) == bal.boundary_edges <= genus + 1
-        searched_interior |= bool(bal.h_set - boundary)
-    assert searched_interior  # not only pendant-only answers
-
-
-def test_subset_search_fallback_interior_limit():
-    g = plant_trees(petersen_graph(), 1)  # 25 interior vertices
-    with pytest.raises(ExpanderForgeError):
-        _subset_search_fallback(g, topology(g).genus)
 
 
 def test_balanced_subset_star():

@@ -89,6 +89,19 @@ def test_connected_components():
     assert is_connected(build_graph(THETA))
 
 
+def test_connected_components_are_fresh_per_call():
+    iso = MultiGraph(chi=2, n=0, edges=())
+    first = connected_components(iso)
+    first[0].add(1)
+    first.append({7})
+    assert connected_components(iso) == [{0}, {1}]
+    assert not is_connected(iso)
+    two = MultiGraph(chi=2, n=2, edges=[(0, 0), (0, 2), (1, 1), (1, 3)])
+    connected_components(two)[0].clear()
+    assert topology(two).components == 2
+    assert connected_components(two) == [{0, 2}, {1, 3}]
+
+
 def test_topology_examples():
     t = topology(build_graph(STAR))
     assert (t.components, t.euler_char, t.genus) == (1, 1, 0)
