@@ -47,7 +47,7 @@ import numpy as np
 from .errors import GuardExceededError
 from ._mincut_py import connected_subsets, popcount
 from .graph_core import MultiGraph, _bitmask_inputs, check_parity, is_connected
-from .sampler import SampleConfig, count_family, matching_count, sample_graph
+from .sampler import Z95, SampleConfig, count_family, matching_count, sample_graph
 
 NABS_INTERIOR_GUARD = 20
 
@@ -337,7 +337,7 @@ def audit_first_moment(
         g = sample_graph(cfg, t)
         values[t] = count_Nabs(g, a, b, s)
     mean = float(values.mean())
-    half = 1.959963984540054 * float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    half = Z95 * float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     bound = float(first_moment_bound(chi, n, a, b, s))
     return FirstMomentAudit(
         estimate=mean,

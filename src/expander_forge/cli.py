@@ -34,7 +34,7 @@ from .construct import (
 from .errors import ExpanderForgeError, ParityError, exit_code
 from .graph_core import check_parity, from_text, is_connected, to_text, topology
 from .sampler import SampleConfig, estimate_connectivity, sample_graph
-from .spectra import laplacian_spectrum, report_json, steklov_spectrum
+from .spectra import DEFAULT_TOL, laplacian_spectrum, report_json, steklov_spectrum
 
 
 def _fmt(x: float) -> str:
@@ -75,8 +75,7 @@ def _write_manifest(out_paths: list[Path], args: list[str], seed, started: str) 
     target.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_sample(args, argv: list[str]) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_sample(args) -> list[Path]:
     cfg = SampleConfig(chi=args.chi, n=args.n, trials=args.trials, seed=args.seed)
     lines = ["trial,connected,lambda1,sigma1,h,genus"]
     lambda1s = []
@@ -107,8 +106,7 @@ def cmd_sample(args, argv: list[str]) -> int:
     )
     out = _out_path(args.out)
     out.write_text("\n".join(lines) + "\n")
-    _write_manifest([out], argv, args.seed, started)
-    return 0
+    return [out]
 
 
 def parity_adjust(chi: int, n: int) -> int:
@@ -137,8 +135,7 @@ def _parse_rule(rule: str):
     return n_of
 
 
-def cmd_sweep(args, argv: list[str]) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_sweep(args) -> list[Path]:
     rule = _parse_rule(args.rule)
     chis = [int(c) for c in args.chi_list.split(",")]
     if min(chis) < 1:
@@ -154,12 +151,10 @@ def cmd_sweep(args, argv: list[str]) -> int:
         )
     out = _out_path(args.out)
     out.write_text("\n".join(lines) + "\n")
-    _write_manifest([out], argv, args.seed, started)
-    return 0
+    return [out]
 
 
-def cmd_bounds(args, argv: list[str]) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_bounds(args) -> list[Path]:
     check_parity(args.chi, args.n)
     mu = _parse_fraction(args.mu)
     pairs = []
@@ -204,19 +199,17 @@ def cmd_bounds(args, argv: list[str]) -> int:
         )
         + "\n"
     )
-    _write_manifest([csv_path, json_path], argv, None, started)
-    return 0
+    return [csv_path, json_path]
 
 
-def cmd_construct(args, argv: list[str]) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def cmd_construct(args) -> list[Path]:
     spec = FamilySpec.from_theta(_parse_fraction(args.theta))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     lines = ["g,n,chi,h_lower,lambda1,h_exact,cheeger_check"]
     paths = []
     for g in range(args.g_min, args.g_max + 1):
-        member = expander_family(spec, g)
+        member = expander_family(spec, g, guard=args.guard)
         path = outdir / f"g{g}.txt"
         path.write_text(to_text(member.graph))
         paths.append(path)
@@ -226,7 +219,7 @@ def cmd_construct(args, argv: list[str]) -> int:
         if member.graph.num_vertices <= args.guard:
             h = cheeger_exact(member.graph, guard=args.guard).h
             h_exact = f"{h.numerator}/{h.denominator}"
-            check = str(int(lam1 >= float(h) ** 2 / 18 - 1e-9))
+            check = str(int(lam1 >= float(h) ** 2 / 18 - DEFAULT_TOL))
         hl = member.h_lower
         lines.append(
             f"{g},{member.n},{member.chi},{hl.numerator}/{hl.denominator},"
@@ -234,24 +227,23 @@ def cmd_construct(args, argv: list[str]) -> int:
         )
     csv_path = outdir / "manifest.csv"
     csv_path.write_text("\n".join(lines) + "\n")
-    _write_manifest([csv_path] + paths, argv, None, started)
-    return 0
+    return [csv_path] + paths
 
 
-def cmd_spectra(args, argv: list[str]) -> int:
+def cmd_spectra(args) -> list[Path]:
     g = from_text(Path(args.graphfile).read_text())
     print(json.dumps(report_json(g), indent=2))
-    return 0
+    return []
 
 
-def cmd_cheeger(args, argv: list[str]) -> int:
+def cmd_cheeger(args) -> list[Path]:
     g = from_text(Path(args.graphfile).read_text())
     cert = cheeger_exact(g, guard=args.guard)
     print(json.dumps(cert.to_json(g), indent=2))
-    return 0
+    return []
 
 
-def cmd_split(args, argv: list[str]) -> int:
+def cmd_split(args) -> list[Path]:
     g = from_text(Path(args.graphfile).read_text())
     split = two_tree_split(g)
     out = {
@@ -270,7 +262,7 @@ def cmd_split(args, argv: list[str]) -> int:
             "genus": topology(g).genus,
         }
     print(json.dumps(out, indent=2))
-    return 0
+    return []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,10 +330,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        started = datetime.now(timezone.utc).isoformat()
+        outputs = args.func(args)
     except (ExpanderForgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)
+    if outputs:
+        _write_manifest(outputs, argv, getattr(args, "seed", None), started)
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,6 +37,9 @@ from .graph_core import (
 from .sampler import SampleConfig, enumerate_family, sample_graph
 
 BASE_CHEEGER_TARGET = Fraction(2, 11)
+# Sampled bases on 2m vertices are trials 0..BASE_ATTEMPTS-1 at seed BASE_SEED + m.
+BASE_SEED = 20240601
+BASE_ATTEMPTS = 500
 
 
 @dataclass(frozen=True)
@@ -328,22 +331,21 @@ class CertifiedBase:
     exact: bool
 
 
-def default_base_provider(
-    m: int, seed: int = 20240601, guard: int = DEFAULT_GUARD, max_attempts: int = 500
-) -> CertifiedBase:
+def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
     """Connected 3-regular graph on 2m vertices with h >= 2/11.
 
     Named graphs (certified by exact search) for small m; otherwise random
     cubic samples, certified exactly while 2m fits the guard and screened
-    by the sweep upper bound beyond it.
+    by the sweep upper bound beyond it.  The exact search costs time
+    exponential in the guard.
     """
     if m in NAMED_BASES:
         g = NAMED_BASES[m]()
         h = cheeger_exact(g, guard=max(guard, 2 * m)).h
         if h >= BASE_CHEEGER_TARGET:
             return CertifiedBase(graph=g, h_bound=h, exact=True)
-    cfg = SampleConfig(chi=2 * m, n=0, trials=max_attempts, seed=seed + m)
-    for t in range(max_attempts):
+    cfg = SampleConfig(chi=2 * m, n=0, trials=BASE_ATTEMPTS, seed=BASE_SEED + m)
+    for t in range(BASE_ATTEMPTS):
         g = sample_graph(cfg, t)
         if not is_connected(g):
             continue
@@ -359,14 +361,13 @@ def default_base_provider(
                 )
     raise CertificationError(
         f"no cubic base on {2 * m} vertices certified h >= 2/11 "
-        f"after {max_attempts} attempts"
+        f"after {BASE_ATTEMPTS} attempts"
     )
 
 
 @dataclass(frozen=True)
 class FamilyMember:
     graph: MultiGraph
-    genus: int
     n: int
     chi: int
     h_lower: Fraction
@@ -374,32 +375,28 @@ class FamilyMember:
 
 
 def expander_family(
-    spec: FamilySpec,
-    g: int,
-    base_provider: Callable[[int], CertifiedBase] | None = None,
+    spec: FamilySpec, g: int, guard: int = DEFAULT_GUARD
 ) -> FamilyMember:
     """The genus-g member of the family with n(g)/g -> theta.
 
     Below g_of(m0) it is the first connected member of F_{2g,2} in
     enumeration order.  Otherwise m is the largest with g_of(m) <= g, the
-    certified base on 2m vertices is planted at depth k, and the
-    t(m) + g - g_of(m) pendants with the lowest canonical ids get loops
-    (see FamilySpec).
+    base on 2m vertices from default_base_provider(m, guard) is planted at
+    depth k, and the t(m) + g - g_of(m) pendants with the lowest canonical
+    ids get loops (see FamilySpec).
     """
     if g < 1:
         raise ExpanderForgeError("genus must be >= 1")
-    provider = base_provider or default_base_provider
-
     if g < spec.g_of(spec.m0):
         member = _first_connected_member(2 * g, 2)
         return FamilyMember(
-            graph=member, genus=g, n=2, chi=2 * g, h_lower=Fraction(0), base_exact=False
+            graph=member, n=2, chi=2 * g, h_lower=Fraction(0), base_exact=False
         )
 
     m = spec.m0
     while spec.g_of(m + 1) <= g:
         m += 1
-    base = provider(m)
+    base = default_base_provider(m, guard)
     planted = plant_trees(base.graph, spec.k)
     loops = spec.t(m) + g - spec.g_of(m)
     result = add_loops(planted, planted.boundary_indices()[:loops])
@@ -410,7 +407,6 @@ def expander_family(
         )
     return FamilyMember(
         graph=result,
-        genus=g,
         n=result.n,
         chi=result.chi,
         h_lower=tree_planting_lower_bound(base.h_bound, spec.k),

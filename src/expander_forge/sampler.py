@@ -39,6 +39,8 @@ ENUM_GUARD = 10**7
 # Vertices per block of Monte Carlo trials (at least one trial per block);
 # bounds the working set of the batched connectivity check.
 BLOCK_VERTICES = 4096
+# Two-sided 95% normal quantile, for the Wilson and Monte Carlo intervals.
+Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,12 @@ def _connected_trials(cfg: SampleConfig) -> np.ndarray:
     return verdicts
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval, stable near fractions 0 and 1.  It starts
     at exactly 0 when no trial succeeds and ends at exactly 1 when all do."""
     if trials == 0:
         return 0.0, 1.0
+    z = Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -212,11 +215,12 @@ def enumerate_family(
     yield from rec(list(range(1, total + 1)), [])
 
 
-def exact_connectivity_fraction(chi: int, n: int, guard: int = ENUM_GUARD) -> Fraction:
-    """Connected fraction of the family by exhaustive enumeration."""
+def exact_connectivity_fraction(chi: int, n: int) -> Fraction:
+    """Connected fraction of the family by exhaustive enumeration, within
+    ENUM_GUARD."""
     total = 0
     connected = 0
-    for p in enumerate_family(chi, n, guard=guard):
+    for p in enumerate_family(chi, n):
         total += 1
         connected += is_connected(build_graph(p))
     return Fraction(connected, total)

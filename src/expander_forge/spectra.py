@@ -32,7 +32,6 @@ class SpectralReport:
     lambda1: float | None
     steklov_eigs: tuple[float, ...] | None
     sigma1: float | None
-    tol: float = DEFAULT_TOL
 
 
 def _adjacency_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +61,7 @@ def combinatorial_laplacian(g: MultiGraph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def laplacian_spectrum(g: MultiGraph, tol: float = DEFAULT_TOL) -> SpectralReport:
+def laplacian_spectrum(g: MultiGraph) -> SpectralReport:
     """Sorted normalized-Laplacian spectrum; lambda1 is entry index 1.
 
     Dense symmetric eigendecomposition up to DENSE_LIMIT vertices; larger
@@ -77,15 +76,14 @@ def laplacian_spectrum(g: MultiGraph, tol: float = DEFAULT_TOL) -> SpectralRepor
             lambda1=float(eigs[1]) if len(eigs) > 1 else None,
             steklov_eigs=None,
             sigma1=None,
-            tol=tol,
         )
-    lam1 = float(_smallest_eigs_iterative(g, 2, tol)[1])
+    lam1 = float(_smallest_eigs_iterative(g, 2)[1])
     return SpectralReport(
-        laplacian_eigs=None, lambda1=lam1, steklov_eigs=None, sigma1=None, tol=tol
+        laplacian_eigs=None, lambda1=lam1, steklov_eigs=None, sigma1=None
     )
 
 
-def _smallest_eigs_iterative(g: MultiGraph, k: int, tol: float) -> np.ndarray:
+def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
     """The k smallest normalized-Laplacian eigenvalues, ascending: Lanczos
     for the k largest eigenvalues of the flipped operator 2I - L.
 
@@ -108,26 +106,25 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int, tol: float) -> np.ndarray:
     flipped = 2.0 * scipy.sparse.identity(nv) - lap
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nv)
     vals = scipy.sparse.linalg.eigsh(
-        flipped, k=k, which="LA", return_eigenvectors=False, tol=tol, v0=v0
+        flipped, k=k, which="LA", return_eigenvectors=False, tol=DEFAULT_TOL, v0=v0
     )
     return np.sort(2.0 - vals)
 
 
-def _dirichlet_solve(
-    lap: np.ndarray, interior: list[int], rhs: np.ndarray
-) -> np.ndarray:
-    """L_II^{-1} rhs for the interior block L_II of `lap`; SolverError when
-    L_II is not positive definite (a component without boundary)."""
+def _dirichlet_solve(lap_ii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lap_ii^{-1} rhs for the interior block lap_ii of a Laplacian;
+    SolverError when it is not positive definite (a component without
+    boundary)."""
     import scipy.linalg
 
     try:
-        cho = scipy.linalg.cho_factor(lap[np.ix_(interior, interior)])
+        cho = scipy.linalg.cho_factor(lap_ii)
     except np.linalg.LinAlgError as exc:
         raise SolverError("interior Dirichlet block not SPD") from exc
     return scipy.linalg.cho_solve(cho, rhs)
 
 
-def steklov_spectrum(g: MultiGraph, tol: float = DEFAULT_TOL) -> SpectralReport:
+def steklov_spectrum(g: MultiGraph) -> SpectralReport:
     """Steklov eigenvalues via the Schur complement of L = D - A.
 
     Requires a connected graph with at least one boundary vertex.  The
@@ -136,20 +133,20 @@ def steklov_spectrum(g: MultiGraph, tol: float = DEFAULT_TOL) -> SpectralReport:
     """
     if not is_connected(g):
         raise ExpanderForgeError("Steklov spectrum requires a connected graph")
-    interior, boundary = g.interior_indices(), g.boundary_indices()
-    if not boundary:
+    if not g.n:
         raise ExpanderForgeError("Steklov spectrum requires n >= 1")
+    chi = g.chi
     lap = combinatorial_laplacian(g)
-    lap_ib = lap[np.ix_(interior, boundary)]
-    schur = lap[np.ix_(boundary, boundary)]
-    if interior:
-        schur = schur - lap_ib.T @ _dirichlet_solve(lap, interior, lap_ib)
+    lap_ib = lap[:chi, chi:]
+    schur = lap[chi:, chi:]
+    if chi:
+        schur = schur - lap_ib.T @ _dirichlet_solve(lap[:chi, :chi], lap_ib)
     eigs = np.linalg.eigvalsh((schur + schur.T) / 2.0)
     eigs.sort()
-    if abs(eigs[0]) > tol * max(1.0, abs(eigs[-1])):
+    if abs(eigs[0]) > DEFAULT_TOL * max(1.0, abs(eigs[-1])):
         raise SolverError(f"sigma_0 = {eigs[0]} not 0 within tol")
     sigma1 = float(eigs[1]) if len(eigs) > 1 else None
-    if sigma1 is not None and sigma1 <= tol:
+    if sigma1 is not None and sigma1 <= DEFAULT_TOL:
         raise SolverError(
             f"sigma_1 = {sigma1} <= tol on a connected graph (solver failure)"
         )
@@ -158,23 +155,19 @@ def steklov_spectrum(g: MultiGraph, tol: float = DEFAULT_TOL) -> SpectralReport:
         lambda1=None,
         steklov_eigs=tuple(float(x) for x in eigs),
         sigma1=sigma1,
-        tol=tol,
     )
 
 
 def harmonic_extension(g: MultiGraph, boundary_values: Sequence[float]) -> np.ndarray:
     """Extend boundary data to a function harmonic at interior vertices."""
-    interior, boundary = g.interior_indices(), g.boundary_indices()
-    if len(boundary_values) != len(boundary):
+    if len(boundary_values) != g.n:
         raise ExpanderForgeError("boundary data length mismatch")
+    chi = g.chi
     f = np.zeros(g.num_vertices)
-    fb = np.asarray(boundary_values, dtype=float)
-    for i, b in enumerate(boundary):
-        f[b] = fb[i]
-    if interior:
+    f[chi:] = boundary_values
+    if chi:
         lap = combinatorial_laplacian(g)
-        ib = np.ix_(interior, boundary)
-        f[interior] = _dirichlet_solve(lap, interior, -lap[ib] @ fb)
+        f[:chi] = _dirichlet_solve(lap[:chi, :chi], -lap[:chi, chi:] @ f[chi:])
     return f
 
 
@@ -194,8 +187,8 @@ def rayleigh_quotient(g: MultiGraph, f: Sequence[float]) -> float:
     return num / denom
 
 
-def verify_domination(g: MultiGraph, tol: float = DEFAULT_TOL):
-    """Check sigma_i >= lambda_i - tol for 0 <= i < |dG|.
+def verify_domination(g: MultiGraph):
+    """Check sigma_i >= lambda_i - DEFAULT_TOL for 0 <= i < |dG|.
 
     The Laplacian spectrum is dense at every size: Lanczos can miss copies
     of a repeated eigenvalue, and the Steklov solve is dense anyway.
@@ -205,30 +198,29 @@ def verify_domination(g: MultiGraph, tol: float = DEFAULT_TOL):
     """
     if not is_connected(g):
         raise ExpanderForgeError("domination check requires a connected graph")
-    boundary = g.boundary_indices()
-    if not boundary:
+    if not g.n:
         raise ExpanderForgeError("domination check requires n >= 1")
     lam = sorted(np.linalg.eigvalsh(normalized_laplacian(g)).tolist())
-    sig = steklov_spectrum(g, tol=tol).steklov_eigs
+    sig = steklov_spectrum(g).steklov_eigs
     margins = [sig[i] - lam[i] for i in range(len(sig))]
-    ok = all(m >= -tol for m in margins)
+    ok = all(m >= -DEFAULT_TOL for m in margins)
     return ok, {
         "lambda": tuple(lam[: len(sig)]),
         "sigma": sig,
         "min_margin": min(margins),
-        "tol": tol,
+        "tol": DEFAULT_TOL,
     }
 
 
-def report_json(g: MultiGraph, tol: float = DEFAULT_TOL) -> dict:
+def report_json(g: MultiGraph) -> dict:
     """The JSON spectral report emitted by the CLI."""
     connected = is_connected(g)
     top = topology(g)
-    lap = laplacian_spectrum(g, tol=tol)
+    lap = laplacian_spectrum(g)
     sigma: tuple[float, ...] | None = None
     sigma1 = None
     if connected and g.n >= 1:
-        stek = steklov_spectrum(g, tol=tol)
+        stek = steklov_spectrum(g)
         sigma, sigma1 = stek.steklov_eigs, stek.sigma1
     return {
         "chi": g.chi,
@@ -239,5 +231,5 @@ def report_json(g: MultiGraph, tol: float = DEFAULT_TOL) -> dict:
         "sigma": list(sigma) if sigma else [],
         "lambda1": lap.lambda1,
         "sigma1": sigma1,
-        "tol": tol,
+        "tol": DEFAULT_TOL,
     }

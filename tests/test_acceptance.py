@@ -179,7 +179,7 @@ def test_criterion_06_steklov_domination():
         if g.n < 1:
             continue
         count += 1
-        ok, _ = verify_domination(g, tol=TOL)
+        ok, _ = verify_domination(g)
         violations += not ok
     report(6, violations == 0, f"sigma_i >= lambda_i on {count} samples")
 

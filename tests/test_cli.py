@@ -197,6 +197,37 @@ def test_construct_family_and_rerun(tmp_path):
         assert graph.num_vertices == graph.chi + graph.n
 
 
+def test_construct_guard_proves_base(tmp_path):
+    out = tmp_path / "f"
+    argv = ["construct", "--theta", "3", "--g-min", "14", "--g-max", "14"]
+    assert main(argv + ["--guard", "26", "--out", str(out)]) == 0
+    row = (out / "manifest.csv").read_text().splitlines()[1].split(",")
+    assert (row[0], row[3]) == ("14", "1/9")
+
+
+def test_one_manifest_per_file_writing_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        (["sample", "--chi", "2", "--n", "2", "--trials", "3", "--seed", "4",
+          "--out", "s.csv"], ["s.csv"], 4),
+        (["sweep", "--chi-list", "4", "--rule", "pow:0.5", "--trials", "5",
+          "--seed", "6", "--out", "w.csv"], ["w.csv"], 6),
+        (["bounds", "--chi", "4", "--n", "2", "--mu", "1/2", "--out", "b"],
+         ["b.csv", "b.json"], None),
+        (["construct", "--theta", "3", "--g-min", "2", "--g-max", "3",
+          "--out", "fam"], ["fam/manifest.csv", "fam/g2.txt", "fam/g3.txt"], None),
+    ]
+    for argv, outputs, seed in runs:
+        assert main(argv) == 0
+        manifest = Path(outputs[0] + ".manifest.json")
+        doc = json.loads(manifest.read_text())
+        assert doc["command"] == argv and list(doc["outputs"]) == outputs
+        assert doc["seed"] == seed and type(doc["seed"]) is type(seed)
+    for command in ("spectra", "cheeger", "split"):
+        assert main([command, "fam/g2.txt"]) == 0
+    assert len(list(tmp_path.rglob("*.manifest.json"))) == len(runs)
+
+
 def test_construct_small_genus_below_threshold(tmp_path):
     # theta = 5/2 starts planting at genus 6; genera 1..5 are the first
     # connected members of F_{2g,2}, found by the pruned walk
@@ -250,7 +281,7 @@ def test_cheeger_over_63_vertices_exit_3(tmp_path, capsys):
 
 
 def test_certification_failure_exit_4(tmp_path, monkeypatch):
-    def failing(spec, g, base_provider=None):
+    def failing(spec, g, guard):
         raise CertificationError("forced")
 
     monkeypatch.setattr(cli, "expander_family", failing)

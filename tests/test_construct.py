@@ -401,6 +401,16 @@ def test_default_base_provider_sampled():
     assert cheeger_exact(base.graph).h == base.h_bound
 
 
+def test_guard_reaches_base_certification():
+    # g = 14 plants a 26-vertex base: the default guard 24 only screens it
+    # with the upper bound, guard 26 proves it by exact search
+    spec = FamilySpec.from_theta(3)
+    screened = expander_family(spec, 14)
+    assert not screened.base_exact and screened.h_lower == Fraction(1, 23)
+    proven = expander_family(spec, 14, guard=26)
+    assert proven.base_exact and proven.h_lower == Fraction(1, 9)
+
+
 @pytest.mark.parametrize("chi", [2, 4, 6])
 def test_first_connected_member_matches_exhaustive_search(chi):
     # chi = 6: the exhaustive walk tests 124,831 pairings before a hit

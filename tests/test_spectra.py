@@ -152,7 +152,7 @@ def test_iterative_smallest_eigs_match_dense():
     for g in graphs:
         dense = laplacian_spectrum(g).laplacian_eigs
         k = min(5, g.num_vertices - 1)
-        assert np.allclose(_smallest_eigs_iterative(g, k, TOL), dense[:k], atol=1e-8)
+        assert np.allclose(_smallest_eigs_iterative(g, k), dense[:k], atol=1e-8)
 
 
 def test_iterative_smallest_eigs_reproducible():
@@ -161,8 +161,8 @@ def test_iterative_smallest_eigs_reproducible():
     cases = [(g, 3) for g in _connected_samples([(60, 6), (200, 10)], 2, seed=1)]
     cases.append((plant_trees(petersen_graph(), 2), 2))
     for g, k in cases:
-        first = _smallest_eigs_iterative(g, k, TOL)
-        assert np.array_equal(first, _smallest_eigs_iterative(g, k, TOL))
+        first = _smallest_eigs_iterative(g, k)
+        assert np.array_equal(first, _smallest_eigs_iterative(g, k))
         dense = laplacian_spectrum(g).laplacian_eigs
         assert np.allclose(first, dense[:k], atol=1e-8)
     (big,) = _connected_samples([(2000, 4)], 1, seed=1)
