@@ -64,8 +64,8 @@ def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertifica
 
 
 def cheeger_exact_naive(g: MultiGraph, guard: int = 12) -> CheegerCertificate:
-    """Definition-level brute force over all subsets, no connectivity
-    pruning.  Test oracle for the pruned search; |V| <= guard."""
+    """Definition-level brute force over all subsets, connected or not.
+    Test oracle for the connected-subset search; |V| <= guard."""
     if not is_connected(g):
         raise ExpanderForgeError("requires a connected graph")
     nv = g.num_vertices

@@ -88,8 +88,7 @@ def cmd_sample(args) -> list[Path]:
         lambda1s.append(lam1)
         sigma1 = ""
         if connected and g.n >= 2:
-            s1 = steklov_spectrum(g).sigma1
-            sigma1 = _fmt(s1) if s1 is not None else ""
+            sigma1 = _fmt(steklov_spectrum(g).sigma1)
         h = ""
         if connected and g.num_vertices <= args.guard:
             cert = cheeger_exact(g, guard=args.guard)
@@ -222,7 +221,7 @@ def cmd_construct(args) -> list[Path]:
             check = str(int(lam1 >= float(h) ** 2 / 18 - DEFAULT_TOL))
         hl = member.h_lower
         lines.append(
-            f"{g},{member.n},{member.chi},{hl.numerator}/{hl.denominator},"
+            f"{g},{member.graph.n},{member.graph.chi},{hl.numerator}/{hl.denominator},"
             f"{_fmt(lam1)},{h_exact},{check}"
         )
     csv_path = outdir / "manifest.csv"

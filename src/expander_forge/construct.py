@@ -5,7 +5,8 @@ The family construction: pick k with theta <= 3k < theta + 3, plant depth-k
 caterpillar trees on every edge of a certified cubic expander base, then add
 loops at pendant vertices to hit each target genus exactly.  The planted
 graph keeps a Cheeger lower bound min{1/(2k), h/(3k+1+k h)} in terms of the
-base constant h.
+base constant h.  Genera below the family's start get a closed-form chain,
+the first connected member of F_{2g,2}.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable
-
-import numpy as np
 
 from .cheeger import DEFAULT_GUARD, cheeger_exact, cheeger_upper
 from .errors import CertificationError, ExpanderForgeError
@@ -28,13 +27,11 @@ from .graph_core import (
     build_graph,
     components,
     is_connected,
-    label_to_vertex,
     relabel_canonical,
     spanning_forest,
     topology,
-    union_find,
 )
-from .sampler import SampleConfig, enumerate_family, sample_graph
+from .sampler import SampleConfig, sample_graph
 
 BASE_CHEEGER_TARGET = Fraction(2, 11)
 # Sampled bases on 2m vertices are trials 0..BASE_ATTEMPTS-1 at seed BASE_SEED + m.
@@ -368,8 +365,6 @@ def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
 @dataclass(frozen=True)
 class FamilyMember:
     graph: MultiGraph
-    n: int
-    chi: int
     h_lower: Fraction
     base_exact: bool
 
@@ -380,18 +375,17 @@ def expander_family(
     """The genus-g member of the family with n(g)/g -> theta.
 
     Below g_of(m0) it is the first connected member of F_{2g,2} in
-    enumeration order.  Otherwise m is the largest with g_of(m) <= g, the
-    base on 2m vertices from default_base_provider(m, guard) is planted at
-    depth k, and the t(m) + g - g_of(m) pendants with the lowest canonical
-    ids get loops (see FamilySpec).
+    enumeration order, a chain built in closed form.  Otherwise m is the
+    largest with g_of(m) <= g, the base on 2m vertices from
+    default_base_provider(m, guard) is planted at depth k, and the
+    t(m) + g - g_of(m) pendants with the lowest canonical ids get loops
+    (see FamilySpec).
     """
     if g < 1:
         raise ExpanderForgeError("genus must be >= 1")
     if g < spec.g_of(spec.m0):
-        member = _first_connected_member(2 * g, 2)
-        return FamilyMember(
-            graph=member, n=2, chi=2 * g, h_lower=Fraction(0), base_exact=False
-        )
+        chain = _first_connected_member(2 * g, 2)
+        return FamilyMember(graph=chain, h_lower=Fraction(0), base_exact=False)
 
     m = spec.m0
     while spec.g_of(m + 1) <= g:
@@ -407,32 +401,34 @@ def expander_family(
         )
     return FamilyMember(
         graph=result,
-        n=result.n,
-        chi=result.chi,
         h_lower=tree_planting_lower_bound(base.h_bound, spec.k),
         base_exact=base.exact,
     )
 
 
-def _connectivity_prune(chi: int, n: int) -> Callable[[list, list], bool]:
-    """An `enumerate_family` prune for F_{chi,n} that keeps exactly the
-    connected members: it drops a partial pairing once some component of
-    its graph has no free half-edge left while vertices remain outside it,
-    since no completion of it is connected."""
-    labels = list(range(1, 3 * chi + n + 1))
-    owner = dict(zip(labels, label_to_vertex(np.array(labels), chi).tolist()))
-
-    def doomed(pairs: list[tuple[int, int]], free: list[int]) -> bool:
-        uf = union_find(chi + n, ((owner[i], owner[j]) for i, j in pairs))
-        return uf.count > 1 and len({uf.find(owner[x]) for x in free}) < uf.count
-
-    return doomed
-
-
 def _first_connected_member(chi: int, n: int) -> MultiGraph:
-    """The first connected member of F_{chi,n} in enumerate_family order."""
-    prune = _connectivity_prune(chi, n)
-    p = next(enumerate_family(chi, n, guard=None, prune=prune), None)
-    if p is None:
-        raise ExpanderForgeError(f"no connected member in F_{{{chi},{n}}}")
-    return build_graph(p)
+    """The first connected member of F_{chi,n} in enumerate_family order,
+    for n = 2 and even chi = 2g: the chain with a loop at v1, the edge
+    v1-v2, double edges v2=v3, v4=v5, ... alternating with single edges
+    v3-v4, v5-v6, ..., and w1, w2 on v_2g.  Its pairs are (1,2), (3,4),
+    then (6j+5, 6j+7) and (6j+6, 6j+8) for j = 0..g-1, each j < g-1
+    followed by (6j+9, 6j+10).
+
+    The walk pairs the smallest unmatched label with its partners in
+    increasing order, so the first connected member is the connected
+    pairing whose partner choices come first in that order.  The chain is
+    connected, so no later pairing is first.  An earlier pairing leaves the
+    chain at some step by taking a smaller unmatched partner.  The chain
+    passes over the smallest one only when it pairs label 6j+5, whose
+    smallest partner is 6j+6.  At that step every other label of
+    v1..v_{2j+2} is matched and these vertices are connected, so the loop
+    (6j+5, 6j+6) would close their component while v_{2j+3} (or w1, when
+    j = g-1) lies outside it, and no completion of that prefix is connected.
+    Other (chi, n) fail the pairing's validation.
+    """
+    pairs = [(1, 2), (3, 4)]
+    for j in range(chi // 2):
+        pairs += [(6 * j + 5, 6 * j + 7), (6 * j + 6, 6 * j + 8)]
+        if j < chi // 2 - 1:
+            pairs.append((6 * j + 9, 6 * j + 10))
+    return build_graph(HalfEdgePairing(chi=chi, n=n, pairs=pairs))

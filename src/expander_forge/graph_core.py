@@ -127,9 +127,6 @@ class MultiGraph:
             deg[v] += 1  # a loop hits the same entry twice
         return deg
 
-    def interior_indices(self) -> range:
-        return range(self.chi)
-
     def boundary_indices(self) -> range:
         return range(self.chi, self.chi + self.n)
 
@@ -192,21 +189,14 @@ class _UnionFind:
         return True
 
 
-def union_find(nv: int, edges: Iterable[Sequence[int]]) -> _UnionFind:
-    """Vertices 0..nv-1 joined along `edges`; `count` is the number of
-    connected components."""
-    uf = _UnionFind(nv)
-    for u, v in edges:
-        uf.union(u, v)
-    return uf
-
-
 def components(
     nv: int, edges: Iterable[Sequence[int]], vertices: Iterable[int] | None = None
 ) -> list[set[int]]:
     """Connected components of `vertices` (default: all of 0..nv-1) joined
     along `edges`, whose ends must lie in `vertices`; sorted by least member."""
-    uf = union_find(nv, edges)
+    uf = _UnionFind(nv)
+    for u, v in edges:
+        uf.union(u, v)
     comps: dict[int, set[int]] = {}
     for v in range(nv) if vertices is None else vertices:
         comps.setdefault(uf.find(v), set()).add(v)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -175,31 +175,22 @@ def estimate_connectivity(cfg: SampleConfig) -> ConnectivityEstimate:
     )
 
 
-def enumerate_family(
-    chi: int,
-    n: int,
-    guard: int | None = ENUM_GUARD,
-    prune: Callable[[list[tuple[int, int]], list[int]], bool] | None = None,
-) -> Iterator[HalfEdgePairing]:
-    """Yield every good partition of F_{chi,n} exactly once.
+def enumerate_family(chi: int, n: int) -> Iterator[HalfEdgePairing]:
+    """Yield every good partition of F_{chi,n} exactly once, for families of
+    at most ENUM_GUARD members.
 
     Enumeration order is deterministic: the smallest unmatched label is
-    paired with each admissible partner in increasing order.  `guard`
-    bounds count_family; pass None to stream an over-guard family lazily.
-    `prune(pairs, unmatched)`, when given, is asked at every step, complete
-    pairings included; a True drops that partial pairing and all its
-    completions.
+    paired with each admissible partner in increasing order.
     """
     check_parity(chi, n)
-    if guard is not None and count_family(chi, n) > guard:
+    if count_family(chi, n) > ENUM_GUARD:
         raise GuardExceededError(
-            f"count_family({chi},{n}) = {count_family(chi, n)} exceeds guard {guard}"
+            f"count_family({chi},{n}) = {count_family(chi, n)} "
+            f"exceeds guard {ENUM_GUARD}"
         )
     total = 3 * chi + n
 
     def rec(unmatched: list[int], acc: list[tuple[int, int]]):
-        if prune is not None and prune(acc, unmatched):
-            return
         if not unmatched:
             yield HalfEdgePairing(chi=chi, n=n, pairs=tuple(acc))
             return

@@ -351,8 +351,8 @@ def test_criterion_12_family_and_lambda1_distribution():
             member = expander_family(spec, g)
             top = topology(member.graph)
             ok &= top.genus == g and top.components == 1
-            ok &= member.chi == 2 * g - 2 + member.n
-            dev = abs(Fraction(member.n, g) - theta)
+            ok &= member.graph.chi == 2 * g - 2 + member.graph.n
+            dev = abs(Fraction(member.graph.n, g) - theta)
             if prev is not None:
                 ok &= dev <= prev
             prev = dev

@@ -230,7 +230,7 @@ def test_one_manifest_per_file_writing_command(tmp_path, monkeypatch, capsys):
 
 def test_construct_small_genus_below_threshold(tmp_path):
     # theta = 5/2 starts planting at genus 6; genera 1..5 are the first
-    # connected members of F_{2g,2}, found by the pruned walk
+    # connected members of F_{2g,2}, the closed-form chains
     out = tmp_path / "f"
     argv = ["construct", "--theta", "5/2", "--g-min", "1", "--g-max", "8"]
     assert main(argv + ["--out", str(out)]) == 0

@@ -1,5 +1,6 @@
-"""Golden digests of the construction outputs, of the tree-split descent,
-of the first-moment tables and of the Monte Carlo sweep.
+"""Golden digests of the construction outputs, of the small-genus chain,
+of the tree-split descent, of the first-moment tables and of the Monte
+Carlo sweep.
 
 Any change to a family member, a manifest row, a two-tree split, a
 balanced subset, a `bounds` CSV/JSON or a `sweep` CSV changes them;
@@ -11,20 +12,30 @@ import hashlib
 import pytest
 
 from expander_forge.cli import main
-from expander_forge.construct import balanced_boundary_subset, two_tree_split
-from expander_forge.graph_core import is_connected
+from expander_forge.construct import (
+    _first_connected_member,
+    balanced_boundary_subset,
+    two_tree_split,
+)
+from expander_forge.graph_core import is_connected, to_text
 from expander_forge.sampler import SampleConfig, sample_graph
 
-# sha256 over manifest.csv and g1.txt..g16.txt of `construct --g-min 1 --g-max 16`
+# sha256 over manifest.csv and g1.txt..g16.txt of `construct --g-min 1 --g-max 16`;
+# theta = 5/2 starts planting at genus 6, so genera 1..5 are small-genus chains
 CONSTRUCT_DIGESTS = {
     "1": "04048043de6511a772cb775a61ee6c3028478240f4cace344be18357966aebcf",
     "3/2": "7b0eaab7cedfe2254dcef2a959b0a9d2e36f58a638b71354ce73230ace55756b",
     "2": "11a0d1b26682ea707395cb582ccc8ace28ce4ab574bf9ff168e014356618e66f",
+    "5/2": "692e5a84e3e65c5b60b5c019b30c86a177e28b948e24533cfdb163d8cae4a4c0",
     "3": "79dacb6f092319f853c4457627aac0382cfc9b6ac821fd26533503b1b3d21f02",
     "4": "a1e2f59af3c076be896239f9f02a119cd02968ff4ddd11c2e3aeef6aa2a22a58",
     "6": "43303f3879a1ed94d3e60caa0163666e74f8efc988934c926f874614a7ea818a",
     "9": "ef446d9658c02188d338f40d961c3843b28b7fec84b6eaf82967882fb8bab441",
 }
+
+# sha256 over to_text of the first connected member of F_{2g,2}, g = 1..60,
+# as the exhaustive walk with a connectivity prune found it
+FIRST_MEMBER_DIGEST = "b79843212fe846d10c6c3b082e4652c97ce07721d0906ee0f7a646f8c625527b"
 
 # sha256 over the split and balanced subset of the connected draws among
 # trials 0..19 of SampleConfig(chi, n, seed=7)
@@ -89,6 +100,13 @@ def test_construct_outputs_match_golden(tmp_path, theta):
     for name in ["manifest.csv"] + [f"g{g}.txt" for g in range(1, 17)]:
         digest.update(name.encode() + b"\0" + (out / name).read_bytes())
     assert digest.hexdigest() == CONSTRUCT_DIGESTS[theta]
+
+
+def test_first_connected_members_match_golden():
+    digest = hashlib.sha256()
+    for g in range(1, 61):
+        digest.update(to_text(_first_connected_member(2 * g, 2)).encode())
+    assert digest.hexdigest() == FIRST_MEMBER_DIGEST
 
 
 @pytest.mark.parametrize("chi,n", sorted(SPLIT_DIGESTS))

@@ -59,7 +59,6 @@ def test_build_graph_star():
 def test_multigraph_views_and_checks():
     g = build_graph(STAR)
     assert (g.chi, g.n, g.num_vertices) == (1, 3, 4)
-    assert list(g.interior_indices()) == [0]
     assert list(g.boundary_indices()) == [1, 2, 3]
     assert g.names is g.names and g.roles is g.roles  # cached, built once
     with pytest.raises(ExpanderForgeError):
