@@ -14,6 +14,8 @@ from typing import Iterator
 
 import numpy as np
 
+MAX_VERTICES = 63  # the widest graph the uint64 subset masks hold
+
 # Rows per batch.  Children of one batch are split into batches of this
 # size and stacked, so the pending work stays small (depth-first).
 BATCH = 1024
@@ -109,8 +111,8 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
     number of connected S with |S| <= half.  Neither depends on the
     enumeration order.
     """
-    if nv < 1 or nv > 63:
-        raise ValueError("kernel supports 1..63 vertices")
+    if nv < 1 or nv > MAX_VERTICES:
+        raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
     adj = np.ascontiguousarray(adj_masks, dtype=np.uint64)
     mult = np.ascontiguousarray(mult_matrix, dtype=np.int64)
     adj_int = [int(x) for x in adj]

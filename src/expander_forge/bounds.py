@@ -18,16 +18,16 @@ normalising three Fractions of factorials for every triple; mu_pair_terms
 yields the integers and xyz_bound is a view of the same formulas.
 
 The construction pairs every crossing half-edge of the subset with a
-half-edge of an outside degree-3 vertex, so X*Y*Z bounds the expected
-number of connected subsets in the *interior-cut* class only: those whose
-crossing edges all join two degree-3 vertices (count_all_Nabs_interior_cut).
-
-Connected subsets with a crossing edge at a degree-1 vertex are covered by
-the pendant term P (pendant_term), the exact expected number of vertex
-subsets with statistics (a, b, s) and at least one such crossing edge.
-first_moment_bound = X*Y*Z + P therefore bounds the expected unrestricted
-count (count_all_Nabs).  mu_pair_sum and the `bounds` CLI table keep the
-X*Y*Z form, so they bound the interior-cut class only.
+half-edge of an outside degree-3 vertex, and X*Y*Z is exactly E_{0,0}
+(subset_mean_rt, r = t = 0), the mean number of vertex subsets with
+statistics (a, b, s) and no crossing edge at a degree-1 vertex: both reduce
+to (3b)! (3chi-3b)! M! 2^s / ((3chi)! s! i! o!) times Z.  So X*Y*Z bounds
+the connected subsets of this *interior-cut* class only
+(count_all_Nabs_interior_cut).  The pendant term P (pendant_term) sums the
+other E_{r,t}, so first_moment_bound = X*Y*Z + P is the exact mean over all
+vertex subsets with statistics (a, b, s), and bounds the unrestricted
+connected count (count_all_Nabs).  mu_pair_sum and the `bounds` CLI table
+keep the X*Y*Z form, so they bound the interior-cut class only.
 
 Both counts come from one pass of _mincut_py.connected_subsets, the batched
 engine of the exact Cheeger search, tallied with array operations.
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import GuardExceededError
-from ._mincut_py import connected_subsets, popcount
+from ._mincut_py import MAX_VERTICES, connected_subsets, popcount
 from .graph_core import MultiGraph, _bitmask_inputs, check_parity, is_connected
 from .sampler import Z95, SampleConfig, count_family, matching_count, sample_graph
 
@@ -175,11 +175,9 @@ def pendant_term(chi: int, n: int, a: int, b: int, s: int) -> Fraction:
 
 
 def first_moment_bound(chi: int, n: int, a: int, b: int, s: int) -> Fraction:
-    """X*Y*Z + P: bounds the expected unrestricted connected-subset count.
-
-    Interior-cut subsets are bounded by X*Y*Z; connected subsets with a
-    pendant-terminated crossing edge are among the subsets P counts.
-    """
+    """X*Y*Z + P, the sum of every E_{r,t}: the exact mean number of vertex
+    subsets with statistics (a, b, s), so it bounds the expected unrestricted
+    connected-subset count."""
     return xyz_bound(chi, n, a, b, s).product + pendant_term(chi, n, a, b, s)
 
 
@@ -244,8 +242,8 @@ def _connected_subset_counts(g: MultiGraph) -> tuple[Counter, Counter]:
             f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
         )
     nv = g.num_vertices
-    if nv > 63:
-        raise GuardExceededError(f"{nv} vertices exceed the 63-bit subset masks")
+    if nv > MAX_VERTICES:
+        raise GuardExceededError(f"{nv} vertices exceed {MAX_VERTICES}-bit subset masks")
     pendants = np.uint64(sum(1 << v for v, d in enumerate(degs) if d == 1))
 
     adj, mult = _bitmask_inputs(g)

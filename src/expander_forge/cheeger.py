@@ -20,6 +20,7 @@ from .spectra import normalized_laplacian
 HAVE_COMPILED_KERNEL = False  # no compiled kernel; perfbench/run.py records it
 
 DEFAULT_GUARD = 24
+NAIVE_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,9 @@ def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertifica
     nv = g.num_vertices
     if nv < 2:
         raise ExpanderForgeError("cheeger_exact needs at least 2 vertices")
-    if nv > guard:
-        raise GuardExceededError(f"|V| = {nv} exceeds exact-search guard {guard}")
-    if nv > 63:
-        raise GuardExceededError(f"|V| = {nv} exceeds the kernel's 63-bit subset masks")
+    limit = min(guard, _kernel.MAX_VERTICES)
+    if nv > limit:
+        raise GuardExceededError(f"|V| = {nv} exceeds min(guard, mask width) = {limit}")
     adj, mult = _bitmask_inputs(g)
     s, k, mask, _visited = _kernel.min_ratio_cut(adj, mult, nv, nv // 2)
     witness = tuple(v for v in range(nv) if (mask >> v) & 1)
@@ -63,14 +63,23 @@ def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertifica
     )
 
 
-def cheeger_exact_naive(g: MultiGraph, guard: int = 12) -> CheegerCertificate:
+def cheeger_exact_within(g: MultiGraph, guard: int) -> CheegerCertificate | None:
+    """cheeger_exact(g, guard) if the search takes g, at most
+    min(guard, MAX_VERTICES) vertices; None above that, with no search run.
+    Callers ask this, not the vertex count, whether g gets the search."""
+    if g.num_vertices > min(guard, _kernel.MAX_VERTICES):
+        return None
+    return cheeger_exact(g, guard)
+
+
+def cheeger_exact_naive(g: MultiGraph) -> CheegerCertificate:
     """Definition-level brute force over all subsets, connected or not.
-    Test oracle for the connected-subset search; |V| <= guard."""
+    Test oracle for the connected-subset search; |V| <= NAIVE_GUARD."""
     if not is_connected(g):
         raise ExpanderForgeError("requires a connected graph")
     nv = g.num_vertices
-    if nv > guard:
-        raise GuardExceededError(f"|V| = {nv} exceeds naive guard {guard}")
+    if nv > NAIVE_GUARD:
+        raise GuardExceededError(f"|V| = {nv} exceeds naive guard {NAIVE_GUARD}")
     half = nv // 2
 
     def lex_less(a: int, b: int) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import mu_pair_terms, sum_terms
-from .cheeger import DEFAULT_GUARD, cheeger_exact
+from .cheeger import DEFAULT_GUARD, cheeger_exact, cheeger_exact_within
 from .construct import (
     FamilySpec,
     balanced_boundary_subset,
@@ -89,10 +89,8 @@ def cmd_sample(args) -> list[Path]:
         sigma1 = ""
         if connected and g.n >= 2:
             sigma1 = _fmt(steklov_spectrum(g).sigma1)
-        h = ""
-        if connected and g.num_vertices <= args.guard:
-            cert = cheeger_exact(g, guard=args.guard)
-            h = f"{cert.h.numerator}/{cert.h.denominator}"
+        cert = cheeger_exact_within(g, args.guard) if connected else None
+        h = f"{cert.h.numerator}/{cert.h.denominator}" if cert else ""
         genus = (g.chi - g.n) // 2 + 1
         lines.append(
             f"{t},{int(connected)},{_fmt(lam1)},{sigma1},{h},{genus}"
@@ -213,12 +211,11 @@ def cmd_construct(args) -> list[Path]:
         path.write_text(to_text(member.graph))
         paths.append(path)
         lam1 = laplacian_spectrum(member.graph).lambda1
-        h_exact = ""
-        check = ""
-        if member.graph.num_vertices <= args.guard:
-            h = cheeger_exact(member.graph, guard=args.guard).h
-            h_exact = f"{h.numerator}/{h.denominator}"
-            check = str(int(lam1 >= float(h) ** 2 / 18 - DEFAULT_TOL))
+        h_exact = check = ""
+        cert = cheeger_exact_within(member.graph, args.guard)
+        if cert is not None:
+            h_exact = f"{cert.h.numerator}/{cert.h.denominator}"
+            check = str(int(lam1 >= float(cert.h) ** 2 / 18 - DEFAULT_TOL))
         hl = member.h_lower
         lines.append(
             f"{g},{member.graph.n},{member.graph.chi},{hl.numerator}/{hl.denominator},"

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .cheeger import DEFAULT_GUARD, cheeger_exact, cheeger_upper
+from .cheeger import DEFAULT_GUARD, cheeger_exact, cheeger_exact_within, cheeger_upper
 from .errors import CertificationError, ExpanderForgeError
 from .graph_core import (
     INTERIOR,
@@ -332,13 +332,13 @@ def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
     """Connected 3-regular graph on 2m vertices with h >= 2/11.
 
     Named graphs (certified by exact search) for small m; otherwise random
-    cubic samples, certified exactly while 2m fits the guard and screened
-    by the sweep upper bound beyond it.  The exact search costs time
-    exponential in the guard.
+    cubic samples, certified exactly where cheeger_exact_within takes them
+    and screened by the sweep upper bound beyond it.  The exact search
+    costs time exponential in the guard.
     """
     if m in NAMED_BASES:
         g = NAMED_BASES[m]()
-        h = cheeger_exact(g, guard=max(guard, 2 * m)).h
+        h = cheeger_exact(g, guard=2 * m).h  # proven whatever the guard
         if h >= BASE_CHEEGER_TARGET:
             return CertifiedBase(graph=g, h_bound=h, exact=True)
     cfg = SampleConfig(chi=2 * m, n=0, trials=BASE_ATTEMPTS, seed=BASE_SEED + m)
@@ -346,16 +346,12 @@ def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
         g = sample_graph(cfg, t)
         if not is_connected(g):
             continue
-        if 2 * m <= guard:
-            h = cheeger_exact(g, guard=guard).h
-            if h >= BASE_CHEEGER_TARGET:
-                return CertifiedBase(graph=g, h_bound=h, exact=True)
-        else:
-            up = cheeger_upper(g).h
-            if up >= 2 * BASE_CHEEGER_TARGET:  # screen only: upper >= h
-                return CertifiedBase(
-                    graph=g, h_bound=BASE_CHEEGER_TARGET, exact=False
-                )
+        cert = cheeger_exact_within(g, guard)
+        if cert is not None:
+            if cert.h >= BASE_CHEEGER_TARGET:
+                return CertifiedBase(graph=g, h_bound=cert.h, exact=True)
+        elif cheeger_upper(g).h >= 2 * BASE_CHEEGER_TARGET:  # screen only: upper >= h
+            return CertifiedBase(graph=g, h_bound=BASE_CHEEGER_TARGET, exact=False)
     raise CertificationError(
         f"no cubic base on {2 * m} vertices certified h >= 2/11 "
         f"after {BASE_ATTEMPTS} attempts"

@@ -164,11 +164,10 @@ def build_graph(p: HalfEdgePairing) -> MultiGraph:
 
 
 class _UnionFind:
-    __slots__ = ("parent", "count")
+    __slots__ = ("parent",)
 
     def __init__(self, size: int):
         self.parent = list(range(size))
-        self.count = size
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -185,7 +184,6 @@ class _UnionFind:
         if ra == rb:
             return False
         self.parent[rb] = ra
-        self.count -= 1
         return True
 
 

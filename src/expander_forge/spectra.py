@@ -69,8 +69,7 @@ def laplacian_spectrum(g: MultiGraph) -> SpectralReport:
     """
     if g.num_vertices <= DENSE_LIMIT:
         lap = normalized_laplacian(g)
-        eigs = np.linalg.eigvalsh(lap)
-        eigs.sort()
+        eigs = np.linalg.eigvalsh(lap)  # ascending
         return SpectralReport(
             laplacian_eigs=tuple(float(x) for x in eigs),
             lambda1=float(eigs[1]) if len(eigs) > 1 else None,
@@ -141,8 +140,7 @@ def steklov_spectrum(g: MultiGraph) -> SpectralReport:
     schur = lap[chi:, chi:]
     if chi:
         schur = schur - lap_ib.T @ _dirichlet_solve(lap[:chi, :chi], lap_ib)
-    eigs = np.linalg.eigvalsh((schur + schur.T) / 2.0)
-    eigs.sort()
+    eigs = np.linalg.eigvalsh((schur + schur.T) / 2.0)  # ascending
     if abs(eigs[0]) > DEFAULT_TOL * max(1.0, abs(eigs[-1])):
         raise SolverError(f"sigma_0 = {eigs[0]} not 0 within tol")
     sigma1 = float(eigs[1]) if len(eigs) > 1 else None
@@ -200,7 +198,7 @@ def verify_domination(g: MultiGraph):
         raise ExpanderForgeError("domination check requires a connected graph")
     if not g.n:
         raise ExpanderForgeError("domination check requires n >= 1")
-    lam = sorted(np.linalg.eigvalsh(normalized_laplacian(g)).tolist())
+    lam = np.linalg.eigvalsh(normalized_laplacian(g)).tolist()  # ascending
     sig = steklov_spectrum(g).steklov_eigs
     margins = [sig[i] - lam[i] for i in range(len(sig))]
     ok = all(m >= -DEFAULT_TOL for m in margins)

@@ -32,8 +32,8 @@ from expander_forge.construct import (
     two_tree_split,
 )
 from expander_forge.graph_core import (
-    _UnionFind,
     build_graph,
+    components,
     is_connected,
     topology,
 )
@@ -232,10 +232,8 @@ def test_criterion_08_split_and_balanced_subset():
         for side in (split.side_a, split.side_b):
             inner = [e for e in remaining if e[0] in side and e[1] in side]
             idx = {v: i for i, v in enumerate(sorted(side))}
-            uf = _UnionFind(len(side))
-            for u, v in inner:
-                uf.union(idx[u], idx[v])
-            if len(inner) != len(side) - 1 or uf.count != 1:
+            sub = components(len(side), [(idx[u], idx[v]) for u, v in inner])
+            if len(inner) != len(side) - 1 or len(sub) != 1:
                 violations += 1
         if g.n >= 2:
             bal = balanced_boundary_subset(g)

@@ -345,6 +345,18 @@ def test_subset_mean_rt_matches_enumeration():
                     assert pendant_term(chi, n, a, b, s) == pendant
 
 
+@pytest.mark.parametrize("chi, n", [(8, 0), (20, 4), (30, 6)])
+def test_xyz_product_is_the_interior_cut_mean(chi, n):
+    """X*Y*Z equals E_{0,0} exactly on every (a, b, s), vacuous ones
+    included: two formulas for one mean, tied here far above the
+    enumerable families."""
+    for a in range(n + 1):
+        for b in range(chi + 1):
+            for s in range(3 * b + a + 1):
+                xyz = xyz_bound(chi, n, a, b, s).product
+                assert xyz == subset_mean_rt(chi, n, a, b, s, 0, 0), (a, b, s)
+
+
 def test_pendant_term_covers_literal_gap():
     # the pendant singletons of the star: mean 3, X*Y*Z = 0
     assert pendant_term(1, 3, 1, 0, 1) == 3

@@ -9,10 +9,12 @@ from expander_forge import _mincut_py, cheeger
 from expander_forge._mincut_py import min_ratio_cut as py_min_ratio_cut
 from expander_forge.cheeger import (
     DEFAULT_GUARD,
+    NAIVE_GUARD,
     _bitmask_inputs,
     boundary_size,
     cheeger_exact,
     cheeger_exact_naive,
+    cheeger_exact_within,
     cheeger_upper,
 )
 from expander_forge.errors import ExpanderForgeError, GuardExceededError
@@ -80,7 +82,7 @@ def test_pruned_search_matches_naive_oracle():
     """Validates the both-sides-connected pruning on every sample <= 12."""
     checked = 0
     for g in SAMPLES_12:
-        if g.num_vertices > 12:
+        if g.num_vertices > NAIVE_GUARD:
             continue
         pruned = cheeger_exact(g)
         naive = cheeger_exact_naive(g)
@@ -203,6 +205,26 @@ def test_kernels_reject_64_vertices():
             kernel(adj, mult, 64, 32)
     with pytest.raises(GuardExceededError):
         cheeger_exact(_cycle(64), guard=64)
+
+
+def test_naive_oracle_refuses_above_its_guard():
+    assert cheeger_exact_naive(_cycle(NAIVE_GUARD)).h == Fraction(2, NAIVE_GUARD // 2)
+    with pytest.raises(GuardExceededError):
+        cheeger_exact_naive(_cycle(NAIVE_GUARD + 1))
+
+
+def test_exact_within_decides_which_graphs_get_the_search(monkeypatch):
+    """The search takes at most min(guard, MAX_VERTICES) vertices; above
+    that cheeger_exact_within returns None without calling cheeger_exact."""
+    assert _mincut_py.MAX_VERTICES == 63
+    assert cheeger_exact_within(_cycle(10), guard=10) == cheeger_exact(_cycle(10))
+    calls = []
+    monkeypatch.setattr(cheeger, "cheeger_exact", lambda g, guard: calls.append(guard))
+    for nv, guard in ((11, 10), (64, 64), (64, 1000)):
+        assert cheeger_exact_within(_cycle(nv), guard) is None
+    assert calls == []
+    cheeger_exact_within(_cycle(63), 64)
+    assert calls == [64]
 
 
 def _upper_by_recount(g):

@@ -205,6 +205,25 @@ def test_construct_guard_proves_base(tmp_path):
     assert (row[0], row[3]) == ("14", "1/9")
 
 
+def test_sample_guard_above_mask_width(tmp_path):
+    # chi = 60, n = 4 graphs have 64 vertices, one more than the subset
+    # masks hold: --guard 64 leaves h blank, as the default guard does
+    argv = ["sample", "--chi", "60", "--n", "4", "--trials", "3", "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert main(argv + ["--guard", "64", "--out", str(tmp_path / "g.csv")]) == 0
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+
+def test_construct_guard_above_mask_width(tmp_path):
+    # the g = 9 member has more than 63 vertices: --guard 64 leaves
+    # h_exact blank, as the default guard does
+    argv = ["construct", "--theta", "3", "--g-min", "9", "--g-max", "9"]
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 0
+    assert main(argv + ["--guard", "64", "--out", str(tmp_path / "g")]) == 0
+    manifest = (tmp_path / "g" / "manifest.csv").read_bytes()
+    assert manifest == (tmp_path / "d" / "manifest.csv").read_bytes()
+
+
 def test_one_manifest_per_file_writing_command(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runs = [

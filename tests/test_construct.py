@@ -30,8 +30,8 @@ from expander_forge.graph_core import (
     BOUNDARY,
     HalfEdgePairing,
     MultiGraph,
-    _UnionFind,
     build_graph,
+    components,
     is_connected,
     topology,
 )
@@ -50,12 +50,9 @@ def _sides_are_trees(g, split):
     for side in (split.side_a, split.side_b):
         inner = [e for e in remaining if e[0] in side and e[1] in side]
         assert len(inner) == len(side) - 1  # |E| = |V| - 1
-        uf = _UnionFind(len(side))
         idx = {v: i for i, v in enumerate(sorted(side))}
-        for u, v in inner:
-            assert u != v
-            uf.union(idx[u], idx[v])
-        assert uf.count == 1
+        assert all(u != v for u, v in inner)
+        assert len(components(len(side), [(idx[u], idx[v]) for u, v in inner])) == 1
     assert not [
         e for e in remaining if (e[0] in split.side_a) != (e[1] in split.side_a)
     ]
@@ -66,10 +63,7 @@ def _split_by_retesting(g):
     removal keeps the graph connected, retesting connectivity per edge."""
 
     def connected(edges):
-        uf = _UnionFind(g.num_vertices)
-        for u, v in edges:
-            uf.union(u, v)
-        return uf.count == 1
+        return len(components(g.num_vertices, edges)) == 1
 
     edges = list(g.edges)
     removed = []
@@ -84,13 +78,7 @@ def _split_by_retesting(g):
     final = min(edges)
     edges.remove(final)
     removed.append(final)
-    uf = _UnionFind(g.num_vertices)
-    for u, v in edges:
-        uf.union(u, v)
-    sides: dict[int, set[int]] = {}
-    for v in range(g.num_vertices):
-        sides.setdefault(uf.find(v), set()).add(v)
-    a, b = sorted(sides.values(), key=min)
+    a, b = components(g.num_vertices, edges)
     return TreeSplit(tuple(removed), frozenset(a), frozenset(b))
 
 
@@ -398,6 +386,15 @@ def test_default_base_provider_sampled():
     assert all(d == 3 for d in base.graph.degrees())
     assert base.exact and base.h_bound >= BASE_CHEEGER_TARGET
     assert cheeger_exact(base.graph).h == base.h_bound
+
+
+def test_base_provider_guard_above_mask_width():
+    # 64 vertices exceed the 63-bit subset masks whatever the guard, so the
+    # base is screened, as with the default guard
+    base = default_base_provider(32, guard=64)
+    assert base == default_base_provider(32)
+    assert not base.exact and base.h_bound == BASE_CHEEGER_TARGET
+    assert base.graph.num_vertices == 64 and is_connected(base.graph)
 
 
 def test_guard_reaches_base_certification():
