@@ -46,7 +46,9 @@ import numpy as np
 
 from .errors import GuardExceededError
 from ._mincut_py import MAX_VERTICES, connected_subsets, popcount
-from .graph_core import MultiGraph, _bitmask_inputs, check_parity, is_connected
+from .graph_core import (
+    MultiGraph, _bitmask_inputs, check_parity, exact_fraction, is_connected
+)
 from .sampler import Z95, SampleConfig, count_family, matching_count, sample_graph
 
 NABS_INTERIOR_GUARD = 20
@@ -68,9 +70,7 @@ class MuPairBound:
 
 def _as_mu(mu) -> Fraction:
     """Exact positive threshold: floats are read as their decimal literal."""
-    if isinstance(mu, float):
-        mu = Fraction(str(mu))
-    mu = Fraction(mu)
+    mu = exact_fraction(mu)
     if mu <= 0:
         raise ValueError("mu must be positive")
     return mu

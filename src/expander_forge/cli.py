@@ -32,7 +32,9 @@ from .construct import (
     two_tree_split,
 )
 from .errors import ExpanderForgeError, ParityError, exit_code
-from .graph_core import check_parity, from_text, is_connected, to_text, topology
+from .graph_core import (
+    check_parity, exact_fraction, from_text, is_connected, to_text, topology
+)
 from .sampler import SampleConfig, estimate_connectivity, sample_graph
 from .spectra import DEFAULT_TOL, laplacian_spectrum, report_json, steklov_spectrum
 
@@ -49,16 +51,21 @@ def _parse_fraction(text: str) -> Fraction:
     """A --mu/--theta value: "p/q" exactly, a decimal as its float's
     literal; ValueError (exit 2) for anything else, a zero denominator too."""
     try:
-        return Fraction(text) if "/" in text else Fraction(str(float(text)))
+        return Fraction(text) if "/" in text else exact_fraction(float(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _out_path(out: str) -> Path:
-    """The --out path, with its parent directory created (as `construct`
-    creates its output directory)."""
+def _out_path(out: str | Path) -> Path:
+    """A file to write, with its parent directory created; ValueError
+    (exit 2) when that directory cannot be made or the file is a directory."""
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create directory {path.parent}: {exc}") from None
+    if path.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
     return path
 
 
@@ -71,7 +78,8 @@ def _write_manifest(out_paths: list[Path], args: list[str], seed, started: str) 
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": {str(p): _sha256(p) for p in out_paths},
     }
-    target = out_paths[0].with_suffix(out_paths[0].suffix + ".manifest.json")
+    first = out_paths[0]
+    target = _out_path(first.with_suffix(first.suffix + ".manifest.json"))
     target.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -175,9 +183,9 @@ def cmd_bounds(args) -> list[Path]:
             yield a, b, s, c, y, z
 
     total = sum_terms(recorded(mu_pair_terms(args.chi, args.n, mu)))
-    base = _out_path(args.out)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
+    base = Path(args.out)
+    csv_path = _out_path(base.with_suffix(".csv"))
+    json_path = _out_path(base.with_suffix(".json"))
     csv_path.write_text(
         "chi,n,mu,sum_num,sum_den,sum_float\n"
         f"{args.chi},{args.n},{mu},{total.numerator},{total.denominator},"
@@ -201,13 +209,12 @@ def cmd_bounds(args) -> list[Path]:
 
 def cmd_construct(args) -> list[Path]:
     spec = FamilySpec.from_theta(_parse_fraction(args.theta))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    csv_path = _out_path(Path(args.out) / "manifest.csv")
     lines = ["g,n,chi,h_lower,lambda1,h_exact,cheeger_check"]
     paths = []
     for g in range(args.g_min, args.g_max + 1):
         member = expander_family(spec, g, guard=args.guard)
-        path = outdir / f"g{g}.txt"
+        path = _out_path(csv_path.parent / f"g{g}.txt")
         path.write_text(to_text(member.graph))
         paths.append(path)
         lam1 = laplacian_spectrum(member.graph).lambda1
@@ -221,7 +228,6 @@ def cmd_construct(args) -> list[Path]:
             f"{g},{member.graph.n},{member.graph.chi},{hl.numerator}/{hl.denominator},"
             f"{_fmt(lam1)},{h_exact},{check}"
         )
-    csv_path = outdir / "manifest.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     return [csv_path] + paths
 
@@ -328,11 +334,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         started = datetime.now(timezone.utc).isoformat()
         outputs = args.func(args)
+        if outputs:
+            _write_manifest(outputs, argv, getattr(args, "seed", None), started)
     except (ExpanderForgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)
-    if outputs:
-        _write_manifest(outputs, argv, getattr(args, "seed", None), started)
     return 0
 
 

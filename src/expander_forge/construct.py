@@ -26,6 +26,7 @@ from .graph_core import (
     boundary_size,
     build_graph,
     components,
+    exact_fraction,
     is_connected,
     relabel_canonical,
     spanning_forest,
@@ -252,7 +253,7 @@ class FamilySpec:
 
     @classmethod
     def from_theta(cls, theta) -> "FamilySpec":
-        theta = Fraction(theta) if not isinstance(theta, Fraction) else theta
+        theta = exact_fraction(theta)
         if theta <= 0:
             raise ExpanderForgeError("theta must be positive")
         k = math.ceil(theta / 3)

@@ -9,6 +9,7 @@ least one interior label, so no edge ever joins two boundary vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -19,6 +20,12 @@ from .errors import ExpanderForgeError, ParityError
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
+
+
+def exact_fraction(x) -> Fraction:
+    """`x` as an exact rational; a float is read as its decimal literal
+    (0.4 is 2/5, not the binary value of the float)."""
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
 
 
 def check_parity(chi: int, n: int) -> None:
@@ -40,7 +47,6 @@ class HalfEdgePairing:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        check_parity(self.chi, self.n)
         canon = tuple(sorted((min(i, j), max(i, j)) for i, j in self.pairs))
         object.__setattr__(self, "pairs", canon)
         if not validate_partition(self.chi, self.n, self.pairs):

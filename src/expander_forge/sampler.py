@@ -182,7 +182,6 @@ def enumerate_family(chi: int, n: int) -> Iterator[HalfEdgePairing]:
     Enumeration order is deterministic: the smallest unmatched label is
     paired with each admissible partner in increasing order.
     """
-    check_parity(chi, n)
     if count_family(chi, n) > ENUM_GUARD:
         raise GuardExceededError(
             f"count_family({chi},{n}) = {count_family(chi, n)} "

@@ -175,6 +175,52 @@ def test_out_parent_directory_is_created(tmp_path, argv):
     assert list(out.parent.glob("*.manifest.json"))
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["bounds", "--chi", "4", "--n", "2", "--mu", "1/2"], "file/b"),
+        (["sweep", "--chi-list", "4", "--rule", "pow:0.5", "--trials", "5"],
+         "file/s.csv"),
+        (["construct", "--theta", "3", "--g-min", "2", "--g-max", "2"], "file"),
+        (["sample", "--chi", "4", "--n", "2", "--trials", "2"], "dir"),
+    ],
+    ids=["bounds", "sweep", "construct", "sample"],
+)
+def test_unusable_out_exit_2_without_traceback(tmp_path, capsys, argv, out):
+    # a parent that is a file cannot become a directory, and a directory
+    # cannot be written as a file
+    (tmp_path / "file").write_text("x\n")
+    (tmp_path / "dir").mkdir()
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert (tmp_path / "file").read_text() == "x\n"
+    assert not any((tmp_path / "dir").iterdir())
+
+
+def test_out_checks_the_files_written(tmp_path, capsys):
+    # bounds --out is a basename: an existing directory d gets d.csv and
+    # d.json beside it
+    (tmp_path / "d").mkdir()
+    argv = ["bounds", "--chi", "4", "--n", "2", "--mu", "1/2"]
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 0
+    assert (tmp_path / "d.csv").is_file() and (tmp_path / "d.json").is_file()
+    # each graph of construct and the run manifest pass the same check
+    (tmp_path / "fam" / "g2.txt").mkdir(parents=True)
+    (tmp_path / "s.csv.manifest.json").mkdir()
+    runs = [
+        ["construct", "--theta", "3", "--g-min", "2", "--g-max", "2",
+         "--out", str(tmp_path / "fam")],
+        ["sample", "--chi", "4", "--n", "2", "--trials", "2",
+         "--out", str(tmp_path / "s.csv")],
+    ]
+    for argv in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_construct_family_and_rerun(tmp_path):
     d1 = tmp_path / "f1"
     d2 = tmp_path / "f2"
@@ -367,17 +413,32 @@ with open("cold.json", "w") as f:
 """
 
 
-def _cold_main(cwd: Path, argv: list[str]) -> dict:
-    """cli.main(argv) in a fresh interpreter running in `cwd`: its exit
-    code and the scipy modules it loaded."""
+def _fresh_python(cwd: Path, code: str, argv: list[str]) -> str:
+    """`python -c code *argv` in a fresh interpreter running in `cwd`, with
+    src/ on its path: its stdout, once it exits 0."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_MAIN, *argv],
+        [sys.executable, "-c", code, *argv],
         cwd=cwd, env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _cold_main(cwd: Path, argv: list[str]) -> dict:
+    """cli.main(argv) in a fresh interpreter running in `cwd`: its exit
+    code and the scipy modules it loaded."""
+    _fresh_python(cwd, COLD_MAIN, argv)
     return json.loads((cwd / "cold.json").read_text())
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    # names are imported from their modules; the package root binds only
+    # __version__, so importing it loads neither numpy nor any submodule
+    code = ("import sys, expander_forge; print(sorted(m for m in sys.modules"
+            " if m == 'numpy' or m.startswith('expander_forge.')))")
+    assert _fresh_python(tmp_path, code, []) == "[]\n"
 
 
 @pytest.mark.parametrize(

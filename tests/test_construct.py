@@ -366,6 +366,14 @@ def test_family_spec_theta1():
         prev = dev
 
 
+def test_family_spec_reads_a_float_theta_as_its_decimal():
+    # 0.4 is 2/5, as `construct --theta 0.4` and bounds' mu read it, not
+    # the binary value of the float
+    spec = FamilySpec.from_theta(0.4)
+    assert spec == FamilySpec.from_theta(Fraction(2, 5))
+    assert spec.g_of(5) == 15
+
+
 def test_family_h_lower_certificate():
     spec = FamilySpec.from_theta(3)
     member = expander_family(spec, 3)  # base K4, k=1, 16 vertices

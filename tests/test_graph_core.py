@@ -34,6 +34,10 @@ def test_validate_partition_boundary_boundary_pair():
 def test_validate_partition_parity_error():
     with pytest.raises(ParityError):
         validate_partition(1, 2, [(1, 2)])
+    with pytest.raises(ParityError):
+        HalfEdgePairing(chi=1, n=2, pairs=((1, 2),))
+    with pytest.raises(ParityError):
+        next(enumerate_family(1, 2))
 
 
 def test_validate_partition_defects():
