@@ -36,7 +36,7 @@ from .graph_core import (
     check_parity, exact_fraction, from_text, is_connected, to_text, topology
 )
 from .sampler import SampleConfig, estimate_connectivity, sample_graph
-from .spectra import DEFAULT_TOL, laplacian_spectrum, report_json, steklov_spectrum
+from .spectra import DEFAULT_TOL, lambda1, report_json, steklov_spectrum
 
 
 def _fmt(x: float) -> str:
@@ -92,7 +92,7 @@ def cmd_sample(args) -> list[Path]:
         g = sample_graph(cfg, t)
         connected = is_connected(g)
         hits += connected
-        lam1 = laplacian_spectrum(g).lambda1
+        lam1 = lambda1(g)
         lambda1s.append(lam1)
         sigma1 = ""
         if connected and g.n >= 2:
@@ -217,7 +217,7 @@ def cmd_construct(args) -> list[Path]:
         path = _out_path(csv_path.parent / f"g{g}.txt")
         path.write_text(to_text(member.graph))
         paths.append(path)
-        lam1 = laplacian_spectrum(member.graph).lambda1
+        lam1 = lambda1(member.graph)
         h_exact = check = ""
         cert = cheeger_exact_within(member.graph, args.guard)
         if cert is not None:

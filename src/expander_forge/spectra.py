@@ -7,6 +7,11 @@ Dirichlet-to-Neumann reduction: the Schur complement
 L_BB - L_BI L_II^{-1} L_IB of the combinatorial Laplacian L = D - A maps
 boundary data to the outward derivative of its harmonic extension.
 
+`lambda1` answers the spectral gap alone: dense below LANCZOS_FROM
+vertices, a sparse Lanczos solve from there on (0 for a disconnected
+graph, with no solve).  `laplacian_spectrum` keeps the whole dense spectrum
+up to DENSE_LIMIT vertices and falls back to `lambda1` above it.
+
 scipy is imported inside the two functions that call it, the sparse
 Lanczos solve and the Cholesky solve, so commands that never call them do
 not pay for it.
@@ -24,6 +29,12 @@ from .graph_core import MultiGraph, is_connected, topology
 
 DEFAULT_TOL = 1e-9
 DENSE_LIMIT = 2000
+# From this many vertices one Lanczos solve plus a cold import of
+# scipy.sparse.linalg (0.26-0.33 s) beats one dense eigvalsh, so `lambda1`
+# never makes a process slower.  1 BLAS thread, 2-core host: dense 261,
+# 319 and 403 ms against Lanczos 16, 25 and 30 ms at 1230, 1332 and 1434
+# vertices.
+LANCZOS_FROM = 1400
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ def laplacian_spectrum(g: MultiGraph) -> SpectralReport:
     """Sorted normalized-Laplacian spectrum; lambda1 is entry index 1.
 
     Dense symmetric eigendecomposition up to DENSE_LIMIT vertices; larger
-    graphs get only lambda1, from _smallest_eigs_iterative.
+    graphs get only lambda1, from `lambda1`.
     """
     if g.num_vertices <= DENSE_LIMIT:
         lap = normalized_laplacian(g)
@@ -76,10 +87,31 @@ def laplacian_spectrum(g: MultiGraph) -> SpectralReport:
             steklov_eigs=None,
             sigma1=None,
         )
-    lam1 = float(_smallest_eigs_iterative(g, 2)[1])
     return SpectralReport(
-        laplacian_eigs=None, lambda1=lam1, steklov_eigs=None, sigma1=None
+        laplacian_eigs=None, lambda1=lambda1(g), steklov_eigs=None, sigma1=None
     )
+
+
+def lambda1(g: MultiGraph) -> float:
+    """The spectral gap lambda1 alone.
+
+    Below LANCZOS_FROM vertices it is entry 1 of the dense spectrum.  From
+    there on a disconnected graph gets 0 exactly: two component indicators
+    are orthogonal null vectors, and Lanczos would find only one copy of 0.
+    A connected graph has a simple eigenvalue 0, so the second of the two
+    smallest Lanczos eigenvalues is lambda1 even when lambda1 repeats; a
+    value within tol of 0 there is a solver failure (SolverError).
+    """
+    if g.num_vertices < LANCZOS_FROM:
+        return float(np.linalg.eigvalsh(normalized_laplacian(g))[1])
+    if not is_connected(g):
+        return 0.0
+    lam1 = float(_smallest_eigs_iterative(g, 2)[1])
+    if lam1 <= DEFAULT_TOL:
+        raise SolverError(
+            f"lambda_1 = {lam1} <= tol on a connected graph (solver failure)"
+        )
+    return lam1
 
 
 def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
@@ -88,7 +120,8 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
 
     The start vector is fixed, so repeated calls agree bit for bit.  It is
     drawn at random because a constant vector is orthogonal to every
-    eigenvector that is antisymmetric under a graph automorphism.
+    eigenvector that is antisymmetric under a graph automorphism.  An ARPACK
+    failure, non-convergence included, is a SolverError.
     """
     import scipy.sparse
     import scipy.sparse.linalg
@@ -104,9 +137,13 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
     lap = scipy.sparse.identity(nv) - dinv @ a @ dinv
     flipped = 2.0 * scipy.sparse.identity(nv) - lap
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nv)
-    vals = scipy.sparse.linalg.eigsh(
-        flipped, k=k, which="LA", return_eigenvectors=False, tol=DEFAULT_TOL, v0=v0
-    )
+    try:
+        vals = scipy.sparse.linalg.eigsh(
+            flipped, k=k, which="LA", return_eigenvectors=False, tol=DEFAULT_TOL,
+            v0=v0,
+        )
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise SolverError(f"Lanczos solve failed: {exc}") from exc
     return np.sort(2.0 - vals)
 
 

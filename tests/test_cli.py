@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from expander_forge import cli
+from expander_forge import cli, spectra
 from expander_forge.cli import main, parity_adjust
 from expander_forge.construct import balanced_boundary_subset, plant_trees, theta_base
 from expander_forge.errors import CertificationError, ExpanderForgeError
@@ -355,6 +355,36 @@ def test_certification_failure_exit_4(tmp_path, monkeypatch):
          "--out", str(tmp_path / "x")]
     )
     assert code == 4
+
+
+def test_sample_lanczos_failure_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    def failing(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", 100)
+    code = main(
+        ["sample", "--chi", "200", "--n", "20", "--trials", "2", "--seed", "1",
+         "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sample_above_threshold_never_builds_the_dense_laplacian(tmp_path, monkeypatch):
+    def dense(g):
+        raise AssertionError("dense normalized Laplacian built")
+
+    monkeypatch.setattr(spectra, "normalized_laplacian", dense)
+    out = tmp_path / "big.csv"
+    argv = ["sample", "--chi", "1500", "--n", "38", "--trials", "1", "--seed", "0"]
+    assert 1538 >= spectra.LANCZOS_FROM
+    assert main(argv + ["--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[1] == "1" and 0.0 < float(row[2]) < 2.0  # a connected trial
 
 
 def test_sample_parity_exit_2(tmp_path):

@@ -1,10 +1,11 @@
 """Golden digests of the construction outputs, of the small-genus chain,
-of the tree-split descent, of the first-moment tables and of the Monte
-Carlo sweep.
+of the tree-split descent, of the first-moment tables, of the Monte Carlo
+sweep and of `sample` below the Lanczos threshold.
 
 Any change to a family member, a manifest row, a two-tree split, a
-balanced subset, a `bounds` CSV/JSON or a `sweep` CSV changes them;
-outputs must stay byte-identical.
+balanced subset, a `bounds` CSV/JSON, a `sweep` CSV or a `sample` CSV of
+graphs under spectra.LANCZOS_FROM vertices changes them; outputs must stay
+byte-identical.
 """
 
 import hashlib
@@ -90,6 +91,14 @@ SWEEP_DIGESTS = {
     "linear:0.25": "31969c7c5efb622b898d7f3296417ed22552729b3f14b86c394f42eefc1d2818",
 }
 
+# sha256 of the CSV that `sample --chi --n --trials --seed` writes, recorded
+# with the dense lambda1 of every size; 420 vertices is under LANCZOS_FROM
+# and (16, 4) has disconnected trials, whose lambda1 is dense rounding noise
+SAMPLE_DIGESTS = {
+    (400, 20, 5, 12): "31429623b310be0475da0f12d06550be693157809450d91082240ec44f5324da",
+    (16, 4, 40, 11): "06d2feb3e90f7d650dd3a655f03bbf173356aa668065739aa4d1d99e6df8611c",
+}
+
 
 @pytest.mark.parametrize("theta", sorted(CONSTRUCT_DIGESTS))
 def test_construct_outputs_match_golden(tmp_path, theta):
@@ -149,3 +158,12 @@ def test_sweep_output_matches_golden(tmp_path, rule):
     argv = ["sweep", "--chi-list", "10,50,400", "--rule", rule, "--trials", "200"]
     assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[rule]
+
+
+@pytest.mark.parametrize("chi,n,trials,seed", sorted(SAMPLE_DIGESTS))
+def test_sample_output_below_lanczos_threshold_matches_golden(tmp_path, chi, n, trials, seed):
+    out = tmp_path / "sample.csv"
+    argv = ["sample", "--chi", str(chi), "--n", str(n), "--trials", str(trials)]
+    assert main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[chi, n, trials, seed]

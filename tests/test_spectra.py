@@ -15,8 +15,10 @@ from expander_forge.graph_core import (
 from expander_forge.sampler import SampleConfig, sample_graph
 from expander_forge.spectra import (
     DENSE_LIMIT,
+    LANCZOS_FROM,
     _smallest_eigs_iterative,
     harmonic_extension,
+    lambda1,
     laplacian_spectrum,
     normalized_laplacian,
     rayleigh_quotient,
@@ -167,6 +169,47 @@ def test_iterative_smallest_eigs_reproducible():
         assert np.allclose(first, dense[:k], atol=1e-8)
     (big,) = _connected_samples([(2000, 4)], 1, seed=1)
     assert laplacian_spectrum(big).lambda1 == laplacian_spectrum(big).lambda1
+
+
+def _dense_lambda1(g: MultiGraph) -> float:
+    return float(np.linalg.eigvalsh(normalized_laplacian(g))[1])
+
+
+def test_lambda1_matches_dense_on_both_sides_of_the_threshold(monkeypatch):
+    # at the real threshold: 1398 vertices are dense, 1400 Lanczos
+    graphs = _connected_samples([(1380, 18), (1390, 10)], 1, seed=4)
+    assert [g.num_vertices for g in graphs] == [1398, 1400]
+    assert graphs[0].num_vertices < LANCZOS_FROM <= graphs[1].num_vertices
+    for g in graphs:
+        assert lambda1(g) == pytest.approx(_dense_lambda1(g), rel=1e-11, abs=0)
+    # and many smaller samples around a lowered threshold
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", 200)
+    small = _connected_samples([(120, 10), (180, 18), (200, 20), (400, 12)], 3, seed=9)
+    assert {g.num_vertices < 200 for g in small} == {True, False}
+    for g in small:
+        assert lambda1(g) == pytest.approx(_dense_lambda1(g), rel=1e-11, abs=0)
+
+
+def test_lambda1_is_zero_on_disconnected_lanczos_graph(monkeypatch):
+    # components of 4 and 256 vertices: Lanczos finds one copy of 0 and
+    # reports the next eigenvalue, 0.02568, as lambda1
+    g = sample_graph(SampleConfig(chi=200, n=60, trials=200, seed=12345), 3)
+    assert not is_connected(g)
+    assert abs(_dense_lambda1(g)) < 1e-12
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", 100)
+    assert lambda1(g) == 0.0
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 100)
+    assert laplacian_spectrum(g).lambda1 == 0.0
+
+
+def test_lambda1_near_zero_on_connected_graph_is_solver_error(monkeypatch):
+    (g,) = _connected_samples([(200, 20)], 1, seed=2)
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", 100)
+    monkeypatch.setattr(
+        spectra, "_smallest_eigs_iterative", lambda g, k: np.zeros(k)
+    )
+    with pytest.raises(SolverError):
+        lambda1(g)
 
 
 def test_domination_above_dense_limit():
