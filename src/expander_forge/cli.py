@@ -96,7 +96,7 @@ def cmd_sample(args) -> list[Path]:
         lambda1s.append(lam1)
         sigma1 = ""
         if connected and g.n >= 2:
-            sigma1 = _fmt(steklov_spectrum(g).sigma1)
+            sigma1 = _fmt(steklov_spectrum(g)[1])
         cert = cheeger_exact_within(g, args.guard) if connected else None
         h = f"{cert.h.numerator}/{cert.h.denominator}" if cert else ""
         genus = (g.chi - g.n) // 2 + 1

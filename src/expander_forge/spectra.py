@@ -7,10 +7,11 @@ Dirichlet-to-Neumann reduction: the Schur complement
 L_BB - L_BI L_II^{-1} L_IB of the combinatorial Laplacian L = D - A maps
 boundary data to the outward derivative of its harmonic extension.
 
-`lambda1` answers the spectral gap alone: dense below LANCZOS_FROM
-vertices, a sparse Lanczos solve from there on (0 for a disconnected
-graph, with no solve).  `laplacian_spectrum` keeps the whole dense spectrum
-up to DENSE_LIMIT vertices and falls back to `lambda1` above it.
+`laplacian_spectrum` (the one dense normalized-Laplacian solve, at every
+size) and `steklov_spectrum` return ascending tuples of floats.  `lambda1`
+answers the spectral gap alone: 0 for a disconnected graph, with no solve,
+else entry 1 of `laplacian_spectrum` below LANCZOS_FROM vertices and a
+sparse Lanczos solve from there on.
 
 scipy is imported inside the two functions that call it, the sparse
 Lanczos solve and the Cholesky solve, so commands that never call them do
@@ -19,7 +20,6 @@ not pay for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,14 +35,6 @@ DENSE_LIMIT = 2000
 # 319 and 403 ms against Lanczos 16, 25 and 30 ms at 1230, 1332 and 1434
 # vertices.
 LANCZOS_FROM = 1400
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    laplacian_eigs: tuple[float, ...] | None
-    lambda1: float | None
-    steklov_eigs: tuple[float, ...] | None
-    sigma1: float | None
 
 
 def _adjacency_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -72,40 +64,24 @@ def combinatorial_laplacian(g: MultiGraph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def laplacian_spectrum(g: MultiGraph) -> SpectralReport:
-    """Sorted normalized-Laplacian spectrum; lambda1 is entry index 1.
-
-    Dense symmetric eigendecomposition up to DENSE_LIMIT vertices; larger
-    graphs get only lambda1, from `lambda1`.
-    """
-    if g.num_vertices <= DENSE_LIMIT:
-        lap = normalized_laplacian(g)
-        eigs = np.linalg.eigvalsh(lap)  # ascending
-        return SpectralReport(
-            laplacian_eigs=tuple(float(x) for x in eigs),
-            lambda1=float(eigs[1]) if len(eigs) > 1 else None,
-            steklov_eigs=None,
-            sigma1=None,
-        )
-    return SpectralReport(
-        laplacian_eigs=None, lambda1=lambda1(g), steklov_eigs=None, sigma1=None
-    )
+def laplacian_spectrum(g: MultiGraph) -> tuple[float, ...]:
+    """The normalized-Laplacian spectrum, ascending, from one dense
+    symmetric eigendecomposition at every size."""
+    return tuple(np.linalg.eigvalsh(normalized_laplacian(g)).tolist())
 
 
 def lambda1(g: MultiGraph) -> float:
-    """The spectral gap lambda1 alone.
+    """The spectral gap lambda1 alone; exactly 0 on a disconnected graph.
 
     Below LANCZOS_FROM vertices it is entry 1 of the dense spectrum.  From
-    there on a disconnected graph gets 0 exactly: two component indicators
-    are orthogonal null vectors, and Lanczos would find only one copy of 0.
-    A connected graph has a simple eigenvalue 0, so the second of the two
-    smallest Lanczos eigenvalues is lambda1 even when lambda1 repeats; a
-    value within tol of 0 there is a solver failure (SolverError).
+    there on a connected graph has a simple eigenvalue 0, so the second of
+    the two smallest Lanczos eigenvalues is lambda1 even when lambda1
+    repeats; a value within tol of 0 there is a solver failure (SolverError).
     """
-    if g.num_vertices < LANCZOS_FROM:
-        return float(np.linalg.eigvalsh(normalized_laplacian(g))[1])
     if not is_connected(g):
         return 0.0
+    if g.num_vertices < LANCZOS_FROM:
+        return laplacian_spectrum(g)[1]
     lam1 = float(_smallest_eigs_iterative(g, 2)[1])
     if lam1 <= DEFAULT_TOL:
         raise SolverError(
@@ -160,12 +136,13 @@ def _dirichlet_solve(lap_ii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(cho, rhs)
 
 
-def steklov_spectrum(g: MultiGraph) -> SpectralReport:
-    """Steklov eigenvalues via the Schur complement of L = D - A.
+def steklov_spectrum(g: MultiGraph) -> tuple[float, ...]:
+    """The Steklov spectrum, ascending, via the Schur complement of L = D - A.
 
     Requires a connected graph with at least one boundary vertex.  The
     interior Dirichlet block is positive definite for such graphs; a failed
-    Cholesky factorization is reported as an internal inconsistency.
+    Cholesky factorization, sigma_0 away from 0 or sigma_1 within tol of 0
+    is reported as an internal inconsistency (SolverError).
     """
     if not is_connected(g):
         raise ExpanderForgeError("Steklov spectrum requires a connected graph")
@@ -177,20 +154,14 @@ def steklov_spectrum(g: MultiGraph) -> SpectralReport:
     schur = lap[chi:, chi:]
     if chi:
         schur = schur - lap_ib.T @ _dirichlet_solve(lap[:chi, :chi], lap_ib)
-    eigs = np.linalg.eigvalsh((schur + schur.T) / 2.0)  # ascending
+    eigs = tuple(np.linalg.eigvalsh((schur + schur.T) / 2.0).tolist())
     if abs(eigs[0]) > DEFAULT_TOL * max(1.0, abs(eigs[-1])):
         raise SolverError(f"sigma_0 = {eigs[0]} not 0 within tol")
-    sigma1 = float(eigs[1]) if len(eigs) > 1 else None
-    if sigma1 is not None and sigma1 <= DEFAULT_TOL:
+    if len(eigs) > 1 and eigs[1] <= DEFAULT_TOL:
         raise SolverError(
-            f"sigma_1 = {sigma1} <= tol on a connected graph (solver failure)"
+            f"sigma_1 = {eigs[1]} <= tol on a connected graph (solver failure)"
         )
-    return SpectralReport(
-        laplacian_eigs=None,
-        lambda1=None,
-        steklov_eigs=tuple(float(x) for x in eigs),
-        sigma1=sigma1,
-    )
+    return eigs
 
 
 def harmonic_extension(g: MultiGraph, boundary_values: Sequence[float]) -> np.ndarray:
@@ -225,8 +196,8 @@ def rayleigh_quotient(g: MultiGraph, f: Sequence[float]) -> float:
 def verify_domination(g: MultiGraph):
     """Check sigma_i >= lambda_i - DEFAULT_TOL for 0 <= i < |dG|.
 
-    The Laplacian spectrum is dense at every size: Lanczos can miss copies
-    of a repeated eigenvalue, and the Steklov solve is dense anyway.
+    The Laplacian spectrum is `laplacian_spectrum`'s dense one at every
+    size: Lanczos can miss copies of a repeated eigenvalue.
 
     Returns (ok, report) where report carries both spectra and the worst
     margin encountered.
@@ -235,12 +206,12 @@ def verify_domination(g: MultiGraph):
         raise ExpanderForgeError("domination check requires a connected graph")
     if not g.n:
         raise ExpanderForgeError("domination check requires n >= 1")
-    lam = np.linalg.eigvalsh(normalized_laplacian(g)).tolist()  # ascending
-    sig = steklov_spectrum(g).steklov_eigs
-    margins = [sig[i] - lam[i] for i in range(len(sig))]
+    sig = steklov_spectrum(g)
+    lam = laplacian_spectrum(g)[: len(sig)]
+    margins = [s - l for s, l in zip(sig, lam)]
     ok = all(m >= -DEFAULT_TOL for m in margins)
     return ok, {
-        "lambda": tuple(lam[: len(sig)]),
+        "lambda": lam,
         "sigma": sig,
         "min_margin": min(margins),
         "tol": DEFAULT_TOL,
@@ -248,23 +219,24 @@ def verify_domination(g: MultiGraph):
 
 
 def report_json(g: MultiGraph) -> dict:
-    """The JSON spectral report emitted by the CLI."""
+    """The JSON spectral report emitted by the CLI; `lambda` is empty above
+    DENSE_LIMIT vertices, and `lambda1` then comes from `lambda1`."""
     connected = is_connected(g)
     top = topology(g)
-    lap = laplacian_spectrum(g)
-    sigma: tuple[float, ...] | None = None
-    sigma1 = None
-    if connected and g.n >= 1:
-        stek = steklov_spectrum(g)
-        sigma, sigma1 = stek.steklov_eigs, stek.sigma1
+    if g.num_vertices <= DENSE_LIMIT:
+        lam = laplacian_spectrum(g)
+        lam1 = lam[1] if len(lam) > 1 else None
+    else:
+        lam, lam1 = (), lambda1(g)
+    sigma = steklov_spectrum(g) if connected and g.n >= 1 else ()
     return {
         "chi": g.chi,
         "n": g.n,
         "genus": top.genus,
         "connected": connected,
-        "lambda": list(lap.laplacian_eigs) if lap.laplacian_eigs else [],
-        "sigma": list(sigma) if sigma else [],
-        "lambda1": lap.lambda1,
-        "sigma1": sigma1,
+        "lambda": list(lam),
+        "sigma": list(sigma),
+        "lambda1": lam1,
+        "sigma1": sigma[1] if len(sigma) > 1 else None,
         "tol": DEFAULT_TOL,
     }

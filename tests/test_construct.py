@@ -215,7 +215,7 @@ def test_test_function_bounds_on_samples():
         f, rq = steklov_test_function(g, bal)
         assert sum(f[v] for v in g.boundary_indices()) == 0
         assert rq <= Fraction(16 * (genus + 1), 3 * g.n)
-        sigma1 = steklov_spectrum(g).sigma1
+        sigma1 = steklov_spectrum(g)[1]
         assert sigma1 <= float(rq) + 1e-9
 
 

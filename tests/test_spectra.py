@@ -40,30 +40,29 @@ def star_graph(leaves: int) -> MultiGraph:
 
 
 def test_star_laplacian_closed_form():
-    eigs = laplacian_spectrum(STAR).laplacian_eigs
+    eigs = laplacian_spectrum(STAR)
     assert np.allclose(eigs, [0.0, 1.0, 1.0, 2.0], atol=TOL)
 
 
 def test_theta_laplacian_closed_form():
-    rep = laplacian_spectrum(THETA)
-    assert np.allclose(rep.laplacian_eigs, [0.0, 2.0], atol=TOL)
-    assert abs(rep.lambda1 - 2.0) < TOL
+    assert np.allclose(laplacian_spectrum(THETA), [0.0, 2.0], atol=TOL)
+    assert abs(lambda1(THETA) - 2.0) < TOL
 
 
 def test_loop_pendant_laplacian_closed_form():
-    rep = laplacian_spectrum(LOOP_PENDANT)
-    assert np.allclose(rep.laplacian_eigs, [0.0, 4.0 / 3.0], atol=TOL)
+    eigs = laplacian_spectrum(LOOP_PENDANT)
+    assert np.allclose(eigs, [0.0, 4.0 / 3.0], atol=TOL)
 
 
 def test_star_steklov_closed_form():
-    rep = steklov_spectrum(STAR)
-    assert np.allclose(rep.steklov_eigs, [0.0, 1.0, 1.0], atol=TOL)
-    assert abs(rep.sigma1 - 1.0) < TOL
+    eigs = steklov_spectrum(STAR)
+    assert np.allclose(eigs, [0.0, 1.0, 1.0], atol=TOL)
+    assert abs(eigs[1] - 1.0) < TOL
 
 
 @pytest.mark.parametrize("leaves", [3, 5, 7])
 def test_star_steklov_general(leaves):
-    eigs = steklov_spectrum(star_graph(leaves)).steklov_eigs
+    eigs = steklov_spectrum(star_graph(leaves))
     assert np.allclose(eigs, [0.0] + [1.0] * (leaves - 1), atol=TOL)
 
 
@@ -99,7 +98,7 @@ def test_sigma1_lower_bounds_random_rayleigh_quotients():
     """sigma1 <= R(f) for 200 harmonic extensions of mean-zero data."""
     rng = np.random.default_rng(5)
     for g in _connected_samples([(3, 3), (4, 2), (2, 4)], 10, seed=77):
-        sigma1 = steklov_spectrum(g).sigma1
+        sigma1 = steklov_spectrum(g)[1]
         n = g.n
         for _ in range(10):
             data = rng.normal(size=n)
@@ -115,7 +114,7 @@ def test_random_rayleigh_minimum_approaches_sigma1():
     for g in _connected_samples([(3, 3), (2, 4)], 5, seed=13):
         if g.num_vertices > 12:
             continue
-        sigma1 = steklov_spectrum(g).sigma1
+        sigma1 = steklov_spectrum(g)[1]
         best = math.inf
         for _ in range(2000):
             data = rng.normal(size=g.n)
@@ -132,7 +131,7 @@ def test_lambda1_positive_iff_connected():
     saw_disconnected = False
     for t in range(cfg.trials):
         g = sample_graph(cfg, t)
-        lam1 = laplacian_spectrum(g).lambda1
+        lam1 = lambda1(g)
         if is_connected(g):
             assert lam1 > TOL
         else:
@@ -152,7 +151,7 @@ def test_domination_on_star_and_samples():
 def test_iterative_smallest_eigs_match_dense():
     graphs = [LOOP_PENDANT, *_connected_samples([(12, 6), (30, 4)], 3, seed=5)]
     for g in graphs:
-        dense = laplacian_spectrum(g).laplacian_eigs
+        dense = laplacian_spectrum(g)
         k = min(5, g.num_vertices - 1)
         assert np.allclose(_smallest_eigs_iterative(g, k), dense[:k], atol=1e-8)
 
@@ -165,10 +164,10 @@ def test_iterative_smallest_eigs_reproducible():
     for g, k in cases:
         first = _smallest_eigs_iterative(g, k)
         assert np.array_equal(first, _smallest_eigs_iterative(g, k))
-        dense = laplacian_spectrum(g).laplacian_eigs
+        dense = laplacian_spectrum(g)
         assert np.allclose(first, dense[:k], atol=1e-8)
     (big,) = _connected_samples([(2000, 4)], 1, seed=1)
-    assert laplacian_spectrum(big).lambda1 == laplacian_spectrum(big).lambda1
+    assert lambda1(big) == lambda1(big)
 
 
 def _dense_lambda1(g: MultiGraph) -> float:
@@ -199,7 +198,26 @@ def test_lambda1_is_zero_on_disconnected_lanczos_graph(monkeypatch):
     monkeypatch.setattr(spectra, "LANCZOS_FROM", 100)
     assert lambda1(g) == 0.0
     monkeypatch.setattr(spectra, "DENSE_LIMIT", 100)
-    assert laplacian_spectrum(g).lambda1 == 0.0
+    rep = report_json(g)
+    assert rep["lambda"] == [] and rep["lambda1"] == 0.0
+
+
+def test_lambda1_is_entry_one_of_the_dense_spectrum():
+    graphs = _connected_samples([(6, 4), (40, 8), (300, 12)], 4, seed=6)
+    assert graphs and all(g.num_vertices < LANCZOS_FROM for g in graphs)
+    for g in graphs:
+        assert lambda1(g) == laplacian_spectrum(g)[1]
+
+
+def test_lambda1_is_exactly_zero_on_disconnected_dense_graph():
+    # the dense entry 1 of these graphs is rounding noise, -2.6e-16 on
+    # trial 32; lambda1 must not report it
+    cfg = SampleConfig(chi=16, n=4, trials=40, seed=11)
+    graphs = [sample_graph(cfg, t) for t in range(cfg.trials)]
+    disconnected = [g for g in graphs if not is_connected(g)]
+    assert any(laplacian_spectrum(g)[1] != 0.0 for g in disconnected)
+    assert all(g.num_vertices < LANCZOS_FROM for g in disconnected)
+    assert [lambda1(g) for g in disconnected] == [0.0] * len(disconnected)
 
 
 def test_lambda1_near_zero_on_connected_graph_is_solver_error(monkeypatch):
@@ -250,3 +268,23 @@ def test_report_json_shape():
     assert rep["connected"] is True
     assert len(rep["lambda"]) == 4 and len(rep["sigma"]) == 3
     assert rep["tol"] == TOL
+
+
+def test_report_json_above_dense_limit(monkeypatch):
+    (g,) = _connected_samples([(200, 20)], 1, seed=2)
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", 100)
+    monkeypatch.setattr(spectra, "DENSE_LIMIT", 100)
+    rep = report_json(g)
+    assert rep["lambda"] == []
+    assert rep["lambda1"] == lambda1(g)
+    assert rep["sigma1"] == steklov_spectrum(g)[1]
+    assert rep["sigma"] == list(steklov_spectrum(g))
+
+
+def test_report_json_lambda1_is_the_dense_entry_on_disconnected_graph():
+    g = sample_graph(SampleConfig(chi=16, n=4, trials=40, seed=11), 32)
+    assert not is_connected(g) and g.num_vertices <= DENSE_LIMIT
+    rep = report_json(g)
+    assert rep["lambda1"] == rep["lambda"][1]
+    assert rep["lambda"] == list(laplacian_spectrum(g))
+    assert rep["sigma"] == [] and rep["sigma1"] is None
