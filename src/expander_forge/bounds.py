@@ -311,14 +311,6 @@ class FirstMomentAudit:
     passes: bool
     trials: int
 
-    def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci": [self.ci_low, self.ci_high],
-            "bound_float": self.bound_float,
-            "pass": self.passes,
-        }
-
 
 def audit_first_moment(
     chi: int, n: int, a: int, b: int, s: int, trials: int, seed: int

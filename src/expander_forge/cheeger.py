@@ -74,41 +74,27 @@ def cheeger_exact_within(g: MultiGraph, guard: int) -> CheegerCertificate | None
 
 def cheeger_exact_naive(g: MultiGraph) -> CheegerCertificate:
     """Definition-level brute force over all subsets, connected or not.
-    Test oracle for the connected-subset search; |V| <= NAIVE_GUARD."""
+    Test oracle for the connected-subset search; |V| <= NAIVE_GUARD.
+
+    The certificate is the least subset S with 2|S| <= |V| by ratio
+    |boundary(S)|/|S|, then size |S|, then lexicographic order: S precedes
+    T when S holds the lowest vertex where they differ.
+    """
     if not is_connected(g):
         raise ExpanderForgeError("requires a connected graph")
     nv = g.num_vertices
     if nv > NAIVE_GUARD:
         raise GuardExceededError(f"|V| = {nv} exceeds naive guard {NAIVE_GUARD}")
-    half = nv // 2
 
-    def lex_less(a: int, b: int) -> bool:
-        # a precedes b iff a contains the lowest index where they differ
-        d = a ^ b
-        return d != 0 and (a & (d & -d)) != 0
+    def key(mask: int):
+        members = {v for v in range(nv) if (mask >> v) & 1}
+        ratio = Fraction(boundary_size(g, members), len(members))
+        return ratio, len(members), [v not in members for v in range(nv)]
 
-    best: tuple[int, int, int] | None = None  # (s, k, mask)
-    for mask in range(1, 1 << nv):
-        members = [v for v in range(nv) if (mask >> v) & 1]
-        if len(members) > half:
-            continue
-        s = boundary_size(g, set(members))
-        k = len(members)
-        if (
-            best is None
-            or s * best[1] < best[0] * k
-            or (s * best[1] == best[0] * k and k < best[1])
-            or (s * best[1] == best[0] * k and k == best[1] and lex_less(mask, best[2]))
-        ):
-            best = (s, k, mask)
-    assert best is not None
-    witness = tuple(v for v in range(nv) if (best[2] >> v) & 1)
-    return CheegerCertificate(
-        h=Fraction(best[0], best[1]),
-        witness=witness,
-        boundary_size=best[0],
-        exact=True,
-    )
+    masks = range(1, 1 << nv)
+    h, k, outside = min(key(m) for m in masks if 2 * m.bit_count() <= nv)
+    witness = tuple(v for v in range(nv) if not outside[v])
+    return CheegerCertificate(h=h, witness=witness, boundary_size=int(h * k), exact=True)
 
 
 def cheeger_upper(g: MultiGraph) -> CheegerCertificate:
@@ -125,8 +111,8 @@ def cheeger_upper(g: MultiGraph) -> CheegerCertificate:
     if nv < 2:
         raise ExpanderForgeError("need at least 2 vertices")
     lap = normalized_laplacian(g)
-    eigvals, eigvecs = np.linalg.eigh(lap)
-    fiedler = eigvecs[:, np.argsort(eigvals)[1]]
+    _, eigvecs = np.linalg.eigh(lap)
+    fiedler = eigvecs[:, 1]  # eigh sorts ascending
     deg = np.array(g.degrees(), dtype=float)
     order = [int(v) for v in np.argsort(fiedler / np.sqrt(deg), kind="stable")]
 

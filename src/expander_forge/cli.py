@@ -33,7 +33,7 @@ from .construct import (
 )
 from .errors import ExpanderForgeError, ParityError, exit_code
 from .graph_core import (
-    check_parity, exact_fraction, from_text, is_connected, to_text, topology
+    MultiGraph, exact_fraction, from_text, is_connected, to_text, topology
 )
 from .sampler import SampleConfig, estimate_connectivity, sample_graph
 from .spectra import DEFAULT_TOL, lambda1, report_json, steklov_spectrum
@@ -41,6 +41,10 @@ from .spectra import DEFAULT_TOL, lambda1, report_json, steklov_spectrum
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
+
+
+def _ratio(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
 
 
 def _sha256(path: Path) -> str:
@@ -98,10 +102,9 @@ def cmd_sample(args) -> list[Path]:
         if connected and g.n >= 2:
             sigma1 = _fmt(steklov_spectrum(g)[1])
         cert = cheeger_exact_within(g, args.guard) if connected else None
-        h = f"{cert.h.numerator}/{cert.h.denominator}" if cert else ""
-        genus = (g.chi - g.n) // 2 + 1
+        h = _ratio(cert.h) if cert else ""
         lines.append(
-            f"{t},{int(connected)},{_fmt(lam1)},{sigma1},{h},{genus}"
+            f"{t},{int(connected)},{_fmt(lam1)},{sigma1},{h},{topology(g).genus}"
         )
     q = np.quantile(np.array(lambda1s), [0.25, 0.5, 0.75])
     lines.append(
@@ -160,7 +163,6 @@ def cmd_sweep(args) -> list[Path]:
 
 
 def cmd_bounds(args) -> list[Path]:
-    check_parity(args.chi, args.n)
     mu = _parse_fraction(args.mu)
     pairs = []
     x_text = {}  # str(X) per denominator C(3chi, 3b)
@@ -221,32 +223,35 @@ def cmd_construct(args) -> list[Path]:
         h_exact = check = ""
         cert = cheeger_exact_within(member.graph, args.guard)
         if cert is not None:
-            h_exact = f"{cert.h.numerator}/{cert.h.denominator}"
+            h_exact = _ratio(cert.h)
             check = str(int(lam1 >= float(cert.h) ** 2 / 18 - DEFAULT_TOL))
-        hl = member.h_lower
         lines.append(
-            f"{g},{member.graph.n},{member.graph.chi},{hl.numerator}/{hl.denominator},"
+            f"{g},{member.graph.n},{member.graph.chi},{_ratio(member.h_lower)},"
             f"{_fmt(lam1)},{h_exact},{check}"
         )
     csv_path.write_text("\n".join(lines) + "\n")
     return [csv_path] + paths
 
 
+def _read_graph(args) -> MultiGraph:
+    return from_text(Path(args.graphfile).read_text())
+
+
 def cmd_spectra(args) -> list[Path]:
-    g = from_text(Path(args.graphfile).read_text())
+    g = _read_graph(args)
     print(json.dumps(report_json(g), indent=2))
     return []
 
 
 def cmd_cheeger(args) -> list[Path]:
-    g = from_text(Path(args.graphfile).read_text())
+    g = _read_graph(args)
     cert = cheeger_exact(g, guard=args.guard)
     print(json.dumps(cert.to_json(g), indent=2))
     return []
 
 
 def cmd_split(args) -> list[Path]:
-    g = from_text(Path(args.graphfile).read_text())
+    g = _read_graph(args)
     split = two_tree_split(g)
     out = {
         "removed_edges": [

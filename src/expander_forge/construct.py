@@ -88,8 +88,8 @@ def two_tree_split(g: MultiGraph) -> TreeSplit:
 def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
     """A subset H with |boundary(H)| <= g+1 and n/4 <= |H ∩ dG| <= n/2.
 
-    Needs a connected graph with n >= 2 whose degrees lie in {1, 3} and
-    whose boundary vertices all have degree 1.
+    Needs a connected graph (two_tree_split rejects any other) with n >= 2
+    whose degrees lie in {1, 3} and whose boundary vertices all have degree 1.
 
     The descent starts from the two sides of the two-tree split.  At each
     step the pieces are sorted by boundary count (descending, then least
@@ -113,8 +113,6 @@ def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
     Two pieces below n/4 would hold fewer than n/2, so if neither piece
     lies in the window, one of them holds more than n/2.
     """
-    if not is_connected(g):
-        raise ExpanderForgeError("requires a connected graph")
     n = g.n
     if n <= 1:
         raise ExpanderForgeError("needs n >= 2 (integer window empty)")

@@ -388,8 +388,6 @@ def test_audit_first_moment():
     assert abs(rep.bound_float - 0.8) < 1e-12
     assert rep.passes
     assert rep.ci_low <= rep.estimate <= rep.ci_high
-    js = rep.to_json()
-    assert set(js) == {"estimate", "ci", "bound_float", "pass"}
 
 
 def test_audit_vacuous_configuration_estimates_zero():

@@ -142,6 +142,8 @@ def test_bounds_parity_exit_2(tmp_path):
          "--out", str(tmp_path / "x")]
     )
     assert code == 2
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(

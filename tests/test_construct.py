@@ -194,6 +194,12 @@ def test_balanced_subset_star():
 def test_balanced_subset_needs_two_boundary_vertices():
     with pytest.raises(ExpanderForgeError):
         balanced_boundary_subset(LOOP_PENDANT)
+    # n >= 2 is not enough: two stars, n = 6, are not connected
+    two_stars = MultiGraph(
+        chi=2, n=6, edges=((0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7))
+    )
+    with pytest.raises(ExpanderForgeError):
+        balanced_boundary_subset(two_stars)
 
 
 def test_test_function_star():

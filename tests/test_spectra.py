@@ -68,10 +68,11 @@ def test_star_steklov_general(leaves):
 
 def test_steklov_requires_connectivity_and_boundary():
     disc = MultiGraph(chi=2, n=0, edges=())
-    with pytest.raises(ExpanderForgeError):
-        steklov_spectrum(disc)
-    with pytest.raises(ExpanderForgeError):
-        steklov_spectrum(THETA)  # n = 0
+    for check in (steklov_spectrum, verify_domination):
+        with pytest.raises(ExpanderForgeError):
+            check(disc)
+        with pytest.raises(ExpanderForgeError):
+            check(THETA)  # n = 0
 
 
 def test_rayleigh_quotient_examples():
