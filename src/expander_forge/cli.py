@@ -6,7 +6,8 @@ graph input, 3 guard exceeded, 4 base certification failure; these errors
 print one `error:` line on stderr instead of a traceback.  Every
 file-writing command also writes a JSON run manifest with sha256 digests of
 its outputs; the data files themselves contain no timestamps, so re-runs
-are byte-identical.
+are byte-identical.  A command that exits with an error writes no file:
+each `cmd_*` returns the files it would write and `main` writes them.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ def _ratio(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _parse_fraction(text: str) -> Fraction:
     """A --mu/--theta value: "p/q" exactly, a decimal as its float's
     literal; ValueError (exit 2) for anything else, a zero denominator too."""
@@ -60,34 +57,41 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _out_path(out: str | Path) -> Path:
-    """A file to write, with its parent directory created; ValueError
-    (exit 2) when that directory cannot be made or the file is a directory."""
-    path = Path(out)
+def _out_path(path: Path) -> None:
+    """Create the parent directory of a file to write; ValueError (exit 2)
+    when that directory cannot be made or the file is a directory."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create directory {path.parent}: {exc}") from None
     if path.is_dir():
         raise ValueError(f"cannot write {path}: it is a directory")
-    return path
 
 
-def _write_manifest(out_paths: list[Path], args: list[str], seed, started: str) -> None:
+def _write_outputs(files: dict[Path, str], argv: list[str], seed, started: str) -> None:
+    """Write each file, then the run manifest beside the first; every path
+    passes `_out_path` before any byte is written."""
+    first = next(iter(files))
+    target = first.with_suffix(first.suffix + ".manifest.json")
+    for path in [*files, target]:
+        _out_path(path)
+    digests = {}
+    for path, text in files.items():
+        data = text.encode()
+        path.write_bytes(data)
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
     manifest = {
-        "command": args,
+        "command": argv,
         "seed": seed,
         "version": __version__,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
-        "outputs": {str(p): _sha256(p) for p in out_paths},
+        "outputs": digests,
     }
-    first = out_paths[0]
-    target = _out_path(first.with_suffix(first.suffix + ".manifest.json"))
     target.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_sample(args) -> list[Path]:
+def cmd_sample(args) -> dict[Path, str]:
     cfg = SampleConfig(chi=args.chi, n=args.n, trials=args.trials, seed=args.seed)
     lines = ["trial,connected,lambda1,sigma1,h,genus"]
     lambda1s = []
@@ -112,9 +116,7 @@ def cmd_sample(args) -> list[Path]:
         f" lambda1_q25={_fmt(q[0])} lambda1_q50={_fmt(q[1])}"
         f" lambda1_q75={_fmt(q[2])}"
     )
-    out = _out_path(args.out)
-    out.write_text("\n".join(lines) + "\n")
-    return [out]
+    return {Path(args.out): "\n".join(lines) + "\n"}
 
 
 def parity_adjust(chi: int, n: int) -> int:
@@ -143,7 +145,7 @@ def _parse_rule(rule: str):
     return n_of
 
 
-def cmd_sweep(args) -> list[Path]:
+def cmd_sweep(args) -> dict[Path, str]:
     rule = _parse_rule(args.rule)
     chis = [int(c) for c in args.chi_list.split(",")]
     if min(chis) < 1:
@@ -157,12 +159,10 @@ def cmd_sweep(args) -> list[Path]:
             f"{chi},{n},{est.trials},{_fmt(float(est.fraction))},"
             f"{_fmt(est.ci_low)},{_fmt(est.ci_high)},{args.seed}"
         )
-    out = _out_path(args.out)
-    out.write_text("\n".join(lines) + "\n")
-    return [out]
+    return {Path(args.out): "\n".join(lines) + "\n"}
 
 
-def cmd_bounds(args) -> list[Path]:
+def cmd_bounds(args) -> dict[Path, str]:
     mu = _parse_fraction(args.mu)
     pairs = []
     x_text = {}  # str(X) per denominator C(3chi, 3b)
@@ -186,15 +186,13 @@ def cmd_bounds(args) -> list[Path]:
 
     total = sum_terms(recorded(mu_pair_terms(args.chi, args.n, mu)))
     base = Path(args.out)
-    csv_path = _out_path(base.with_suffix(".csv"))
-    json_path = _out_path(base.with_suffix(".json"))
-    csv_path.write_text(
-        "chi,n,mu,sum_num,sum_den,sum_float\n"
-        f"{args.chi},{args.n},{mu},{total.numerator},{total.denominator},"
-        f"{_fmt(float(total))}\n"
-    )
-    json_path.write_text(
-        json.dumps(
+    return {
+        base.with_suffix(".csv"): (
+            "chi,n,mu,sum_num,sum_den,sum_float\n"
+            f"{args.chi},{args.n},{mu},{total.numerator},{total.denominator},"
+            f"{_fmt(float(total))}\n"
+        ),
+        base.with_suffix(".json"): json.dumps(
             {
                 "chi": args.chi,
                 "n": args.n,
@@ -204,21 +202,18 @@ def cmd_bounds(args) -> list[Path]:
             },
             indent=2,
         )
-        + "\n"
-    )
-    return [csv_path, json_path]
+        + "\n",
+    }
 
 
-def cmd_construct(args) -> list[Path]:
+def cmd_construct(args) -> dict[Path, str]:
     spec = FamilySpec.from_theta(_parse_fraction(args.theta))
-    csv_path = _out_path(Path(args.out) / "manifest.csv")
+    out = Path(args.out)
     lines = ["g,n,chi,h_lower,lambda1,h_exact,cheeger_check"]
-    paths = []
+    graphs = {}
     for g in range(args.g_min, args.g_max + 1):
         member = expander_family(spec, g, guard=args.guard)
-        path = _out_path(csv_path.parent / f"g{g}.txt")
-        path.write_text(to_text(member.graph))
-        paths.append(path)
+        graphs[out / f"g{g}.txt"] = to_text(member.graph)
         lam1 = lambda1(member.graph)
         h_exact = check = ""
         cert = cheeger_exact_within(member.graph, args.guard)
@@ -229,28 +224,27 @@ def cmd_construct(args) -> list[Path]:
             f"{g},{member.graph.n},{member.graph.chi},{_ratio(member.h_lower)},"
             f"{_fmt(lam1)},{h_exact},{check}"
         )
-    csv_path.write_text("\n".join(lines) + "\n")
-    return [csv_path] + paths
+    return {out / "manifest.csv": "\n".join(lines) + "\n", **graphs}
 
 
 def _read_graph(args) -> MultiGraph:
     return from_text(Path(args.graphfile).read_text())
 
 
-def cmd_spectra(args) -> list[Path]:
+def cmd_spectra(args) -> dict[Path, str]:
     g = _read_graph(args)
     print(json.dumps(report_json(g), indent=2))
-    return []
+    return {}
 
 
-def cmd_cheeger(args) -> list[Path]:
+def cmd_cheeger(args) -> dict[Path, str]:
     g = _read_graph(args)
     cert = cheeger_exact(g, guard=args.guard)
     print(json.dumps(cert.to_json(g), indent=2))
-    return []
+    return {}
 
 
-def cmd_split(args) -> list[Path]:
+def cmd_split(args) -> dict[Path, str]:
     g = _read_graph(args)
     split = two_tree_split(g)
     out = {
@@ -269,7 +263,7 @@ def cmd_split(args) -> list[Path]:
             "genus": topology(g).genus,
         }
     print(json.dumps(out, indent=2))
-    return []
+    return {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,9 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         started = datetime.now(timezone.utc).isoformat()
-        outputs = args.func(args)
-        if outputs:
-            _write_manifest(outputs, argv, getattr(args, "seed", None), started)
+        files = args.func(args)
+        if files:
+            _write_outputs(files, argv, getattr(args, "seed", None), started)
     except (ExpanderForgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)

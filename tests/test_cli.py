@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -153,9 +154,11 @@ def test_bounds_parity_exit_2(tmp_path):
         ["bounds", "--chi", "4", "--n", "2", "--mu", "-1"],
         ["bounds", "--chi", "4", "--n", "2", "--mu", "1/0"],
         ["construct", "--theta", "1/0", "--g-min", "1", "--g-max", "1"],
+        ["construct", "--theta", "3", "--g-min", "0", "--g-max", "2"],
     ],
 )
 def test_bad_mu_or_theta_exit_2_without_traceback(tmp_path, capsys, argv):
+    # a run that exits with an error creates no file and no directory
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out / "b")]) == 2
     err = capsys.readouterr().err
@@ -208,11 +211,12 @@ def test_out_checks_the_files_written(tmp_path, capsys):
     argv = ["bounds", "--chi", "4", "--n", "2", "--mu", "1/2"]
     assert main(argv + ["--out", str(tmp_path / "d")]) == 0
     assert (tmp_path / "d.csv").is_file() and (tmp_path / "d.json").is_file()
-    # each graph of construct and the run manifest pass the same check
+    # each graph of construct and the run manifest pass the same check,
+    # before any file is written
     (tmp_path / "fam" / "g2.txt").mkdir(parents=True)
     (tmp_path / "s.csv.manifest.json").mkdir()
     runs = [
-        ["construct", "--theta", "3", "--g-min", "2", "--g-max", "2",
+        ["construct", "--theta", "3", "--g-min", "1", "--g-max", "2",
          "--out", str(tmp_path / "fam")],
         ["sample", "--chi", "4", "--n", "2", "--trials", "2",
          "--out", str(tmp_path / "s.csv")],
@@ -221,6 +225,8 @@ def test_out_checks_the_files_written(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in (tmp_path / "fam").iterdir()] == ["g2.txt"]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_construct_family_and_rerun(tmp_path):
@@ -290,6 +296,8 @@ def test_one_manifest_per_file_writing_command(tmp_path, monkeypatch, capsys):
         doc = json.loads(manifest.read_text())
         assert doc["command"] == argv and list(doc["outputs"]) == outputs
         assert doc["seed"] == seed and type(doc["seed"]) is type(seed)
+        for p in outputs:
+            assert doc["outputs"][p] == hashlib.sha256(Path(p).read_bytes()).hexdigest()
     for command in ("spectra", "cheeger", "split"):
         assert main([command, "fam/g2.txt"]) == 0
     assert len(list(tmp_path.rglob("*.manifest.json"))) == len(runs)
