@@ -4,13 +4,16 @@ connected_subsets, and the minimum-ratio-cut kernel built on it.
 The engine grows subsets level by level in numpy batches, so a batch of
 subsets costs a handful of array operations instead of one Python call per
 subset; on graphs of a dozen vertices the fixed cost per batch dominates.
-cheeger.cheeger_exact runs min_ratio_cut, and bounds counts N_{a,b,s} with
-connected_subsets.
+bounds counts N_{a,b,s} with the complete enumeration.  cheeger.cheeger_exact
+runs min_ratio_cut, which hands the engine its best ratio so far as a prune
+hook: each subset carries its forced cut, the edges from it to the vertices
+its subtree may never add, and a subtree whose forced cut shows that no
+subset in it can beat the best ratio is not grown.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,9 +57,15 @@ def _mask_connected(mask: int, adj: list[int]) -> bool:
     return comp == mask
 
 
-def connected_subsets(adj: np.ndarray, mult: np.ndarray, half: int) -> Iterator[Batch]:
+def connected_subsets(
+    adj: np.ndarray,
+    mult: np.ndarray,
+    half: int,
+    bound: Callable[[], tuple[int, int]] | None = None,
+) -> Iterator[Batch]:
     """Yield batches (size, S, nbrs, s) covering every vertex mask S that
-    induces a connected subgraph with |S| <= half exactly once.
+    induces a connected subgraph with |S| <= half exactly once; with a
+    bound, only those the bound lets through, each once.
 
     adj is a uint64 array of neighbour masks and mult the int64 matrix of
     edge multiplicities, loops left out of both.  In a batch every row has
@@ -68,6 +77,20 @@ def connected_subsets(adj: np.ndarray, mult: np.ndarray, half: int) -> Iterator[
     its forbidden set; the child that adds candidate v also forbids the
     candidates below v, so each connected S is reached by one path only.
     The cut updates as v joins: its edges into S turn inward.
+
+    bound, if given, is called between batches and returns the ratio
+    (best_s, best_k) to beat, with best_k = 0 for none yet; it may tighten
+    as the caller reads the batches.  Each row then also carries its forced
+    cut f = e(S, F), the edges from S to its forbidden set F, counted with
+    multiplicity.  Every descendant T of the row keeps S inside and F
+    outside, with |T| <= half, so |boundary(T)| >= f and
+    |boundary(T)|/|T| >= f/half.  So a row with f * best_k > best_s * half
+    is dropped with its whole subtree: children before they are pushed,
+    and a yielded batch again before it is expanded.  The test is strict,
+    so every connected S with |boundary(S)| * best_k <= best_s * |S| is
+    still yielded, ties included: each ancestor A of S has S inside and
+    F_A outside, so e(A, F_A) <= |boundary(S)|.  Without a bound f is not
+    tracked and every connected S is yielded.
     """
     nv = len(adj)
     if not nv:
@@ -82,25 +105,58 @@ def connected_subsets(adj: np.ndarray, mult: np.ndarray, half: int) -> Iterator[
     bits = _BITS[:nv]
     pow2 = _POW2[:nv]
 
-    stack = [(1, pow2, adj, pow2 - _ONE, degw)]
+    # a row is (S, nbrs, forbidden, s, f); without a bound f is None
+    f = np.tril(mult, -1).sum(axis=1) if bound else None
+    stack = [(1, pow2, adj, pow2 - _ONE, degw, f)]
     while stack:
-        size, S, nbrs, forbidden, s = stack.pop()
+        size, S, nbrs, forbidden, s, f = stack.pop()
         yield size, S, nbrs, s
         if size == half:
             continue
+        if bound:
+            rows = _within((S, nbrs, forbidden, s, f), bound(), half)
+            if rows is None:
+                continue
+            S, nbrs, forbidden, s, f = rows
         cand = nbrs & ~S & ~forbidden
         row, v = np.divmod(np.flatnonzero((cand[:, None] >> bits) & _ONE), nv)
         if not row.size:
             continue
-        pS, bit = S[row], pow2[v]
-        inside = ((pS[:, None] >> nb[v]) & _ONE).astype(np.int64)
-        cS = pS | bit
-        cN = nbrs[row] | adj[v]
+        pS, bit, nbv, wv = S[row], pow2[v], nb[v], w[v]
+        # e(S, v): the multiplicity of v's edges into S
+        eSv = (((pS[:, None] >> nbv) & _ONE).astype(np.int64) * wv).sum(axis=1)
+        cS, cN, cs, cf = pS | bit, nbrs[row] | adj[v], s[row] + degw[v] - 2 * eSv, None
         cF = forbidden[row] | (cand[row] & (bit - _ONE))
-        cs = s[row] + degw[v] - 2 * (inside * w[v]).sum(axis=1)
-        for i in range(0, len(row), BATCH):
+        if bound:
+            # f' = f + e(S, candidates below v) + e(v, F').  A row's children
+            # are contiguous with v ascending, and first is the index of each
+            # child's first sibling, so the middle term is an exclusive cumsum
+            # of e(S, v) restarted there.
+            before = np.cumsum(eSv) - eSv
+            first = np.searchsorted(row, row)
+            eVF = (((cF[:, None] >> nbv) & _ONE).astype(np.int64) * wv).sum(axis=1)
+            cf = f[row] + before - before[first] + eVF
+            rows = _within((cS, cN, cF, cs, cf), bound(), half)
+            if rows is None:
+                continue
+            cS, cN, cF, cs, cf = rows
+        for i in range(0, len(cS), BATCH):
             j = slice(i, i + BATCH)
-            stack.append((size + 1, cS[j], cN[j], cF[j], cs[j]))
+            stack.append((size + 1, cS[j], cN[j], cF[j], cs[j], cf if cf is None else cf[j]))
+
+
+def _within(rows: tuple, best: tuple[int, int], half: int) -> tuple | None:
+    """The rows whose forced cut f may still beat best = (best_s, best_k):
+    f * best_k <= best_s * half; None if no row may."""
+    best_s, best_k = best
+    if not best_k:
+        return rows
+    keep = rows[4] * best_k <= best_s * half
+    if keep.all():
+        return rows
+    if not keep.any():
+        return None
+    return tuple(a[keep] for a in rows)
 
 
 def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
@@ -108,8 +164,10 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
 
     Returns (s, k, mask, visited): the minimum of the order (s/k, then k,
     then lexicographic, i.e. the lowest differing vertex in S wins) and the
-    number of connected S with |S| <= half.  Neither depends on the
-    enumeration order.
+    number of connected S the engine yielded.  The engine is bounded by
+    the best ratio so far, so it prunes every subtree whose forced cut
+    shows that it cannot beat that ratio; it never prunes a tie.
+    (s, k, mask) does not depend on the enumeration order; visited does.
     """
     if nv < 1 or nv > MAX_VERTICES:
         raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
@@ -120,7 +178,8 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
 
     best_s, best_k, best_mask = 0, 0, 0
     visited = 0
-    for size, S, _nbrs, s in connected_subsets(adj, mult, half):
+    batches = connected_subsets(adj, mult, half, bound=lambda: (best_s, best_k))
+    for size, S, _nbrs, s in batches:
         visited += len(S)
         if best_k == 0:
             better = np.ones(len(S), dtype=bool)

@@ -1,8 +1,11 @@
 """Exact Cheeger constants with witnesses, plus a spectral sweep upper bound.
 
-The exact search enumerates only subsets whose two sides are both connected
+The exact search considers only subsets whose two sides are both connected
 (the connected-realizer reduction), with the batched bitmask kernel of
-_mincut_py.
+_mincut_py.  The kernel prunes by the forced cut: it stops growing a subset
+once the edges to the vertices it may never add show that nothing it grows
+into can beat the best ratio so far.  Ties are never pruned, so the
+certificate, witness included, is the unpruned search's.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ it, as an oracle independent of the batched engine in
 expander_forge._mincut_py.
 
 connected_subsets calls visit(S, size, s, nbrs) once per connected S,
-depth first; min_ratio_cut returns the same (s, k, mask, visited) as the
-batched kernel.
+depth first, with no pruning; min_ratio_cut returns the same (s, k, mask)
+as the bound-pruned batched kernel, and as visited the number of all
+connected S with |S| <= half, an upper bound on the batched kernel's.
 """
 
 from __future__ import annotations

@@ -19,7 +19,13 @@ from expander_forge.cheeger import (
 )
 from expander_forge.errors import ExpanderForgeError, GuardExceededError
 from expander_forge.graph_core import HalfEdgePairing, MultiGraph, build_graph, is_connected
-from expander_forge.construct import k4_graph, plant_trees, theta_base
+from expander_forge.construct import (
+    FamilySpec,
+    expander_family,
+    k4_graph,
+    plant_trees,
+    theta_base,
+)
 from expander_forge.sampler import SampleConfig, sample_graph
 from expander_forge.spectra import lambda1, normalized_laplacian
 
@@ -124,8 +130,9 @@ def _halves(nv):
 
 
 def test_batched_kernel_matches_recursive_reference():
-    """(s, k, mask, visited) of the batched kernel equal the recursive
-    reference's at |S| <= 1, |V|/2 and |V|."""
+    """(s, k, mask) of the bound-pruned batched kernel equal the unpruned
+    recursive reference's at |S| <= 1, |V|/2 and |V|; the kernel visits
+    no more subsets than the reference, which visits every connected one."""
     assert len(CUBIC_22) == 3
     assert all(len(set(g.edges)) < len(g.edges) for g in LOOPY)
     assert all(any(u == v for u, v in g.edges) for g in LOOPY)
@@ -133,9 +140,105 @@ def test_batched_kernel_matches_recursive_reference():
         adj, mult = _bitmask_inputs(g)
         nv = g.num_vertices
         for half in _halves(nv):
-            got = py_min_ratio_cut(adj, mult, nv, half)
-            want = reference_kernel.min_ratio_cut(adj, mult, nv, half)
+            *got, visited = py_min_ratio_cut(adj, mult, nv, half)
+            *want, all_connected = reference_kernel.min_ratio_cut(adj, mult, nv, half)
             assert got == want, (g.edges, half, got, want)
+            assert visited <= all_connected
+
+
+def _yielded(g, half, bound=None):
+    """{S: (size, s, nbrs)} over the engine's batches, each S once."""
+    adj, mult = _bitmask_inputs(g)
+    got = {}
+    batches = _mincut_py.connected_subsets(
+        np.array(adj, dtype=np.uint64), np.array(mult, dtype=np.int64), half, bound
+    )
+    for size, S, nbrs, s in batches:
+        for row in zip(S.tolist(), s.tolist(), nbrs.tolist()):
+            assert row[0] not in got
+            got[row[0]] = (size, row[1], row[2])
+    return got
+
+
+def test_fixed_bound_keeps_every_subset_at_or_below_it():
+    """With a fixed bound (s, k) the engine still yields every connected S
+    with |S| <= half and k |boundary(S)| <= s |S|, ties included, and
+    yields only connected subsets, with the reference's cut.  Bounds: the
+    smallest four ratios of connected subsets, and h of the graph."""
+    pruned = 0
+    for g in SAMPLES_12[::3] + CUBIC_22[:2] + LOOPY + [plant_trees(theta_base(), 3)]:
+        adj, mult = _bitmask_inputs(g)
+        nv = g.num_vertices
+        for half in _halves(nv):
+            want = {}
+
+            def visit(S, size, s, nbrs):
+                want[S] = (size, s, nbrs)
+
+            reference_kernel.connected_subsets(adj, mult, half, visit)
+            ratios = sorted({Fraction(s, size) for size, s, _ in want.values()})
+            h = reference_kernel.min_ratio_cut(adj, mult, nv, half)
+            bounds = {(r.numerator, r.denominator) for r in ratios[:4]} | {h[:2]}
+            for s_max, k_max in bounds:
+                got = _yielded(g, half, lambda: (s_max, k_max))
+                assert got.items() <= want.items()
+                below = {S for S, (size, s, _) in want.items() if k_max * s <= s_max * size}
+                assert below <= got.keys(), (g.edges, half, (s_max, k_max))
+                pruned += len(got) < len(want)
+    assert pruned > 100
+
+
+def _random_multigraphs(count, seed):
+    """Connected multigraphs on 2..12 vertices: a random spanning tree plus
+    up to |V| extra edges, each a random pair, a loop or a parallel copy."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(2, NAIVE_GUARD)
+        edges = [(v, rng.randrange(v)) for v in range(1, nv)]
+        for _ in range(rng.randint(0, nv)):
+            u = rng.randrange(nv)
+            extra = (u, rng.randrange(nv)), (u, u), rng.choice(edges)
+            edges.append(rng.choice(extra))
+        out.append(MultiGraph(chi=nv, n=0, edges=tuple(edges)))
+    return out
+
+
+def test_pruned_search_matches_naive_oracle_on_random_multigraphs():
+    """Whole certificates, witnesses included, on 400 seeded multigraphs
+    with loops and parallel edges: a prune that cut one subtree holding
+    the optimum or a tie would change h or the witness."""
+    graphs = _random_multigraphs(400, seed=21)
+    assert sum(any(u == v for u, v in g.edges) for g in graphs) > 100
+    for g in graphs:
+        assert cheeger_exact(g) == cheeger_exact_naive(g), g.edges
+
+
+def test_pruned_kernel_matches_reference_on_sampled_graphs():
+    """(s, k, mask) equal the unpruned reference's on 40 connected samples
+    of F_{16,4} (20 vertices), the sampled graphs `sample` certifies."""
+    graphs = _connected_samples([(16, 4)], trials=80, seed=21)[:40]
+    assert len(graphs) == 40
+    for g in graphs:
+        adj, mult = _bitmask_inputs(g)
+        nv = g.num_vertices
+        *got, visited = py_min_ratio_cut(adj, mult, nv, nv // 2)
+        *want, all_connected = reference_kernel.min_ratio_cut(adj, mult, nv, nv // 2)
+        assert got == want, g.edges
+        assert visited <= all_connected
+
+
+def test_pinned_40_vertex_family_certificate():
+    """The theta = 5/2, g = 6 member (G 25 15, 40 vertices): h = 5/19, as
+    the unpruned search found it."""
+    g = expander_family(FamilySpec.from_theta("5/2"), 6).graph
+    assert (g.chi, g.n) == (25, 15)
+    cert = cheeger_exact(g, guard=40)
+    witness = [f"v{i}" for i in (*range(1, 6), *range(11, 17), 18)]
+    witness += [f"w{i}" for i in (*range(1, 7), 8)]
+    assert cert.to_json(g) == {
+        "h_num": 5, "h_den": 19, "omega": witness, "boundary": 5, "exact": True
+    }
 
 
 def test_engine_yields_each_connected_subset_once():
