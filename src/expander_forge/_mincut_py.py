@@ -78,19 +78,20 @@ def connected_subsets(
     candidates below v, so each connected S is reached by one path only.
     The cut updates as v joins: its edges into S turn inward.
 
-    bound, if given, is called between batches and returns the ratio
-    (best_s, best_k) to beat, with best_k = 0 for none yet; it may tighten
-    as the caller reads the batches.  Each row then also carries its forced
-    cut f = e(S, F), the edges from S to its forbidden set F, counted with
-    multiplicity.  Every descendant T of the row keeps S inside and F
-    outside, with |T| <= half, so |boundary(T)| >= f and
-    |boundary(T)|/|T| >= f/half.  So a row with f * best_k > best_s * half
-    is dropped with its whole subtree: children before they are pushed,
-    and a yielded batch again before it is expanded.  The test is strict,
-    so every connected S with |boundary(S)| * best_k <= best_s * |S| is
-    still yielded, ties included: each ancestor A of S has S inside and
-    F_A outside, so e(A, F_A) <= |boundary(S)|.  Without a bound f is not
-    tracked and every connected S is yielded.
+    bound, if given, is called once per batch, before the batch is
+    yielded, and returns the ratio (best_s, best_k) to beat, with best_k = 0
+    for none yet; it may tighten as the caller reads the batches.  Each row
+    then also carries its forced cut f = e(S, F), the edges from S to its
+    forbidden set F, counted with multiplicity.  Every descendant T of the
+    row keeps S inside and F outside, with |T| <= half, so |boundary(T)|
+    >= f and |boundary(T)|/|T| >= f/half.  So a row with
+    f * best_k > best_s * half is dropped with its whole subtree, the row
+    itself included, before the batch is yielded and expanded.  The test is
+    strict, so every connected S with |boundary(S)| * best_k <= best_s * |S|
+    is still yielded, ties included: each ancestor A of S has S inside and
+    F_A outside, so e(A, F_A) <= |boundary(S)|.  Without a bound every
+    connected S is yielded and f is not tracked: updating it would make the
+    complete enumeration of a small graph about half again as slow.
     """
     nv = len(adj)
     if not nv:
@@ -110,14 +111,17 @@ def connected_subsets(
     stack = [(1, pow2, adj, pow2 - _ONE, degw, f)]
     while stack:
         size, S, nbrs, forbidden, s, f = stack.pop()
+        if bound:
+            best_s, best_k = bound()
+            keep = f * best_k <= best_s * half
+            if not keep.all():
+                S, nbrs, forbidden = S[keep], nbrs[keep], forbidden[keep]
+                s, f = s[keep], f[keep]
+                if not len(S):
+                    continue
         yield size, S, nbrs, s
         if size == half:
             continue
-        if bound:
-            rows = _within((S, nbrs, forbidden, s, f), bound(), half)
-            if rows is None:
-                continue
-            S, nbrs, forbidden, s, f = rows
         cand = nbrs & ~S & ~forbidden
         row, v = np.divmod(np.flatnonzero((cand[:, None] >> bits) & _ONE), nv)
         if not row.size:
@@ -125,8 +129,9 @@ def connected_subsets(
         pS, bit, nbv, wv = S[row], pow2[v], nb[v], w[v]
         # e(S, v): the multiplicity of v's edges into S
         eSv = (((pS[:, None] >> nbv) & _ONE).astype(np.int64) * wv).sum(axis=1)
-        cS, cN, cs, cf = pS | bit, nbrs[row] | adj[v], s[row] + degw[v] - 2 * eSv, None
+        cS, cN, cs = pS | bit, nbrs[row] | adj[v], s[row] + degw[v] - 2 * eSv
         cF = forbidden[row] | (cand[row] & (bit - _ONE))
+        cf = None
         if bound:
             # f' = f + e(S, candidates below v) + e(v, F').  A row's children
             # are contiguous with v ascending, and first is the index of each
@@ -136,27 +141,9 @@ def connected_subsets(
             first = np.searchsorted(row, row)
             eVF = (((cF[:, None] >> nbv) & _ONE).astype(np.int64) * wv).sum(axis=1)
             cf = f[row] + before - before[first] + eVF
-            rows = _within((cS, cN, cF, cs, cf), bound(), half)
-            if rows is None:
-                continue
-            cS, cN, cF, cs, cf = rows
         for i in range(0, len(cS), BATCH):
             j = slice(i, i + BATCH)
             stack.append((size + 1, cS[j], cN[j], cF[j], cs[j], cf if cf is None else cf[j]))
-
-
-def _within(rows: tuple, best: tuple[int, int], half: int) -> tuple | None:
-    """The rows whose forced cut f may still beat best = (best_s, best_k):
-    f * best_k <= best_s * half; None if no row may."""
-    best_s, best_k = best
-    if not best_k:
-        return rows
-    keep = rows[4] * best_k <= best_s * half
-    if keep.all():
-        return rows
-    if not keep.any():
-        return None
-    return tuple(a[keep] for a in rows)
 
 
 def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):

@@ -131,15 +131,21 @@ def _halves(nv):
 
 def test_batched_kernel_matches_recursive_reference():
     """(s, k, mask) of the bound-pruned batched kernel equal the unpruned
-    recursive reference's at |S| <= 1, |V|/2 and |V|; the kernel visits
-    no more subsets than the reference, which visits every connected one."""
+    recursive reference's at |S| <= 1, |V|/2 and |V|, and at |V|/2 on 40
+    connected samples of F_{16,4} (20 vertices), the sampled graphs
+    `sample` certifies; the kernel visits no more subsets than the
+    reference, which visits every connected one."""
     assert len(CUBIC_22) == 3
     assert all(len(set(g.edges)) < len(g.edges) for g in LOOPY)
     assert all(any(u == v for u, v in g.edges) for g in LOOPY)
-    for g in REFERENCE_GRAPHS:
+    samples_20 = _connected_samples([(16, 4)], trials=80, seed=21)[:40]
+    assert len(samples_20) == 40
+    cases = [(g, _halves(g.num_vertices)) for g in REFERENCE_GRAPHS]
+    cases += [(g, [g.num_vertices // 2]) for g in samples_20]
+    for g, halves in cases:
         adj, mult = _bitmask_inputs(g)
         nv = g.num_vertices
-        for half in _halves(nv):
+        for half in halves:
             *got, visited = py_min_ratio_cut(adj, mult, nv, half)
             *want, all_connected = reference_kernel.min_ratio_cut(adj, mult, nv, half)
             assert got == want, (g.edges, half, got, want)
@@ -212,20 +218,6 @@ def test_pruned_search_matches_naive_oracle_on_random_multigraphs():
     assert sum(any(u == v for u, v in g.edges) for g in graphs) > 100
     for g in graphs:
         assert cheeger_exact(g) == cheeger_exact_naive(g), g.edges
-
-
-def test_pruned_kernel_matches_reference_on_sampled_graphs():
-    """(s, k, mask) equal the unpruned reference's on 40 connected samples
-    of F_{16,4} (20 vertices), the sampled graphs `sample` certifies."""
-    graphs = _connected_samples([(16, 4)], trials=80, seed=21)[:40]
-    assert len(graphs) == 40
-    for g in graphs:
-        adj, mult = _bitmask_inputs(g)
-        nv = g.num_vertices
-        *got, visited = py_min_ratio_cut(adj, mult, nv, nv // 2)
-        *want, all_connected = reference_kernel.min_ratio_cut(adj, mult, nv, nv // 2)
-        assert got == want, g.edges
-        assert visited <= all_connected
 
 
 def test_pinned_40_vertex_family_certificate():
