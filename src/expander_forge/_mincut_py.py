@@ -3,34 +3,39 @@ connected_subsets, and the minimum-ratio-cut kernel built on it.
 
 The engine grows subsets level by level in numpy batches, so a batch of
 subsets costs a handful of array operations instead of one Python call per
-subset; on graphs of a dozen vertices the fixed cost per batch dominates.
-bounds counts N_{a,b,s} with the complete enumeration.  cheeger.cheeger_exact
-runs min_ratio_cut, which hands the engine its best ratio so far as a prune
-hook: each subset carries its forced cut, the edges from it to the vertices
-its subtree may never add, and a subtree whose forced cut shows that no
-subset in it can beat the best ratio is not grown.
+subset; on graphs of a few dozen vertices the fixed cost per batch
+dominates.  So the engine takes many graphs at once: each row carries the
+index of its graph, and one batch mixes the rows of many small graphs.
+bounds counts N_{a,b,s} with the complete enumeration.  cheeger runs
+min_ratio_cuts (min_ratio_cut for one graph), which hands the engine each
+graph's best ratio so far as a prune hook: each subset carries its forced
+cut, the edges from it to the vertices its subtree may never add, and a
+subtree whose forced cut shows that no subset in it can beat its graph's
+best ratio is not grown.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 MAX_VERTICES = 63  # the widest graph the uint64 subset masks hold
 
-# Rows per batch.  Children of one batch are split into batches of this
-# size and stacked, so the pending work stays small (depth-first).
+# Rows per batch.  Roots and the children of one batch are split into
+# batches of this size and stacked, so the pending work stays small
+# (depth-first).
 BATCH = 1024
 
 _ONE = np.uint64(1)
-_BITS = np.arange(64, dtype=np.uint64)
-_POW2 = _ONE << _BITS
+_POW2 = _ONE << np.arange(64, dtype=np.uint64)
 # bit reversal of each byte, and the number of set bits in each byte
 _REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 _POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
-Batch = tuple[int, np.ndarray, np.ndarray, np.ndarray]
+# (size, graph, S, nbrs, s): one subset size, and per row its graph's index
+Batch = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+Bound = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 def popcount(x: np.ndarray) -> np.ndarray:
@@ -57,79 +62,138 @@ def _mask_connected(mask: int, adj: list[int]) -> bool:
     return comp == mask
 
 
+def stack_graphs(views: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The engine's input for graphs given as (adj, mult) bitmask views:
+    adj as a (G, N) uint64 array, mult as a (G, N, N) int64 array, both
+    zero-padded to the widest graph's N vertices, and nv, the vertex
+    counts."""
+    nv = np.array([len(adj) for adj, _ in views], dtype=np.int64)
+    width = int(nv.max()) if len(nv) else 0
+    adj = np.zeros((len(nv), width), dtype=np.uint64)
+    mult = np.zeros((len(nv), width, width), dtype=np.int64)
+    for i, (a, m) in enumerate(views):
+        adj[i, : nv[i]] = a
+        mult[i, : nv[i], : nv[i]] = m
+    return adj, mult, nv
+
+
+def _alive(f: np.ndarray, graph: np.ndarray, bound: Bound, half: np.ndarray) -> np.ndarray:
+    """Rows whose subtree may still hold a subset at or below the bound:
+    the strict test f * best_k <= best_s * half, per row's graph."""
+    best_s, best_k = bound()
+    return f * best_k[graph] <= best_s[graph] * half[graph]
+
+
+def _edges_into(masks: np.ndarray, nbv: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """e(mask, v) per row: the multiplicity of the edges from each row's
+    vertex v, with neighbour slots nbv and multiplicities wv, into its mask."""
+    inside = masks[:, None] >> nbv
+    inside &= _ONE
+    return (inside.view(np.int64) * wv).sum(axis=1)
+
+
 def connected_subsets(
     adj: np.ndarray,
     mult: np.ndarray,
-    half: int,
-    bound: Callable[[], tuple[int, int]] | None = None,
+    nv: np.ndarray,
+    half: np.ndarray,
+    bound: Bound | None = None,
 ) -> Iterator[Batch]:
-    """Yield batches (size, S, nbrs, s) covering every vertex mask S that
-    induces a connected subgraph with |S| <= half exactly once; with a
-    bound, only those the bound lets through, each once.
+    """Yield batches (size, graph, S, nbrs, s) covering, for each graph i,
+    every vertex mask S that induces a connected subgraph of graph i with
+    |S| <= half[i] exactly once; with a bound, only those the bound lets
+    through, each once.
 
-    adj is a uint64 array of neighbour masks and mult the int64 matrix of
-    edge multiplicities, loops left out of both.  In a batch every row has
-    |S| = size; S, nbrs (the union of adj over S) and s (|boundary(S)|) are
-    arrays of equal length, at most BATCH.
+    The graphs are stacked as stack_graphs makes them: adj[i] holds graph
+    i's neighbour masks and mult[i] its edge multiplicities, loops left out
+    of both, zero-padded beyond its nv[i] vertices.  In a batch every row
+    has |S| = size; graph (each row's graph index), S, nbrs (the union of
+    adj over S) and s (|boundary(S)|) are arrays of equal length, at most
+    BATCH.  Neighbour slots, degrees and adj of vertex v of graph i are
+    read at row i*N + v of the flattened arrays.
 
     Each S grows from its least vertex r, with the vertices below r
     forbidden.  A row's candidates are its neighbours outside S and outside
     its forbidden set; the child that adds candidate v also forbids the
     candidates below v, so each connected S is reached by one path only.
-    The cut updates as v joins: its edges into S turn inward.
+    The cut updates as v joins: its edges into S turn inward.  A row stops
+    growing at its own graph's half.
 
-    bound, if given, is called once per batch, before the batch is
-    yielded, and returns the ratio (best_s, best_k) to beat, with best_k = 0
-    for none yet; it may tighten as the caller reads the batches.  Each row
-    then also carries its forced cut f = e(S, F), the edges from S to its
-    forbidden set F, counted with multiplicity.  Every descendant T of the
-    row keeps S inside and F outside, with |T| <= half, so |boundary(T)|
-    >= f and |boundary(T)|/|T| >= f/half.  So a row with
-    f * best_k > best_s * half is dropped with its whole subtree, the row
-    itself included, before the batch is yielded and expanded.  The test is
-    strict, so every connected S with |boundary(S)| * best_k <= best_s * |S|
-    is still yielded, ties included: each ancestor A of S has S inside and
-    F_A outside, so e(A, F_A) <= |boundary(S)|.  Without a bound every
-    connected S is yielded and f is not tracked: updating it would make the
-    complete enumeration of a small graph about half again as slow.
+    bound, if given, returns per-graph arrays (best_s, best_k): the ratio
+    to beat for each graph, with best_k = 0 for none yet; they may tighten
+    as the caller reads the batches.  Each row then also carries its
+    forced cut f = e(S, F), the edges from S to its forbidden set F,
+    counted with multiplicity.  Every descendant T of the row keeps S
+    inside and F outside, with |T| <= half, so |boundary(T)| >= f and
+    |boundary(T)|/|T| >= f/half.  So a row with f * best_k > best_s * half
+    (for its graph) is dropped with its whole subtree, the row itself
+    included: tested when the row is made, before its S, nbrs and s are
+    built, and again when it is popped, before it is yielded and
+    expanded, since the bound may have tightened in between.  The test
+    (_alive) is strict, so every connected S with |boundary(S)| * best_k
+    <= best_s * |S| is still yielded, ties included: each ancestor A of S
+    has S inside and F_A outside, so e(A, F_A) <= |boundary(S)|.  Graphs
+    share batches but never bounds.  Without a bound every connected S is
+    yielded and f is not tracked: updating it would make the complete
+    enumeration of a small graph about half again as slow.
     """
-    nv = len(adj)
-    if not nv:
+    if not adj.size:
         return
-    degw = mult.sum(axis=1)
-    # padded neighbour slots: the neighbours nb[v, j] of v, ascending, with
-    # multiplicities w[v, j]; padding slots have multiplicity 0
-    width = max(1, int(np.count_nonzero(mult, axis=1).max()))
-    nb = np.argsort(mult == 0, axis=1, kind="stable")[:, :width]
-    w = np.take_along_axis(mult, nb, axis=1)
-    nb = nb.astype(np.uint64)
-    bits = _BITS[:nv]
-    pow2 = _POW2[:nv]
+    width_v = adj.shape[1]
+    flat_adj = adj.reshape(-1)
+    # neighbour slots: the neighbours nb[i*N + v, j] of v in graph i,
+    # ascending, with multiplicities w[i*N + v, j]; padding slots have
+    # multiplicity 0
+    g_, u_, v_ = np.nonzero(mult)
+    node = g_ * width_v + u_
+    slot = np.arange(len(node)) - np.searchsorted(node, node)
+    width = int(slot.max()) + 1 if len(slot) else 1
+    nb = np.zeros((adj.size, width), dtype=np.uint8)
+    w = np.zeros((adj.size, width), dtype=np.int64)
+    nb[node, slot] = v_
+    w[node, slot] = mult[g_, u_, v_]
+    degw = w.sum(axis=1)
+    # bytes of a little-endian mask that hold bits 0 .. N-1
+    nbytes = (width_v + 7) // 8
 
-    # a row is (S, nbrs, forbidden, s, f); without a bound f is None
-    f = np.tril(mult, -1).sum(axis=1) if bound else None
-    stack = [(1, pow2, adj, pow2 - _ONE, degw, f)]
+    # a row is (graph, S, nbrs, forbidden, s, f); without a bound f is None.
+    # The roots: every vertex of every graph, graph by graph, ascending.
+    graph, v = np.nonzero(np.arange(width_v) < nv[:, None])
+    gv = graph * width_v + v
+    # a root's forced cut: its edges to the vertices below it
+    f = np.where(nb[gv] < v[:, None], w[gv], 0).sum(axis=1) if bound else None
+    stack: list = []
+
+    def push(size, graph, S, nbrs, forbidden, s, f):
+        for i in range(0, len(S), BATCH):
+            j = slice(i, i + BATCH)
+            stack.append((size, graph[j], S[j], nbrs[j], forbidden[j], s[j],
+                          f if f is None else f[j]))
+
+    push(1, graph, _POW2[v], flat_adj[gv], _POW2[v] - _ONE, degw[gv], f)
     while stack:
-        size, S, nbrs, forbidden, s, f = stack.pop()
+        size, graph, S, nbrs, forbidden, s, f = stack.pop()
         if bound:
-            best_s, best_k = bound()
-            keep = f * best_k <= best_s * half
+            keep = _alive(f, graph, bound, half)
             if not keep.all():
-                S, nbrs, forbidden = S[keep], nbrs[keep], forbidden[keep]
+                graph, S, nbrs, forbidden = graph[keep], S[keep], nbrs[keep], forbidden[keep]
                 s, f = s[keep], f[keep]
                 if not len(S):
                     continue
-        yield size, S, nbrs, s
-        if size == half:
-            continue
-        cand = nbrs & ~S & ~forbidden
-        row, v = np.divmod(np.flatnonzero((cand[:, None] >> bits) & _ONE), nv)
+        yield size, graph, S, nbrs, s
+        cand = np.where(size < half[graph], nbrs & ~S & ~forbidden, 0)
+        # (row, v) for each set bit v of each row's cand, row-major
+        cand_bits = np.unpackbits(
+            cand.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :nbytes],
+            axis=1, bitorder="little",
+        )
+        row, v = np.divmod(np.flatnonzero(cand_bits), 8 * nbytes)
         if not row.size:
             continue
-        pS, bit, nbv, wv = S[row], pow2[v], nb[v], w[v]
-        # e(S, v): the multiplicity of v's edges into S
-        eSv = (((pS[:, None] >> nbv) & _ONE).astype(np.int64) * wv).sum(axis=1)
-        cS, cN, cs = pS | bit, nbrs[row] | adj[v], s[row] + degw[v] - 2 * eSv
+        cg = graph[row]
+        gv = cg * width_v + v
+        bit, nbv, wv = _POW2[v], nb[gv], w[gv]
+        eSv = _edges_into(S[row], nbv, wv)
         cF = forbidden[row] | (cand[row] & (bit - _ONE))
         cf = None
         if bound:
@@ -139,11 +203,55 @@ def connected_subsets(
             # of e(S, v) restarted there.
             before = np.cumsum(eSv) - eSv
             first = np.searchsorted(row, row)
-            eVF = (((cF[:, None] >> nbv) & _ONE).astype(np.int64) * wv).sum(axis=1)
+            eVF = _edges_into(cF, nbv, wv)
             cf = f[row] + before - before[first] + eVF
-        for i in range(0, len(cS), BATCH):
-            j = slice(i, i + BATCH)
-            stack.append((size + 1, cS[j], cN[j], cF[j], cs[j], cf if cf is None else cf[j]))
+            keep = _alive(cf, cg, bound, half)
+            if not keep.all():
+                row, cg, gv, bit = row[keep], cg[keep], gv[keep], bit[keep]
+                eSv, cF, cf = eSv[keep], cF[keep], cf[keep]
+        cs = s[row] + degw[gv] - 2 * eSv
+        push(size + 1, cg, S[row] | bit, nbrs[row] | flat_adj[gv], cF, cs, cf)
+
+
+def min_ratio_cuts(inputs: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
+    """min_ratio_cut of each (adj_masks, mult_matrix, nv, half) in inputs,
+    all in one engine pass.
+
+    Each graph keeps its own best (s, k, mask) and its own bound.  A
+    batch's rows that beat their graph's best are sorted by (graph, s,
+    lexicographic), and each graph's complement check runs in that order
+    until its first success.
+    """
+    for _, _, nv, _ in inputs:
+        if nv < 1 or nv > MAX_VERTICES:
+            raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
+    adj_int = [[int(x) for x in adj] for adj, _, _, _ in inputs]
+    adj, mult, nv = stack_graphs([(adj, mult) for adj, mult, _, _ in inputs])
+    half = np.array([h for *_, h in inputs], dtype=np.int64)
+    full = [(1 << n) - 1 for n in nv.tolist()]
+
+    best_s = np.zeros(len(inputs), dtype=np.int64)
+    best_k = np.zeros(len(inputs), dtype=np.int64)
+    best_mask = np.zeros(len(inputs), dtype=np.uint64)
+    visited = np.zeros(len(inputs), dtype=np.int64)
+    batches = connected_subsets(adj, mult, nv, half, bound=lambda: (best_s, best_k))
+    for size, graph, S, _nbrs, s in batches:
+        visited += np.bincount(graph, minlength=len(inputs))
+        k = best_k[graph]
+        cross = s * k - best_s[graph] * size
+        d = S ^ best_mask[graph]
+        tie = (cross == 0) & ((size < k) | ((size == k) & ((S & d & (~d + _ONE)) != 0)))
+        (idx,) = np.nonzero((k == 0) | (cross < 0) | tie)
+        if not idx.size:
+            continue
+        # ascending lexicographic order is descending bit-reversed mask
+        idx = idx[np.lexsort((~_bit_reverse(S[idx]), s[idx], graph[idx]))]
+        done = -1
+        for g, mask, cut in zip(graph[idx].tolist(), S[idx].tolist(), s[idx].tolist()):
+            if g != done and _mask_connected(full[g] & ~mask, adj_int[g]):
+                best_s[g], best_k[g], best_mask[g] = cut, size, mask
+                done = g
+    return list(zip(best_s.tolist(), best_k.tolist(), best_mask.tolist(), visited.tolist()))
 
 
 def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
@@ -154,38 +262,8 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
     number of connected S the engine yielded.  The engine is bounded by
     the best ratio so far, so it prunes every subtree whose forced cut
     shows that it cannot beat that ratio; it never prunes a tie.
-    (s, k, mask) does not depend on the enumeration order; visited does.
+    (s, k, mask) does not depend on the enumeration order, nor on the
+    other graphs of a min_ratio_cuts pass; visited does.  This is the
+    one-graph call of min_ratio_cuts.
     """
-    if nv < 1 or nv > MAX_VERTICES:
-        raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
-    adj = np.ascontiguousarray(adj_masks, dtype=np.uint64)
-    mult = np.ascontiguousarray(mult_matrix, dtype=np.int64)
-    adj_int = [int(x) for x in adj]
-    full = (1 << nv) - 1
-
-    best_s, best_k, best_mask = 0, 0, 0
-    visited = 0
-    batches = connected_subsets(adj, mult, half, bound=lambda: (best_s, best_k))
-    for size, S, _nbrs, s in batches:
-        visited += len(S)
-        if best_k == 0:
-            better = np.ones(len(S), dtype=bool)
-        else:
-            cross = s * best_k - best_s * size
-            better = cross < 0
-            if size < best_k:
-                better |= cross == 0
-            elif size == best_k:
-                d = S ^ np.uint64(best_mask)
-                better |= (cross == 0) & ((S & d & (~d + _ONE)) != 0)
-        (idx,) = np.nonzero(better)
-        if not idx.size:
-            continue
-        # ascending lexicographic order is descending bit-reversed mask
-        idx = idx[np.lexsort((~_bit_reverse(S[idx]), s[idx]))]
-        for i in idx:
-            mask = int(S[i])
-            if _mask_connected(full & ~mask, adj_int):
-                best_s, best_k, best_mask = int(s[i]), size, mask
-                break
-    return best_s, best_k, best_mask, visited
+    return min_ratio_cuts([(adj_masks, mult_matrix, nv, half)])[0]

@@ -30,7 +30,8 @@ connected count (count_all_Nabs).  mu_pair_sum and the `bounds` CLI table
 keep the X*Y*Z form, so they bound the interior-cut class only.
 
 Both counts come from one pass of _mincut_py.connected_subsets, the batched
-engine of the exact Cheeger search, tallied with array operations.
+engine of the exact Cheeger search, tallied with array operations; one pass
+takes any number of graphs and sums their counts.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import GuardExceededError
-from ._mincut_py import MAX_VERTICES, connected_subsets, popcount
+from ._mincut_py import MAX_VERTICES, connected_subsets, popcount, stack_graphs
 from .graph_core import (
     MultiGraph, _bitmask_inputs, check_parity, exact_fraction, is_connected
 )
@@ -229,35 +230,39 @@ def mu_pair_sum(chi: int, n: int, mu) -> Fraction:
     return sum_terms(mu_pair_terms(chi, n, mu))
 
 
-def _connected_subset_counts(g: MultiGraph) -> tuple[Counter, Counter]:
-    """Counters of (a, b, s) over every connected vertex subset and over
-    the interior-cut ones, filled in one pass; empty if disconnected."""
+def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Counter]:
+    """Counters of (a, b, s) over every connected vertex subset of the
+    graphs and over the interior-cut ones, summed over the graphs and
+    filled in one engine pass; a disconnected graph counts nothing."""
     unrestricted, interior_cut = Counter(), Counter()
-    if not is_connected(g):
-        return unrestricted, interior_cut
-    degs = g.degrees()
-    n_interior = sum(1 for d in degs if d == 3)
-    if n_interior > NABS_INTERIOR_GUARD:
-        raise GuardExceededError(
-            f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
-        )
-    nv = g.num_vertices
-    if nv > MAX_VERTICES:
-        raise GuardExceededError(f"{nv} vertices exceed {MAX_VERTICES}-bit subset masks")
-    pendants = np.uint64(sum(1 << v for v, d in enumerate(degs) if d == 1))
+    views, pendants = [], []
+    for g in graphs:
+        if not is_connected(g):
+            continue
+        degs = g.degrees()
+        n_interior = sum(1 for d in degs if d == 3)
+        if n_interior > NABS_INTERIOR_GUARD:
+            raise GuardExceededError(
+                f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
+            )
+        if g.num_vertices > MAX_VERTICES:
+            raise GuardExceededError(
+                f"{g.num_vertices} vertices exceed {MAX_VERTICES}-bit subset masks"
+            )
+        views.append(_bitmask_inputs(g))
+        pendants.append(sum(1 << v for v, d in enumerate(degs) if d == 1))
+    adj, mult, nv = stack_graphs(views)
+    pendants = np.array(pendants, dtype=np.uint64)
 
-    adj, mult = _bitmask_inputs(g)
-    batches = connected_subsets(
-        np.array(adj, dtype=np.uint64), np.array(mult, dtype=np.int64).reshape(nv, nv), nv
-    )
-    for size, S, nbrs, s in batches:
+    for size, graph, S, nbrs, s in connected_subsets(adj, mult, nv, nv):
+        p = pendants[graph]
         # a degree-1 vertex p has one neighbour, so p is in nbrs exactly
         # when that neighbour is in S, and p's edge crosses exactly when p
         # is in one of S and nbrs
-        inner = (pendants & (S ^ nbrs)) == 0
+        inner = (p & (S ^ nbrs)) == 0
         # one key per (a, s, interior-cut flag); b = size - a
         base = int(s.max()) + 1
-        keys = 2 * (popcount(S & pendants) * base + s) + inner
+        keys = 2 * (popcount(S & p) * base + s) + inner
         counts = np.bincount(keys)
         (uniq,) = np.nonzero(counts)
         for key, c in zip(uniq.tolist(), counts[uniq].tolist()):
@@ -275,7 +280,7 @@ def count_all_Nabs(g: MultiGraph) -> dict[tuple[int, int, int], int]:
     a/b classify by vertex degree (1 vs 3); s is the crossing-edge count
     with multiplicity, loops never crossing.
     """
-    return dict(_connected_subset_counts(g)[0])
+    return dict(_connected_subset_counts([g])[0])
 
 
 def count_Nabs(g: MultiGraph, a: int, b: int, s: int) -> int:
@@ -299,7 +304,7 @@ def count_all_Nabs_interior_cut(g: MultiGraph) -> dict[tuple[int, int, int], int
     attached degree-1 vertices, which is why the restriction is harmless
     where the bound is applied.
     """
-    return dict(_connected_subset_counts(g)[1])
+    return dict(_connected_subset_counts([g])[1])
 
 
 @dataclass(frozen=True)

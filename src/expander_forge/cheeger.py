@@ -5,13 +5,17 @@ The exact search considers only subsets whose two sides are both connected
 _mincut_py.  The kernel prunes by the forced cut: it stops growing a subset
 once the edges to the vertices it may never add show that nothing it grows
 into can beat the best ratio so far.  Ties are never pruned, so the
-certificate, witness included, is the unpruned search's.
+certificate, witness included, is the unpruned search's.  cheeger_exact
+searches one graph; cheeger_exact_many searches many graphs in shared
+engine passes, so the fixed cost per batch is paid once for all of them,
+with the same certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +47,31 @@ class CheegerCertificate:
         }
 
 
+def _limit(guard: int) -> int:
+    """The most vertices the exact search takes: min(guard, MAX_VERTICES)."""
+    return min(guard, _kernel.MAX_VERTICES)
+
+
+def _searchable(g: MultiGraph) -> None:
+    """Raise unless g is connected with at least 2 vertices."""
+    if not is_connected(g):
+        raise ExpanderForgeError("cheeger_exact requires a connected graph")
+    if g.num_vertices < 2:
+        raise ExpanderForgeError("cheeger_exact needs at least 2 vertices")
+
+
+def _search_input(g: MultiGraph) -> tuple:
+    nv = g.num_vertices
+    return (*_bitmask_inputs(g), nv, nv // 2)
+
+
+def _certificate(s: int, k: int, mask: int) -> CheegerCertificate:
+    witness = tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+    return CheegerCertificate(
+        h=Fraction(s, k), witness=witness, boundary_size=s, exact=True
+    )
+
+
 def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertificate:
     """Minimum of |boundary(S)|/|S| over subsets with |S| <= |V|/2.
 
@@ -50,29 +79,53 @@ def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertifica
     connected are enumerated.  Ties break toward the smallest subset, then
     lexicographically smallest vertex indices.
     """
-    if not is_connected(g):
-        raise ExpanderForgeError("cheeger_exact requires a connected graph")
+    _searchable(g)
     nv = g.num_vertices
-    if nv < 2:
-        raise ExpanderForgeError("cheeger_exact needs at least 2 vertices")
-    limit = min(guard, _kernel.MAX_VERTICES)
-    if nv > limit:
-        raise GuardExceededError(f"|V| = {nv} exceeds min(guard, mask width) = {limit}")
-    adj, mult = _bitmask_inputs(g)
-    s, k, mask, _visited = _kernel.min_ratio_cut(adj, mult, nv, nv // 2)
-    witness = tuple(v for v in range(nv) if (mask >> v) & 1)
-    return CheegerCertificate(
-        h=Fraction(s, k), witness=witness, boundary_size=s, exact=True
-    )
+    if nv > _limit(guard):
+        raise GuardExceededError(
+            f"|V| = {nv} exceeds min(guard, mask width) = {_limit(guard)}"
+        )
+    s, k, mask, _visited = _kernel.min_ratio_cut(*_search_input(g))
+    return _certificate(s, k, mask)
 
 
 def cheeger_exact_within(g: MultiGraph, guard: int) -> CheegerCertificate | None:
     """cheeger_exact(g, guard) if the search takes g, at most
     min(guard, MAX_VERTICES) vertices; None above that, with no search run.
-    Callers ask this, not the vertex count, whether g gets the search."""
-    if g.num_vertices > min(guard, _kernel.MAX_VERTICES):
+    Callers ask this or cheeger_exact_many, not the vertex count, whether
+    g gets the search."""
+    if g.num_vertices > _limit(guard):
         return None
     return cheeger_exact(g, guard)
+
+
+def cheeger_exact_many(
+    graphs: Sequence[MultiGraph], guard: int = DEFAULT_GUARD
+) -> list[CheegerCertificate | None]:
+    """[cheeger_exact_within(g, guard) for g in graphs], errors included,
+    computed in engine passes of _kernel.min_ratio_cuts.
+
+    Each pass takes consecutive searched graphs until their vertices fill
+    one _kernel.BATCH, so one batch holds every root of a pass and the
+    stacked inputs stay small.
+    """
+    passes: list[list[int]] = []
+    room = 0
+    for i, g in enumerate(graphs):
+        if g.num_vertices > _limit(guard):
+            continue
+        _searchable(g)
+        if g.num_vertices > room:
+            passes.append([])
+            room = _kernel.BATCH
+        passes[-1].append(i)
+        room -= g.num_vertices
+    certs: list[CheegerCertificate | None] = [None] * len(graphs)
+    for part in passes:
+        cuts = _kernel.min_ratio_cuts([_search_input(graphs[i]) for i in part])
+        for i, (s, k, mask, _visited) in zip(part, cuts):
+            certs[i] = _certificate(s, k, mask)
+    return certs
 
 
 def cheeger_exact_naive(g: MultiGraph) -> CheegerCertificate:

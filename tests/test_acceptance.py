@@ -266,17 +266,10 @@ def test_criterion_09_first_moment_bound():
     ]
     violations = []
     for chi, n in families:
-        totals: dict = {}
-        interior: dict = {}
-        members = 0
-        for p in enumerate_family(chi, n):
-            members += 1
-            # one engine pass fills both counters
-            unrestricted, interior_cut = _connected_subset_counts(build_graph(p))
-            for key, v in unrestricted.items():
-                totals[key] = totals.get(key, 0) + v
-            for key, v in interior_cut.items():
-                interior[key] = interior.get(key, 0) + v
+        graphs = [build_graph(p) for p in enumerate_family(chi, n)]
+        members = len(graphs)
+        # one engine pass over the family fills both summed counters
+        totals, interior = _connected_subset_counts(graphs)
         for (a, b, s), tot in sorted(totals.items()):
             if a + b > 4:
                 continue

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expander_forge.bounds import (
+    _connected_subset_counts,
     audit_first_moment,
     count_Nabs,
     count_all_Nabs,
@@ -255,10 +257,15 @@ def test_nabs_counters_match_brute_force():
     assert any(u == v for g in graphs for u, v in g.edges)  # loops
     assert any(len(set(g.edges)) < g.num_edges for g in graphs)  # parallel edges
     assert any(not is_connected(g) for g in graphs)
+    summed = Counter(), Counter()
     for g in graphs:
         unrestricted, interior_cut = _nabs_brute_force(g)
         assert count_all_Nabs(g) == unrestricted, g.edges
         assert count_all_Nabs_interior_cut(g) == interior_cut, g.edges
+        summed[0].update(unrestricted)
+        summed[1].update(interior_cut)
+    # one engine pass over all the graphs at once sums the same counts
+    assert _connected_subset_counts(graphs) == summed
 
 
 def test_interior_cut_count_is_a_subset():

@@ -13,6 +13,7 @@ from expander_forge.cheeger import (
     _bitmask_inputs,
     boundary_size,
     cheeger_exact,
+    cheeger_exact_many,
     cheeger_exact_naive,
     cheeger_exact_within,
     cheeger_upper,
@@ -152,14 +153,52 @@ def test_batched_kernel_matches_recursive_reference():
             assert visited <= all_connected
 
 
+def test_cross_graph_kernel_matches_one_graph_calls():
+    """min_ratio_cuts over mixed lists of graphs gives each graph the (s, k,
+    mask) of its one-graph min_ratio_cut and of the recursive reference,
+    and visits no more subsets than the reference: every REFERENCE_GRAPHS
+    case (sizes 4 to 28, halves 1, |V|/2 and |V|, loops and parallel
+    edges), shuffled into lists of 1 to 150 graphs, and 63-vertex graphs
+    next to small ones."""
+    cases = [(g, half) for g in REFERENCE_GRAPHS for half in _halves(g.num_vertices)]
+    random.Random(22).shuffle(cases)
+    lists, i = [], 0
+    for n in (1, 2, 3, 7, 20, 150):
+        lists.append(cases[i : i + n])
+        i += n
+    lists += [cases[i + j : i + j + 60] for j in range(0, len(cases) - i, 60)]
+    lists.append([(STAR, 1), (_cycle(63), 31), (LOOPY[0], 3), (_path(63), 31), (STAR, 2)])
+    assert sum(map(len, lists)) == len(cases) + 5
+    for part in lists:
+        inputs = [(*_bitmask_inputs(g), g.num_vertices, half) for g, half in part]
+        for (g, half), inp, got in zip(part, inputs, _mincut_py.min_ratio_cuts(inputs)):
+            *want, all_connected = reference_kernel.min_ratio_cut(*inp)
+            assert got[:3] == py_min_ratio_cut(*inp)[:3] == tuple(want), (g.edges, half)
+            assert got[3] <= all_connected
+    assert _mincut_py.min_ratio_cuts([]) == []
+
+
+def test_exact_many_is_exact_within_per_graph():
+    """Certificates, and None above the guard, as one call per graph."""
+    graphs = CUBIC_22 + SAMPLES_12[:30] + [_cycle(63), _cycle(64), STAR] + LOOPY[:10]
+    for guard in (12, 24, 63):
+        want = [cheeger_exact_within(g, guard) for g in graphs]
+        assert cheeger_exact_many(graphs, guard) == want
+        assert sum(c is None for c in want) > 0
+    assert cheeger_exact_many([]) == []
+
+
+def _batches(g, half, bound=None):
+    """The engine's batches over g alone, as a one-graph stack."""
+    adj, mult, nv = _mincut_py.stack_graphs([_bitmask_inputs(g)])
+    return _mincut_py.connected_subsets(adj, mult, nv, np.array([half]), bound)
+
+
 def _yielded(g, half, bound=None):
     """{S: (size, s, nbrs)} over the engine's batches, each S once."""
-    adj, mult = _bitmask_inputs(g)
     got = {}
-    batches = _mincut_py.connected_subsets(
-        np.array(adj, dtype=np.uint64), np.array(mult, dtype=np.int64), half, bound
-    )
-    for size, S, nbrs, s in batches:
+    for size, graph, S, nbrs, s in _batches(g, half, bound):
+        assert not graph.any()
         for row in zip(S.tolist(), s.tolist(), nbrs.tolist()):
             assert row[0] not in got
             got[row[0]] = (size, row[1], row[2])
@@ -186,7 +225,8 @@ def test_fixed_bound_keeps_every_subset_at_or_below_it():
             h = reference_kernel.min_ratio_cut(adj, mult, nv, half)
             bounds = {(r.numerator, r.denominator) for r in ratios[:4]} | {h[:2]}
             for s_max, k_max in bounds:
-                got = _yielded(g, half, lambda: (s_max, k_max))
+                fixed = np.array([s_max]), np.array([k_max])
+                got = _yielded(g, half, lambda: fixed)
                 assert got.items() <= want.items()
                 below = {S for S, (size, s, _) in want.items() if k_max * s <= s_max * size}
                 assert below <= got.keys(), (g.edges, half, (s_max, k_max))
@@ -250,11 +290,9 @@ def test_engine_yields_each_connected_subset_once():
 
             reference_kernel.connected_subsets(adj, mult, half, visit)
             got = {}
-            batches = _mincut_py.connected_subsets(
-                np.array(adj, dtype=np.uint64), np.array(mult, dtype=np.int64), half
-            )
-            for size, S, nbrs, s in batches:
+            for size, graph, S, nbrs, s in _batches(g, half):
                 assert 0 < len(S) <= _mincut_py.BATCH
+                assert not graph.any()
                 split |= len(S) == _mincut_py.BATCH
                 for row in zip(S.tolist(), s.tolist(), nbrs.tolist()):
                     assert row[0] not in got

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from expander_forge import cli, spectra
+from expander_forge import _mincut_py, cli, spectra
+from expander_forge.cheeger import cheeger_exact, cheeger_exact_many
 from expander_forge.cli import main, parity_adjust
 from expander_forge.construct import balanced_boundary_subset, plant_trees, theta_base
 from expander_forge.errors import CertificationError, ExpanderForgeError
@@ -266,6 +267,80 @@ def test_sample_guard_above_mask_width(tmp_path):
     assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
     assert main(argv + ["--guard", "64", "--out", str(tmp_path / "g.csv")]) == 0
     assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+
+def _sample_rows(path):
+    return [ln.split(",") for ln in path.read_text().splitlines()[1:] if ln[0] != "#"]
+
+
+@pytest.fixture
+def engine_passes(monkeypatch):
+    """The graph counts of the cross-graph kernel passes a run makes."""
+    passes = []
+    kernel = _mincut_py.min_ratio_cuts
+
+    def counted(inputs):
+        passes.append(len(inputs))
+        return kernel(inputs)
+
+    monkeypatch.setattr(_mincut_py, "min_ratio_cuts", counted)
+    return passes
+
+
+def test_sample_all_disconnected_runs_no_search(tmp_path, engine_passes):
+    # chi = 2, n = 6: eight vertices and six edges, so no trial is connected
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--chi", "2", "--n", "6", "--trials", "5", "--seed", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = _sample_rows(out)
+    assert len(rows) == 5 and all(r[1] == "0" and r[4] == "" for r in rows)
+    assert engine_passes == []
+
+
+def test_sample_guard_below_vertex_count_runs_no_search(tmp_path, engine_passes):
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--chi", "16", "--n", "4", "--trials", "6", "--seed", "1"]
+    assert main(argv + ["--guard", "19", "--out", str(out)]) == 0
+    rows = _sample_rows(out)
+    assert any(r[1] == "1" for r in rows)  # 20 vertices, above the guard
+    assert all(r[4] == "" for r in rows)
+    assert engine_passes == []
+
+
+def test_sample_one_connected_trial(tmp_path, engine_passes):
+    # seed 2 of F_{4,6} connects trial 2 only
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--chi", "4", "--n", "6", "--trials", "6", "--seed", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert engine_passes == [1]
+    rows = _sample_rows(out)
+    assert [r[1] for r in rows] == ["0", "0", "1", "0", "0", "0"]
+    cert = cheeger_exact(sample_graph(SampleConfig(chi=4, n=6, trials=6, seed=2), 2))
+    assert [r[4] for r in rows] == ["", "", f"{cert.h.numerator}/{cert.h.denominator}",
+                                   "", "", ""]
+
+
+def test_sample_certifies_in_shared_passes(tmp_path, engine_passes):
+    """Every connected trial of a sample run within the guard is certified
+    in one engine pass, with the certificate cheeger_exact gives it."""
+    cfg = SampleConfig(chi=16, n=4, trials=12, seed=3)
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--chi", "16", "--n", "4", "--trials", "12", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = _sample_rows(out)
+    connected = [t for t, r in enumerate(rows) if r[1] == "1"]
+    assert len(connected) > 1 and engine_passes == [len(connected)]
+    for t, r in enumerate(rows):
+        h = cheeger_exact(sample_graph(cfg, t)).h if t in connected else None
+        assert r[4] == (f"{h.numerator}/{h.denominator}" if h else "")
+
+
+def test_cheeger_exact_many_rejects_a_disconnected_graph():
+    graphs = [sample_graph(SampleConfig(chi=4, n=6, trials=6, seed=2), t) for t in (2, 0)]
+    assert is_connected(graphs[0]) and not is_connected(graphs[1])
+    with pytest.raises(ExpanderForgeError):
+        cheeger_exact_many(graphs)
+    assert cheeger_exact_many([]) == []
 
 
 def test_construct_guard_above_mask_width(tmp_path):
