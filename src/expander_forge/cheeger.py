@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -100,32 +100,37 @@ def cheeger_exact_within(g: MultiGraph, guard: int) -> CheegerCertificate | None
 
 
 def cheeger_exact_many(
-    graphs: Sequence[MultiGraph], guard: int = DEFAULT_GUARD
-) -> list[CheegerCertificate | None]:
-    """[cheeger_exact_within(g, guard) for g in graphs], errors included,
-    computed in engine passes of _kernel.min_ratio_cuts.
+    graphs: Iterable[MultiGraph], guard: int = DEFAULT_GUARD
+) -> Iterator[CheegerCertificate | None]:
+    """Yield cheeger_exact_within(g, guard) for each g of graphs, in
+    order, errors included, computed in engine passes of
+    _kernel.min_ratio_cuts.
 
-    Each pass takes consecutive searched graphs until their vertices fill
-    one _kernel.BATCH, so one batch holds every root of a pass and the
-    stacked inputs stay small.
+    A pass takes consecutive searched graphs until their vertices fill
+    one _kernel.BATCH, so one batch holds every root of a pass.  graphs
+    is read lazily and each pass runs as soon as it is full, so at most
+    one pass of graphs is held, however many graphs come.
     """
-    passes: list[list[int]] = []
+    pending: list[MultiGraph | None] = []  # None: a graph the search skips
     room = 0
-    for i, g in enumerate(graphs):
-        if g.num_vertices > _limit(guard):
-            continue
-        _searchable(g)
-        if g.num_vertices > room:
-            passes.append([])
-            room = _kernel.BATCH
-        passes[-1].append(i)
-        room -= g.num_vertices
-    certs: list[CheegerCertificate | None] = [None] * len(graphs)
-    for part in passes:
-        cuts = _kernel.min_ratio_cuts([_search_input(graphs[i]) for i in part])
-        for i, (s, k, mask, _visited) in zip(part, cuts):
-            certs[i] = _certificate(s, k, mask)
-    return certs
+    for g in graphs:
+        taken = g.num_vertices <= _limit(guard)
+        if taken:
+            _searchable(g)
+            if g.num_vertices > room:
+                yield from _certify(pending)
+                pending, room = [], _kernel.BATCH
+            room -= g.num_vertices
+        pending.append(g if taken else None)
+    yield from _certify(pending)
+
+
+def _certify(pending: list[MultiGraph | None]) -> Iterator[CheegerCertificate | None]:
+    """One engine pass over the graphs of pending; None where it holds None."""
+    searched = [_search_input(g) for g in pending if g is not None]
+    cuts = iter(_kernel.min_ratio_cuts(searched) if searched else ())
+    for g in pending:
+        yield None if g is None else _certificate(*next(cuts)[:3])
 
 
 def cheeger_exact_naive(g: MultiGraph) -> CheegerCertificate:

@@ -95,27 +95,31 @@ def cmd_sample(args) -> dict[Path, str]:
     cfg = SampleConfig(chi=args.chi, n=args.n, trials=args.trials, seed=args.seed)
     rows = []
     lambda1s = []
-    connected_graphs = []  # certified together below
-    for t in range(cfg.trials):
-        g = sample_graph(cfg, t)
-        connected = is_connected(g)
-        lam1 = lambda1(g)
-        lambda1s.append(lam1)
-        sigma1 = ""
-        if connected:
-            connected_graphs.append(g)
-            if g.n >= 2:
+
+    def connected_trials():
+        # cheeger_exact_many reads the trials pass by pass, and the rows
+        # fill as it does, so at most one pass of graphs is held
+        for t in range(cfg.trials):
+            g = sample_graph(cfg, t)
+            connected = is_connected(g)
+            lam1 = lambda1(g)
+            lambda1s.append(lam1)
+            sigma1 = ""
+            if connected and g.n >= 2:
                 sigma1 = _fmt(steklov_spectrum(g)[1])
-        rows.append((t, connected, _fmt(lam1), sigma1, topology(g).genus))
-    certs = iter(cheeger_exact_many(connected_graphs, args.guard))
+            rows.append((t, connected, _fmt(lam1), sigma1, topology(g).genus))
+            if connected:
+                yield g
+
+    hs = [_ratio(c.h) if c else "" for c in cheeger_exact_many(connected_trials(), args.guard)]
     lines = ["trial,connected,lambda1,sigma1,h,genus"]
+    connected_h = iter(hs)
     for t, connected, lam1, sigma1, genus in rows:
-        cert = next(certs) if connected else None
-        h = _ratio(cert.h) if cert else ""
+        h = next(connected_h) if connected else ""
         lines.append(f"{t},{int(connected)},{lam1},{sigma1},{h},{genus}")
     q = np.quantile(np.array(lambda1s), [0.25, 0.5, 0.75])
     lines.append(
-        f"# summary connected_fraction={len(connected_graphs)}/{cfg.trials}"
+        f"# summary connected_fraction={len(hs)}/{cfg.trials}"
         f" lambda1_q25={_fmt(q[0])} lambda1_q50={_fmt(q[1])}"
         f" lambda1_q75={_fmt(q[2])}"
     )

@@ -183,9 +183,27 @@ def test_exact_many_is_exact_within_per_graph():
     graphs = CUBIC_22 + SAMPLES_12[:30] + [_cycle(63), _cycle(64), STAR] + LOOPY[:10]
     for guard in (12, 24, 63):
         want = [cheeger_exact_within(g, guard) for g in graphs]
-        assert cheeger_exact_many(graphs, guard) == want
+        assert list(cheeger_exact_many(graphs, guard)) == want
         assert sum(c is None for c in want) > 0
-    assert cheeger_exact_many([]) == []
+    assert list(cheeger_exact_many([])) == []
+
+
+def test_exact_many_reads_one_pass_ahead():
+    """The first certificate comes once one pass of graphs is read, not
+    the whole input: a long run holds at most one pass of graphs."""
+    graphs = SAMPLES_12 * 4
+    read = []
+
+    def reading():
+        for g in graphs:
+            read.append(g)
+            yield g
+
+    certs = cheeger_exact_many(reading())
+    assert next(certs) == cheeger_exact(graphs[0])
+    passes = -(-sum(g.num_vertices for g in graphs) // _mincut_py.BATCH)
+    assert passes > 2 and len(read) < 2 * len(graphs) / passes
+    assert list(certs) == [cheeger_exact(g) for g in graphs[1:]]
 
 
 def _batches(g, half, bound=None):
