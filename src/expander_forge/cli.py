@@ -169,29 +169,35 @@ def cmd_sweep(args) -> dict[Path, str]:
     return {Path(args.out): "\n".join(lines) + "\n"}
 
 
+# One `bounds` pair as json.dumps(..., indent=2) writes it inside the table.
+# Every field is an int or str(Fraction) text, which uses only [-0-9/]:
+# JSON escapes none of those, so the row needs no encoder.
+_PAIR_JSON = (
+    '    {{\n      "a": {},\n      "b": {},\n      "s": {},\n      "x": "{}",\n'
+    '      "y": "{}",\n      "z": "{}",\n      "product": "{}"\n    }}'
+)
+
+
+def _quotient(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0, without building the Fraction."""
+    d = math.gcd(p, q)
+    return f"{p // d}/{q // d}" if d != q else str(p // d)
+
+
 def cmd_bounds(args) -> dict[Path, str]:
     mu = _parse_fraction(args.mu)
     pairs = []
-    x_text = {}  # str(X) per denominator C(3chi, 3b)
+    x_text = {}  # X = 1/C(3chi, 3b) per denominator
 
     def recorded(terms):
         for a, b, s, c, y, z in terms:
             if c not in x_text:
-                x_text[c] = str(Fraction(1, c))
-            pairs.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "s": s,
-                    "x": x_text[c],
-                    "y": str(y),
-                    "z": str(z),
-                    "product": str(Fraction(z * y, c)),
-                }
-            )
+                x_text[c] = _quotient(1, c)
+            pairs.append(_PAIR_JSON.format(a, b, s, x_text[c], y, z, _quotient(z * y, c)))
             yield a, b, s, c, y, z
 
     total = sum_terms(recorded(mu_pair_terms(args.chi, args.n, mu)))
+    table = "[\n" + ",\n".join(pairs) + "\n  ]" if pairs else "[]"
     base = Path(args.out)
     return {
         base.with_suffix(".csv"): (
@@ -199,17 +205,10 @@ def cmd_bounds(args) -> dict[Path, str]:
             f"{args.chi},{args.n},{mu},{total.numerator},{total.denominator},"
             f"{_fmt(float(total))}\n"
         ),
-        base.with_suffix(".json"): json.dumps(
-            {
-                "chi": args.chi,
-                "n": args.n,
-                "mu": str(mu),
-                "sum": str(total),
-                "pairs": pairs,
-            },
-            indent=2,
-        )
-        + "\n",
+        base.with_suffix(".json"): (
+            f'{{\n  "chi": {args.chi},\n  "n": {args.n},\n  "mu": "{mu}",\n'
+            f'  "sum": "{total}",\n  "pairs": {table}\n}}\n'
+        ),
     }
 
 
@@ -236,7 +235,33 @@ def cmd_construct(args) -> dict[Path, str]:
 
 
 def _read_graph(args) -> MultiGraph:
-    return from_text(Path(args.graphfile).read_text())
+    """The graph of a graph file, checked to be a model graph in one pass
+    over its edges: a `G <chi> <n>` header, interior vertices of degree 3
+    (a loop counts 2), boundary vertices of degree 1 and no edge between two
+    boundary vertices.  ExpanderForgeError (exit 2) names the first vertex
+    that breaks a rule."""
+    text = Path(args.graphfile).read_text()
+    header = next((ln.split() for ln in text.splitlines() if ln.strip()), [])
+    if len(header) != 3 or header[0] != "G" or not all(f.isdecimal() for f in header[1:]):
+        raise ExpanderForgeError(
+            f"expected a `G <chi> <n>` header, got {' '.join(header)!r}"
+        )
+    g = from_text(text)
+    degree = [0] * g.num_vertices
+    for u, v in g.edges:  # u <= v: a boundary u makes v boundary too
+        if u >= g.chi:
+            raise ExpanderForgeError(
+                f"edge {g.names[u]} {g.names[v]} joins two boundary vertices"
+            )
+        degree[u] += 1
+        degree[v] += 1
+    for v, d in enumerate(degree):
+        want = 3 if v < g.chi else 1
+        if d != want:
+            raise ExpanderForgeError(
+                f"{g.roles[v]} vertex {g.names[v]} has degree {d}, not {want}"
+            )
+    return g
 
 
 def cmd_spectra(args) -> dict[Path, str]:

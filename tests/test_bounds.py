@@ -19,11 +19,12 @@ from expander_forge.bounds import (
     is_mu_pair,
     iter_mu_pairs,
     mu_pair_sum,
+    mu_pair_terms,
     pendant_term,
     subset_mean_rt,
     xyz_bound,
 )
-from expander_forge.cli import main
+from expander_forge.cli import _quotient, main
 from expander_forge.construct import add_loops, plant_trees, theta_base
 from expander_forge.errors import GuardExceededError, ParityError
 from expander_forge.graph_core import (
@@ -169,6 +170,44 @@ def test_bounds_table_matches_factorial_oracle(chi, half_n, mu):
         total += x * y * z
     assert doc["sum"] == str(total)
     assert mu_pair_sum(chi, n, mu) == total
+
+
+# (chi, n, mu) tables for the JSON writer: (1, 3, 2) has only b = 0 rows,
+# most tables have y = 0 rows, and mu = 1/50 at chi = 10 is the empty table
+WRITER_GRID = [(1, 3, "2"), (2, 4, "1"), (3, 3, "2"), (4, 2, "3/2"), (5, 1, "3"),
+               (6, 2, "1/2"), (20, 4, "1/2"), (10, 4, "1/50")]
+
+
+def test_bounds_json_is_json_dumps_indent_2_of_the_terms(tmp_path):
+    seen = set()
+    for chi, n, mu in WRITER_GRID:
+        base = tmp_path / f"b{chi}_{n}"
+        assert main(["bounds", "--chi", str(chi), "--n", str(n), "--mu", mu,
+                     "--out", str(base)]) == 0
+        text = base.with_suffix(".json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert doc["pairs"] == [
+            {"a": a, "b": b, "s": s, "x": str(Fraction(1, c)), "y": str(y),
+             "z": str(z), "product": str(Fraction(z * y, c))}
+            for a, b, s, c, y, z in mu_pair_terms(chi, n, Fraction(mu))
+        ]
+        for q in doc["pairs"]:
+            if q["b"] == 0 and q["x"] == "1":
+                seen.add("b = 0")
+            if q["y"] == q["product"] == "0":
+                seen.add("y = 0, an integral product")
+        if not doc["pairs"]:
+            assert '"pairs": []' in text
+            seen.add("empty")
+    assert seen == {"b = 0", "y = 0, an integral product", "empty"}
+
+
+def test_quotient_is_the_fraction_text():
+    # the writer's X and product cells, integral quotients included
+    for p in range(0, 40):
+        for q in range(1, 13):
+            assert _quotient(p, q) == str(Fraction(p, q))
 
 
 def test_count_nabs_examples():

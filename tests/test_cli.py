@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 from expander_forge import _mincut_py, cli, spectra
 from expander_forge.cheeger import cheeger_exact, cheeger_exact_many
 from expander_forge.cli import main, parity_adjust
-from expander_forge.construct import balanced_boundary_subset, plant_trees, theta_base
+from expander_forge.construct import (
+    FamilySpec, balanced_boundary_subset, expander_family, plant_trees, theta_base
+)
 from expander_forge.errors import CertificationError, ExpanderForgeError
 from expander_forge.graph_core import from_text, is_connected, to_text
 from expander_forge.sampler import SampleConfig, sample_graph
@@ -480,22 +483,48 @@ def test_sample_parity_exit_2(tmp_path):
     assert code == 2
 
 
-ISOLATED = "G 2 2\nE v1 v2\n"  # isolated vertices: not a model graph
+ISOLATED = "G 2 2\nE v1 v2\n"  # interior vertices of degree 1: not a model graph
 LONE = "G 1 0\n"  # one vertex, no edge to split
+SHORT_HEADER = "G 2\n"
+BOUNDARY_PAIR = "G 1 3\nE v1 v1\nE v1 w1\nE w2 w3\n"  # every degree right
+BOUNDARY_LOOP = "G 2 2\nE v1 v2\nE v1 v2\nE v1 w1\nE v2 w2\nE w2 w2\n"
+BOUNDARY_OF_DEGREE_2 = "G 2 2\nE v1 v2\nE v1 v2\nE v1 w1\nE v2 w1\n"  # w2 unused
+
+BAD_GRAPH_ERRORS = {
+    ISOLATED: "interior vertex v1 has degree 1, not 3",
+    LONE: "interior vertex v1 has degree 0, not 3",
+    SHORT_HEADER: "expected a `G <chi> <n>` header, got 'G 2'",
+    "": "expected a `G <chi> <n>` header, got ''",
+    BOUNDARY_PAIR: "edge w2 w3 joins two boundary vertices",
+    BOUNDARY_LOOP: "edge w2 w2 joins two boundary vertices",
+    BOUNDARY_OF_DEGREE_2: "boundary vertex w1 has degree 2, not 1",
+}
 
 
 @pytest.mark.parametrize(
     "command,text",
     [("cheeger", ISOLATED), ("spectra", ISOLATED), ("split", ISOLATED),
-     ("spectra", LONE), ("split", LONE), ("cheeger", LONE)],
+     ("spectra", LONE), ("split", LONE), ("cheeger", LONE),
+     ("cheeger", SHORT_HEADER), ("split", ""), ("cheeger", BOUNDARY_PAIR),
+     ("spectra", BOUNDARY_LOOP), ("cheeger", BOUNDARY_OF_DEGREE_2)],
 )
 def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     assert main([command, str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {BAD_GRAPH_ERRORS[text]}\n"
+
+
+@pytest.mark.parametrize("theta", ["2", "5/2", "3"])
+def test_every_construct_graph_is_a_model_graph(tmp_path, theta):
+    spec = FamilySpec.from_theta(theta)
+    for g in range(1, 17):
+        graph = expander_family(spec, g).graph
+        path = tmp_path / f"g{g}.txt"
+        path.write_text(to_text(graph))
+        assert cli._read_graph(argparse.Namespace(graphfile=str(path))) == graph
 
 
 # K_{3,3} with one side named boundary: every degree is 3, so the genus
