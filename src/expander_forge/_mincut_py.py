@@ -47,21 +47,6 @@ def _bit_reverse(x: np.ndarray) -> np.ndarray:
     return _REV8[x.byteswap().view(np.uint8)].view(np.uint64)
 
 
-def _mask_connected(mask: int, adj: list[int]) -> bool:
-    if mask == 0:
-        return True
-    bit = mask & -mask
-    comp = bit
-    frontier = bit
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = adj[v] & mask & ~comp
-        comp |= new
-        frontier |= new
-    return comp == mask
-
-
 def stack_graphs(views: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The engine's input for graphs given as (adj, mult) bitmask views:
     adj as a (G, N) uint64 array, mult as a (G, N, N) int64 array, both
@@ -219,16 +204,13 @@ def min_ratio_cuts(inputs: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
 
     Each graph keeps its own best (s, k, mask) and its own bound.  A
     batch's rows that beat their graph's best are sorted by (graph, s,
-    lexicographic), and each graph's complement check runs in that order
-    until its first success.
+    lexicographic), and the first row of each graph becomes its best.
     """
     for _, _, nv, _ in inputs:
         if nv < 1 or nv > MAX_VERTICES:
             raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
-    adj_int = [[int(x) for x in adj] for adj, _, _, _ in inputs]
     adj, mult, nv = stack_graphs([(adj, mult) for adj, mult, _, _ in inputs])
     half = np.array([h for *_, h in inputs], dtype=np.int64)
-    full = [(1 << n) - 1 for n in nv.tolist()]
 
     best_s = np.zeros(len(inputs), dtype=np.int64)
     best_k = np.zeros(len(inputs), dtype=np.int64)
@@ -246,16 +228,14 @@ def min_ratio_cuts(inputs: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
             continue
         # ascending lexicographic order is descending bit-reversed mask
         idx = idx[np.lexsort((~_bit_reverse(S[idx]), s[idx], graph[idx]))]
-        done = -1
-        for g, mask, cut in zip(graph[idx].tolist(), S[idx].tolist(), s[idx].tolist()):
-            if g != done and _mask_connected(full[g] & ~mask, adj_int[g]):
-                best_s[g], best_k[g], best_mask[g] = cut, size, mask
-                done = g
+        g, first = np.unique(graph[idx], return_index=True)
+        idx = idx[first]
+        best_s[g], best_k[g], best_mask[g] = s[idx], size, S[idx]
     return list(zip(best_s.tolist(), best_k.tolist(), best_mask.tolist(), visited.tolist()))
 
 
 def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
-    """Exact min of boundary/|S| over doubly-connected S, |S| <= half.
+    """Exact min of boundary/|S| over connected S, |S| <= half.
 
     Returns (s, k, mask, visited): the minimum of the order (s/k, then k,
     then lexicographic, i.e. the lowest differing vertex in S wins) and the
@@ -265,5 +245,27 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
     (s, k, mask) does not depend on the enumeration order, nor on the
     other graphs of a min_ratio_cuts pass; visited does.  This is the
     one-graph call of min_ratio_cuts.
+
+    On a connected graph with half = |V| // 2 this is the Cheeger
+    certificate: the minimum S* of the same order over all S with
+    1 <= |S| <= |V|/2 is connected, and so is V - S*.
+    - S* is connected.  If S splits into parts A and B with no edge
+      between them, |boundary(S)| = |boundary(A)| + |boundary(B)|, so the
+      mediant gives min(ratio A, ratio B) <= ratio S; the better part is
+      also strictly smaller, so it precedes S.  (This holds at every half,
+      so the minimum over connected S is the minimum over all S.)
+    - V - S* is connected.  Suppose its components are C_1 .. C_r, r >= 2.
+      No edge joins two of them, so every edge of boundary(C_i) ends in
+      S*, and the |boundary(C_i)| sum to |boundary(S*)|.  If some
+      |C_j| > |V|/2, take i != j: S* + C_i has at most |V| - |C_j| < |V|/2
+      vertices and a cut smaller by |boundary(C_i)| >= 1 (the graph is
+      connected), so a strictly smaller ratio.  Otherwise every C_i is
+      admissible, and the mediant gives one with ratio
+      <= |boundary(S*)| / (|V| - |S*|) <= ratio S*.  Equality forces
+      |S*| = |V|/2 > |C_i|, so C_i precedes S* on size.  Either way S* is
+      not the minimum.
+    The bound-pruning stays sound: every interim best is a real cut, so
+    the best ratio never drops below the minimum, and ties are never
+    pruned.
     """
     return min_ratio_cuts([(adj_masks, mult_matrix, nv, half)])[0]

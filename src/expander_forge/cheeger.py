@@ -1,8 +1,9 @@
 """Exact Cheeger constants with witnesses, plus a spectral sweep upper bound.
 
-The exact search considers only subsets whose two sides are both connected
-(the connected-realizer reduction), with the batched bitmask kernel of
-_mincut_py.  The kernel prunes by the forced cut: it stops growing a subset
+The exact search minimises over connected subsets only, with the batched
+bitmask kernel of _mincut_py; that minimum is the definition's, and its
+witness has a connected complement too (_mincut_py.min_ratio_cut proves
+both).  The kernel prunes by the forced cut: it stops growing a subset
 once the edges to the vertices it may never add show that nothing it grows
 into can beat the best ratio so far.  Ties are never pruned, so the
 certificate, witness included, is the unpruned search's.  cheeger_exact
@@ -75,9 +76,9 @@ def _certificate(s: int, k: int, mask: int) -> CheegerCertificate:
 def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertificate:
     """Minimum of |boundary(S)|/|S| over subsets with |S| <= |V|/2.
 
-    By the connected-realizer reduction only subsets with both sides
-    connected are enumerated.  Ties break toward the smallest subset, then
-    lexicographically smallest vertex indices.
+    Only connected subsets are enumerated: the minimum over them is the
+    minimum over all subsets (_mincut_py.min_ratio_cut).  Ties break toward
+    the smallest subset, then lexicographically smallest vertex indices.
     """
     _searchable(g)
     nv = g.num_vertices

@@ -235,18 +235,12 @@ def cmd_construct(args) -> dict[Path, str]:
 
 
 def _read_graph(args) -> MultiGraph:
-    """The graph of a graph file, checked to be a model graph in one pass
-    over its edges: a `G <chi> <n>` header, interior vertices of degree 3
-    (a loop counts 2), boundary vertices of degree 1 and no edge between two
-    boundary vertices.  ExpanderForgeError (exit 2) names the first vertex
-    that breaks a rule."""
-    text = Path(args.graphfile).read_text()
-    header = next((ln.split() for ln in text.splitlines() if ln.strip()), [])
-    if len(header) != 3 or header[0] != "G" or not all(f.isdecimal() for f in header[1:]):
-        raise ExpanderForgeError(
-            f"expected a `G <chi> <n>` header, got {' '.join(header)!r}"
-        )
-    g = from_text(text)
+    """The graph of a graph file (from_text checks its `G <chi> <n>`
+    header), checked to be a model graph in one pass over its edges:
+    interior vertices of degree 3 (a loop counts 2), boundary vertices of
+    degree 1 and no edge between two boundary vertices.  ExpanderForgeError
+    (exit 2) names the first vertex that breaks a rule."""
+    g = from_text(Path(args.graphfile).read_text())
     degree = [0] * g.num_vertices
     for u, v in g.edges:  # u <= v: a boundary u makes v boundary too
         if u >= g.chi:

@@ -290,10 +290,12 @@ def to_text(g: MultiGraph) -> str:
 
 def from_text(text: str) -> MultiGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("G "):
-        raise ExpanderForgeError("missing `G <chi> <n>` header")
-    _, chi_s, n_s = lines[0].split()
-    chi, n = int(chi_s), int(n_s)
+    header = lines[0].split() if lines else []
+    if len(header) != 3 or header[0] != "G" or not all(f.isdecimal() for f in header[1:]):
+        raise ExpanderForgeError(
+            f"expected a `G <chi> <n>` header, got {' '.join(header)!r}"
+        )
+    chi, n = int(header[1]), int(header[2])
     idx = {name: i for i, name in enumerate(model_vertex_names(chi, n))}
     edges = []
     for ln in lines[1:]:

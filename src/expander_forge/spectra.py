@@ -92,7 +92,8 @@ def lambda1(g: MultiGraph) -> float:
 
 def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
     """The k smallest normalized-Laplacian eigenvalues, ascending: Lanczos
-    for the k largest eigenvalues of the flipped operator 2I - L.
+    for the k largest eigenvalues of the flipped operator 2I - L.  g is
+    connected and not one vertex, as lambda1 passes it, so no degree is 0.
 
     The start vector is fixed, so repeated calls agree bit for bit.  It is
     drawn at random because a constant vector is orthogonal to every
@@ -107,8 +108,6 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
         (np.ones(2 * g.num_edges), _adjacency_entries(g)), shape=(nv, nv)
     )
     deg = np.asarray(a.sum(axis=1)).ravel()
-    if np.any(deg == 0):
-        raise ExpanderForgeError("isolated vertex (degree 0)")
     dinv = scipy.sparse.diags(1.0 / np.sqrt(deg))
     lap = scipy.sparse.identity(nv) - dinv @ a @ dinv
     flipped = 2.0 * scipy.sparse.identity(nv) - lap

@@ -12,21 +12,6 @@ connected S with |S| <= half, an upper bound on the batched kernel's.
 from __future__ import annotations
 
 
-def _mask_connected(mask: int, adj: list[int]) -> bool:
-    if mask == 0:
-        return True
-    bit = mask & -mask
-    comp = bit
-    frontier = bit
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = adj[v] & mask & ~comp
-        comp |= new
-        frontier |= new
-    return comp == mask
-
-
 def _lex_less(a: int, b: int) -> bool:
     d = a ^ b
     if d == 0:
@@ -68,12 +53,12 @@ def connected_subsets(adj: list[int], mult: list[list[int]], half: int, visit):
 
 
 def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
-    """Exact min of boundary/|S| over doubly-connected S, |S| <= half."""
+    """Exact min of boundary/|S| over connected S, |S| <= half: the least
+    (s, k, mask) by ratio, then size, then lexicographic order."""
     if nv < 1 or nv > 63:
         raise ValueError("kernel supports 1..63 vertices")
     adj = [int(x) for x in adj_masks]
     mult = [[int(mult_matrix[i][j]) for j in range(nv)] for i in range(nv)]
-    full = (1 << nv) - 1
 
     best_s, best_k, best_mask = 0, 0, 0
     visited = 0
@@ -89,11 +74,8 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
             better = size < best_k
         else:
             better = _lex_less(S, best_mask)
-        if not better:
-            return
-        if not _mask_connected(full & ~S, adj):
-            return
-        best_s, best_k, best_mask = s, size, S
+        if better:
+            best_s, best_k, best_mask = s, size, S
 
     connected_subsets(adj, mult, half, consider)
     return best_s, best_k, best_mask, visited

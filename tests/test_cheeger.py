@@ -19,7 +19,13 @@ from expander_forge.cheeger import (
     cheeger_upper,
 )
 from expander_forge.errors import ExpanderForgeError, GuardExceededError
-from expander_forge.graph_core import HalfEdgePairing, MultiGraph, build_graph, is_connected
+from expander_forge.graph_core import (
+    HalfEdgePairing,
+    MultiGraph,
+    build_graph,
+    components,
+    is_connected,
+)
 from expander_forge.construct import (
     FamilySpec,
     expander_family,
@@ -86,7 +92,7 @@ SAMPLES_12 = _connected_samples(
 
 
 def test_pruned_search_matches_naive_oracle():
-    """Validates the both-sides-connected pruning on every sample <= 12:
+    """Validates the connected-subset search on every sample <= 12:
     the whole certificate, so the tie-break order too, not only h."""
     checked = 0
     for g in SAMPLES_12:
@@ -118,11 +124,20 @@ def _loopy_multigraphs(count, seed):
 
 CUBIC_22 = _connected_samples([(22, 0)], trials=6, seed=11)[:3]
 LOOPY = _loopy_multigraphs(25, seed=5)
+# two K4s joined through vertex 4, of degree 2, whose removal disconnects
+# the graph: at |S| <= 1 it is the best singleton (ratio 2, not 3)
+TWO_K4_CUT_VERTEX = MultiGraph(
+    chi=9,
+    n=0,
+    edges=tuple((u, v) for block in (range(4), range(5, 9))
+                for u in block for v in block if u < v) + ((3, 4), (4, 5)),
+)
 REFERENCE_GRAPHS = (
     SAMPLES_12
     + [plant_trees(k4_graph(), 2), plant_trees(theta_base(), 3)]
     + CUBIC_22
     + LOOPY
+    + [TWO_K4_CUT_VERTEX]
 )
 
 
@@ -151,6 +166,34 @@ def test_batched_kernel_matches_recursive_reference():
             *want, all_connected = reference_kernel.min_ratio_cut(adj, mult, nv, half)
             assert got == want, (g.edges, half, got, want)
             assert visited <= all_connected
+
+
+def test_kernels_minimise_over_connected_subsets():
+    """At |S| <= 1 the search takes the cut vertex, whose complement is
+    disconnected; at |V|/2 and |V| the minima are the definition's."""
+    adj, mult = _bitmask_inputs(TWO_K4_CUT_VERTEX)
+    for kernel in _kernels():
+        assert kernel(adj, mult, 9, 1)[:3] == (2, 1, 1 << 4)
+        assert kernel(adj, mult, 9, 4)[:3] == (1, 4, 0b1111)
+        assert kernel(adj, mult, 9, 9)[:3] == (0, 9, (1 << 9) - 1)
+    assert cheeger_exact(TWO_K4_CUT_VERTEX) == cheeger_exact_naive(TWO_K4_CUT_VERTEX)
+
+
+def test_every_witness_has_a_connected_complement():
+    """The theorem behind the search (_mincut_py.min_ratio_cut): at
+    |S| <= |V|/2 the certificate's witness, the least subset by ratio, size
+    and lexicographic order, is connected and so is its complement.
+    Checked with graph_core.components, not the engine's code, on every
+    REFERENCE_GRAPHS case, 400 random multigraphs and 40 connected samples
+    of F_{16,4}."""
+    samples_20 = _connected_samples([(16, 4)], trials=80, seed=21)[:40]
+    graphs = REFERENCE_GRAPHS + _random_multigraphs(400, seed=21) + samples_20
+    assert len(samples_20) == 40
+    for g, cert in zip(graphs, cheeger_exact_many(graphs, guard=63)):
+        nv = g.num_vertices
+        for side in (set(cert.witness), set(range(nv)) - set(cert.witness)):
+            inner = [(u, v) for u, v in g.edges if u in side and v in side]
+            assert len(components(nv, inner, side)) == 1, (g.edges, cert.witness)
 
 
 def test_cross_graph_kernel_matches_one_graph_calls():

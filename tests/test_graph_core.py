@@ -153,6 +153,11 @@ def test_from_text_errors():
         from_text("X 1 1\n")
     with pytest.raises(ExpanderForgeError):
         from_text("G 1 1\nE v1 z9\n")
+    for text, got in (("G 2\n", "'G 2'"), ("G a b\n", "'G a b'"), ("", "''"),
+                      ("G 1 -1\n", "'G 1 -1'"), ("G 1 1 1\n", "'G 1 1 1'")):
+        with pytest.raises(ExpanderForgeError) as err:
+            from_text(text)
+        assert str(err.value) == f"expected a `G <chi> <n>` header, got {got}"
 
 
 def test_relabel_canonical_reorders_roles():
