@@ -6,6 +6,10 @@ subsets costs a handful of array operations instead of one Python call per
 subset; on graphs of a few dozen vertices the fixed cost per batch
 dominates.  So the engine takes many graphs at once: each row carries the
 index of its graph, and one batch mixes the rows of many small graphs.
+Edges are counted as popcounts: each vertex has one uint64 neighbour mask
+per multiplicity level, the neighbours joined to it by more than k edges,
+so the edges from v into a mask are a sum of np.bitwise_count over the
+levels.
 bounds counts N_{a,b,s} with the complete enumeration.  cheeger runs
 min_ratio_cuts (min_ratio_cut for one graph), which hands the engine each
 graph's best ratio so far as a prune hook: each subset carries its forced
@@ -29,9 +33,8 @@ BATCH = 1024
 
 _ONE = np.uint64(1)
 _POW2 = _ONE << np.arange(64, dtype=np.uint64)
-# bit reversal of each byte, and the number of set bits in each byte
+# bit reversal of each byte
 _REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 # (size, graph, S, nbrs, s): one subset size, and per row its graph's index
 Batch = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -40,7 +43,7 @@ Bound = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 def popcount(x: np.ndarray) -> np.ndarray:
     """Set bits of each uint64 entry, as int64."""
-    return _POP8[x.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+    return np.bitwise_count(x).astype(np.int64)
 
 
 def _bit_reverse(x: np.ndarray) -> np.ndarray:
@@ -69,12 +72,14 @@ def _alive(f: np.ndarray, graph: np.ndarray, bound: Bound, half: np.ndarray) -> 
     return f * best_k[graph] <= best_s[graph] * half[graph]
 
 
-def _edges_into(masks: np.ndarray, nbv: np.ndarray, wv: np.ndarray) -> np.ndarray:
+def _edges_into(masks: np.ndarray, levels: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """e(mask, v) per row: the multiplicity of the edges from each row's
-    vertex v, with neighbour slots nbv and multiplicities wv, into its mask."""
-    inside = masks[:, None] >> nbv
-    inside &= _ONE
-    return (inside.view(np.int64) * wv).sum(axis=1)
+    vertex v (at row gv of the level masks) into its mask.  An edge of
+    multiplicity m is counted once in each of the levels 0 .. m-1."""
+    e = popcount(masks & levels[0, gv])
+    for level in levels[1:]:
+        e += np.bitwise_count(masks & level[gv])
+    return e
 
 
 def connected_subsets(
@@ -94,8 +99,8 @@ def connected_subsets(
     of both, zero-padded beyond its nv[i] vertices.  In a batch every row
     has |S| = size; graph (each row's graph index), S, nbrs (the union of
     adj over S) and s (|boundary(S)|) are arrays of equal length, at most
-    BATCH.  Neighbour slots, degrees and adj of vertex v of graph i are
-    read at row i*N + v of the flattened arrays.
+    BATCH.  The level masks (_edges_into), degrees and adj of vertex v of
+    graph i are read at row i*N + v of the flattened arrays.
 
     Each S grows from its least vertex r, with the vertices below r
     forbidden.  A row's candidates are its neighbours outside S and outside
@@ -126,18 +131,14 @@ def connected_subsets(
         return
     width_v = adj.shape[1]
     flat_adj = adj.reshape(-1)
-    # neighbour slots: the neighbours nb[i*N + v, j] of v in graph i,
-    # ascending, with multiplicities w[i*N + v, j]; padding slots have
-    # multiplicity 0
-    g_, u_, v_ = np.nonzero(mult)
-    node = g_ * width_v + u_
-    slot = np.arange(len(node)) - np.searchsorted(node, node)
-    width = int(slot.max()) + 1 if len(slot) else 1
-    nb = np.zeros((adj.size, width), dtype=np.uint8)
-    w = np.zeros((adj.size, width), dtype=np.int64)
-    nb[node, slot] = v_
-    w[node, slot] = mult[g_, u_, v_]
-    degw = w.sum(axis=1)
+    # level masks: levels[k, i*N + v] holds v's neighbours u in graph i
+    # with mult(v, u) > k
+    flat_mult = mult.reshape(-1, width_v)
+    levels = np.array([
+        np.bitwise_or.reduce(np.where(flat_mult > k, _POW2[:width_v], 0), axis=1)
+        for k in range(max(int(flat_mult.max()), 1))
+    ])
+    degw = flat_mult.sum(axis=1)
     # bytes of a little-endian mask that hold bits 0 .. N-1
     nbytes = (width_v + 7) // 8
 
@@ -146,7 +147,7 @@ def connected_subsets(
     graph, v = np.nonzero(np.arange(width_v) < nv[:, None])
     gv = graph * width_v + v
     # a root's forced cut: its edges to the vertices below it
-    f = np.where(nb[gv] < v[:, None], w[gv], 0).sum(axis=1) if bound else None
+    f = _edges_into(_POW2[v] - _ONE, levels, gv) if bound else None
     stack: list = []
 
     def push(size, graph, S, nbrs, forbidden, s, f):
@@ -172,13 +173,13 @@ def connected_subsets(
             cand.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :nbytes],
             axis=1, bitorder="little",
         )
-        row, v = np.divmod(np.flatnonzero(cand_bits), 8 * nbytes)
+        row, v = np.divmod(np.flatnonzero(cand_bits.view(bool)), 8 * nbytes)
         if not row.size:
             continue
         cg = graph[row]
         gv = cg * width_v + v
-        bit, nbv, wv = _POW2[v], nb[gv], w[gv]
-        eSv = _edges_into(S[row], nbv, wv)
+        bit = _POW2[v]
+        eSv = _edges_into(S[row], levels, gv)
         cF = forbidden[row] | (cand[row] & (bit - _ONE))
         cf = None
         if bound:
@@ -188,7 +189,7 @@ def connected_subsets(
             # of e(S, v) restarted there.
             before = np.cumsum(eSv) - eSv
             first = np.searchsorted(row, row)
-            eVF = _edges_into(cF, nbv, wv)
+            eVF = _edges_into(cF, levels, gv)
             cf = f[row] + before - before[first] + eVF
             keep = _alive(cf, cg, bound, half)
             if not keep.all():

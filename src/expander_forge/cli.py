@@ -237,10 +237,13 @@ def cmd_construct(args) -> dict[Path, str]:
 def _read_graph(args) -> MultiGraph:
     """The graph of a graph file (from_text checks its `G <chi> <n>`
     header), checked to be a model graph in one pass over its edges:
-    interior vertices of degree 3 (a loop counts 2), boundary vertices of
-    degree 1 and no edge between two boundary vertices.  ExpanderForgeError
-    (exit 2) names the first vertex that breaks a rule."""
+    at least one interior vertex, interior vertices of degree 3 (a loop
+    counts 2), boundary vertices of degree 1 and no edge between two
+    boundary vertices.  ExpanderForgeError (exit 2) names the first vertex
+    that breaks a rule."""
     g = from_text(Path(args.graphfile).read_text())
+    if not g.chi:
+        raise ExpanderForgeError("a model graph needs an interior vertex, got chi = 0")
     degree = [0] * g.num_vertices
     for u, v in g.edges:  # u <= v: a boundary u makes v boundary too
         if u >= g.chi:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_kernel
-from expander_forge import _mincut_py, cheeger
+from expander_forge import _mincut_py, cheeger, graph_core
 from expander_forge._mincut_py import min_ratio_cut as py_min_ratio_cut
 from expander_forge.cheeger import (
     DEFAULT_GUARD,
@@ -293,6 +293,71 @@ def test_fixed_bound_keeps_every_subset_at_or_below_it():
                 assert below <= got.keys(), (g.edges, half, (s_max, k_max))
                 pruned += len(got) < len(want)
     assert pruned > 100
+
+
+def _heavy_multigraphs(count, seed):
+    """Connected multigraphs on 2..16 vertices: a random spanning tree, a
+    few random extra edges, a loop, and one tree edge repeated until its
+    multiplicity is 3 to 5."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(2, 16)
+        edges = [(v, rng.randrange(v)) for v in range(1, nv)]
+        edges += [rng.choice(edges)] * rng.randint(2, 4)
+        edges += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 3))]
+        edges.append((rng.randrange(nv),) * 2)
+        out.append(MultiGraph(chi=nv, n=0, edges=tuple(edges)))
+    return out
+
+
+def test_level_masks_count_cuts_with_multiplicity():
+    """Each row the engine yields, unbounded and under a fixed bound, has
+    the cut graph_core.boundary_size counts, on multigraphs with loops and
+    edges of multiplicity 3 to 5 (theta_base's triple edge among them).
+    Unbounded, the rows are the reference's connected subsets; under the
+    bound (s, k), the rows with k |boundary(S)| <= s |S| are exactly the
+    connected S below it."""
+    graphs = [theta_base(), plant_trees(theta_base(), 2)] + _heavy_multigraphs(60, seed=25)
+    mults = [max(g.edges.count(e) for e in g.edges if e[0] != e[1]) for g in graphs]
+    assert {3, 4, 5} <= set(mults)
+    pruned = 0
+    for g in graphs:
+        adj, mult = _bitmask_inputs(g)
+        for half in _halves(g.num_vertices):
+            want = {}
+            reference_kernel.connected_subsets(
+                adj, mult, half, lambda S, size, s, nbrs: want.setdefault(S, size)
+            )
+            cut = {S: graph_core.boundary_size(g, _members(S)) for S in want}
+            ratios = sorted({Fraction(c, want[S]) for S, c in cut.items()})
+            r = ratios[len(ratios) // 2]
+            fixed = np.array([r.numerator]), np.array([r.denominator])
+            unbounded = _yielded(g, half)
+            assert unbounded.keys() == want.keys()
+            bounded = _yielded(g, half, lambda: fixed)
+            pruned += len(bounded) < len(want)
+            below = set()
+            for S, (size, s, _) in bounded.items():
+                assert (size, s) == (want[S], cut[S]), (g.edges, half, S)
+                if r.denominator * s <= r.numerator * size:
+                    below.add(S)
+            assert below == {S for S in want if r.denominator * cut[S] <= r.numerator * want[S]}
+            assert all(s == cut[S] for S, (_, s, _) in unbounded.items()), g.edges
+    assert pruned > 30
+
+
+def _members(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def test_popcount_matches_bit_count():
+    x = np.random.default_rng(3).integers(0, 2**64, size=2000, dtype=np.uint64)
+    x[:3] = 0, 2**63, 2**64 - 1
+    assert (x >> np.uint64(63)).sum() > 900
+    got = _mincut_py.popcount(x)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v.bit_count() for v in x.tolist()]
 
 
 def _random_multigraphs(count, seed):

@@ -517,6 +517,19 @@ def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text
     assert captured.err == f"error: {BAD_GRAPH_ERRORS[text]}\n"
 
 
+@pytest.mark.parametrize("command", ["spectra", "cheeger", "split"])
+@pytest.mark.parametrize("text", ["G 0 0\n", "G 0 2\nE w1 w2\n"])
+def test_graph_without_interior_vertex_exit_2(tmp_path, capsys, command, text):
+    """`G 0 0` has no vertex at all: spectra used to report it connected
+    of genus 1.  Without an interior vertex no file is a model graph."""
+    bad = tmp_path / "empty.txt"
+    bad.write_text(text)
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a model graph needs an interior vertex, got chi = 0\n"
+
+
 @pytest.mark.parametrize("theta", ["2", "5/2", "3"])
 def test_every_construct_graph_is_a_model_graph(tmp_path, theta):
     spec = FamilySpec.from_theta(theta)
