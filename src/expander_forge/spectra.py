@@ -13,13 +13,21 @@ answers the spectral gap alone: 0 for a disconnected graph, with no solve,
 else entry 1 of `laplacian_spectrum` below LANCZOS_FROM vertices and a
 sparse Lanczos solve from there on.
 
-scipy is imported inside the two functions that call it, the sparse
-Lanczos solve and the Cholesky solve, so commands that never call them do
-not pay for it.
+Each dense matrix is built in one nv x nv allocation, straight from the
+edge list.  One threshold, LANCZOS_FROM, selects both sparse routes: from
+there on `lambda1` is a Lanczos solve and the Steklov interior block
+L_II is factored by a sparse LU, so neither builds a dense nv x nv array.
+Below it the Steklov route is one dense Laplacian, sliced, and a Cholesky
+factorization.
+
+scipy is imported inside the functions that call it, the sparse solves
+and the Cholesky solve, so commands that never call them do not pay for
+it.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -29,11 +37,15 @@ from .graph_core import MultiGraph, is_connected, topology
 
 DEFAULT_TOL = 1e-9
 DENSE_LIMIT = 2000
-# From this many vertices one Lanczos solve plus a cold import of
-# scipy.sparse.linalg (0.26-0.33 s) beats one dense eigvalsh, so `lambda1`
-# never makes a process slower.  1 BLAS thread, 2-core host: dense 261,
-# 319 and 403 ms against Lanczos 16, 25 and 30 ms at 1230, 1332 and 1434
-# vertices.
+# From this many vertices `lambda1` and `steklov_spectrum` take their
+# sparse routes.  One Lanczos solve plus a cold import of
+# scipy.sparse.linalg (0.26-0.33 s) beats one dense eigvalsh from here, so
+# `lambda1` never makes a process slower.  1 BLAS thread, 2-core host:
+# dense 261, 319 and 403 ms against Lanczos 16, 25 and 30 ms at 1230, 1332
+# and 1434 vertices.  The Steklov solves cross earlier, warm: dense
+# Cholesky 2.7, 24 and 56 ms against sparse LU 2.3, 8.2 and 15 ms at 420,
+# 1030 and 1436 vertices.  Steklov keeps this one threshold, so every
+# output below it stays what the dense route computes.
 LANCZOS_FROM = 1400
 
 
@@ -44,24 +56,45 @@ def _adjacency_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((e[:, 0], e[:, 1])), np.concatenate((e[:, 1], e[:, 0]))
 
 
-def _adjacency(g: MultiGraph) -> np.ndarray:
-    a = np.zeros((g.num_vertices, g.num_vertices))
-    np.add.at(a, _adjacency_entries(g), 1.0)
-    return a
-
-
 def normalized_laplacian(g: MultiGraph) -> np.ndarray:
-    a = _adjacency(g)
-    deg = a.sum(axis=1)
+    """I - D^{-1/2} A D^{-1/2}, dense, in one allocation: the adjacency
+    counts are summed in place, then scaled at their non-zeros as
+    (dinv[u] * a) * dinv[v], and 1 is added on the diagonal."""
+    nv = g.num_vertices
+    rows, cols = _adjacency_entries(g)
+    lap = np.zeros((nv, nv))
+    np.add.at(lap, (rows, cols), 1.0)
+    deg = np.bincount(rows, minlength=nv)
     if np.any(deg == 0):
         raise ExpanderForgeError("isolated vertex (degree 0)")
     dinv = 1.0 / np.sqrt(deg)
-    return np.eye(g.num_vertices) - dinv[:, None] * a * dinv[None, :]
+    lap[rows, cols] = -(dinv[rows] * lap[rows, cols]) * dinv[cols]
+    lap.reshape(-1)[:: nv + 1] += 1.0
+    return lap
 
 
 def combinatorial_laplacian(g: MultiGraph) -> np.ndarray:
-    a = _adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    """L = D - A, dense, in one allocation."""
+    nv = g.num_vertices
+    rows, cols = _adjacency_entries(g)
+    lap = np.zeros((nv, nv))
+    np.add.at(lap, (rows, cols), -1.0)
+    lap.reshape(-1)[:: nv + 1] += np.bincount(rows, minlength=nv)
+    return lap
+
+
+def _sparse_laplacian(g: MultiGraph):
+    """L = D - A as a scipy CSC array; repeated entries are summed."""
+    import scipy.sparse
+
+    nv = g.num_vertices
+    rows, cols = _adjacency_entries(g)
+    diag = np.arange(nv)
+    data = np.concatenate((np.full(len(rows), -1.0), np.bincount(rows, minlength=nv)))
+    return scipy.sparse.csc_array(
+        (data, (np.concatenate((rows, diag)), np.concatenate((cols, diag)))),
+        shape=(nv, nv),
+    )
 
 
 def laplacian_spectrum(g: MultiGraph) -> tuple[float, ...]:
@@ -122,37 +155,71 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
     return np.sort(2.0 - vals)
 
 
-def _dirichlet_solve(lap_ii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lap_ii^{-1} rhs for the interior block lap_ii of a Laplacian;
-    SolverError when it is not positive definite (a component without
-    boundary)."""
+def _cholesky_solve(lap_ii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lap_ii^{-1} rhs by a dense Cholesky factorization, made in place on
+    a fresh Fortran-ordered copy of lap_ii; SolverError when lap_ii is not
+    positive definite."""
     import scipy.linalg
 
     try:
-        cho = scipy.linalg.cho_factor(lap_ii)
+        cho = scipy.linalg.cho_factor(
+            np.array(lap_ii, order="F"), overwrite_a=True, check_finite=False
+        )
     except np.linalg.LinAlgError as exc:
         raise SolverError("interior Dirichlet block not SPD") from exc
-    return scipy.linalg.cho_solve(cho, rhs)
+    return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+
+
+def _lu_solve(lap_ii, rhs: np.ndarray) -> np.ndarray:
+    """lap_ii^{-1} rhs for a sparse CSC lap_ii, by SuperLU under a
+    minimum-degree ordering of lap_ii + lap_ii^T; SolverError when SuperLU
+    fails.  lap_ii is positive definite, so the diagonal pivots are taken
+    without row interchanges, as in a Cholesky factorization."""
+    import scipy.sparse.linalg
+
+    try:
+        lu = scipy.sparse.linalg.splu(
+            lap_ii, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SolverError(f"interior Dirichlet block: {exc}") from exc
+    return lu.solve(rhs)
+
+
+def _dirichlet_blocks(g: MultiGraph):
+    """(solve, lap_ib, lap_bb) for L = D - A split at the chi interior
+    vertices: L_IB and L_BB dense, and solve(rhs) = L_II^{-1} rhs by
+    Cholesky of the sliced dense L below LANCZOS_FROM vertices, by SuperLU
+    of a sparse L from there on."""
+    chi = g.chi
+    if g.num_vertices < LANCZOS_FROM:
+        lap = combinatorial_laplacian(g)
+        return partial(_cholesky_solve, lap[:chi, :chi]), lap[:chi, chi:], lap[chi:, chi:]
+    lap = _sparse_laplacian(g)
+    return (
+        partial(_lu_solve, lap[:chi, :chi]),
+        lap[:chi, chi:].toarray(),
+        lap[chi:, chi:].toarray(),
+    )
 
 
 def steklov_spectrum(g: MultiGraph) -> tuple[float, ...]:
     """The Steklov spectrum, ascending, via the Schur complement of L = D - A.
 
     Requires a connected graph with at least one boundary vertex.  The
-    interior Dirichlet block is positive definite for such graphs; a failed
-    Cholesky factorization, sigma_0 away from 0 or sigma_1 within tol of 0
-    is reported as an internal inconsistency (SolverError).
+    interior Dirichlet block is positive definite for such graphs and is
+    factored as `_dirichlet_blocks` says; a failed factorization, sigma_0
+    away from 0 or sigma_1 within tol of 0 is reported as an internal
+    inconsistency (SolverError).
     """
     if not is_connected(g):
         raise ExpanderForgeError("Steklov spectrum requires a connected graph")
     if not g.n:
         raise ExpanderForgeError("Steklov spectrum requires n >= 1")
-    chi = g.chi
-    lap = combinatorial_laplacian(g)
-    lap_ib = lap[:chi, chi:]
-    schur = lap[chi:, chi:]
-    if chi:
-        schur = schur - lap_ib.T @ _dirichlet_solve(lap[:chi, :chi], lap_ib)
+    solve, lap_ib, schur = _dirichlet_blocks(g)
+    if g.chi:
+        schur = schur - lap_ib.T @ solve(lap_ib)
     eigs = tuple(np.linalg.eigvalsh((schur + schur.T) / 2.0).tolist())
     if abs(eigs[0]) > DEFAULT_TOL * max(1.0, abs(eigs[-1])):
         raise SolverError(f"sigma_0 = {eigs[0]} not 0 within tol")
@@ -168,11 +235,15 @@ def harmonic_extension(g: MultiGraph, boundary_values: Sequence[float]) -> np.nd
     if len(boundary_values) != g.n:
         raise ExpanderForgeError("boundary data length mismatch")
     chi = g.chi
+    # a component without boundary makes L_II singular; SuperLU can factor
+    # it with a rounding-noise pivot instead of failing, so check the graph
+    if any(max(c) < chi for c in g.components):
+        raise SolverError("interior Dirichlet block singular: a component has no boundary")
     f = np.zeros(g.num_vertices)
     f[chi:] = boundary_values
     if chi:
-        lap = combinatorial_laplacian(g)
-        f[:chi] = _dirichlet_solve(lap[:chi, :chi], -lap[:chi, chi:] @ f[chi:])
+        solve, lap_ib, _ = _dirichlet_blocks(g)
+        f[:chi] = solve(-lap_ib @ f[chi:])
     return f
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -464,15 +465,30 @@ def test_sample_lanczos_failure_exit_2_without_traceback(tmp_path, monkeypatch, 
 
 def test_sample_above_threshold_never_builds_the_dense_laplacian(tmp_path, monkeypatch):
     def dense(g):
-        raise AssertionError("dense normalized Laplacian built")
+        raise AssertionError("dense Laplacian built")
 
     monkeypatch.setattr(spectra, "normalized_laplacian", dense)
+    monkeypatch.setattr(spectra, "combinatorial_laplacian", dense)
     out = tmp_path / "big.csv"
     argv = ["sample", "--chi", "1500", "--n", "38", "--trials", "1", "--seed", "0"]
     assert 1538 >= spectra.LANCZOS_FROM
     assert main(argv + ["--out", str(out)]) == 0
     row = out.read_text().splitlines()[1].split(",")
     assert row[1] == "1" and 0.0 < float(row[2]) < 2.0  # a connected trial
+    assert 0.0 < float(row[3])  # and its sigma1
+    # the Steklov solve of that trial allocates far less than one dense
+    # 1538 x 1538 float64 array (18.9 MB); tracemalloc sees numpy's
+    # allocations, not SuperLU's own factor storage
+    g = sample_graph(SampleConfig(chi=1500, n=38, trials=1, seed=0), 0)
+    spectra.steklov_spectrum(g)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        spectra.steklov_spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_bytes = 8 * g.num_vertices**2
+    assert peak < dense_bytes / 8
 
 
 def test_sample_parity_exit_2(tmp_path):

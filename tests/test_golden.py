@@ -1,17 +1,17 @@
 """Golden digests of the construction outputs, of the small-genus chain,
 of the tree-split descent, of the first-moment tables, of the Monte Carlo
-sweep and of `sample` below the Lanczos threshold.
+sweep and of `sample` on both sides of the sparse-solve threshold.
 
 Any change to a family member, a manifest row, a two-tree split, a
-balanced subset, a `bounds` CSV/JSON, a `sweep` CSV or a `sample` CSV of
-graphs under spectra.LANCZOS_FROM vertices changes them; outputs must stay
-byte-identical.
+balanced subset, a `bounds` CSV/JSON, a `sweep` CSV or a `sample` CSV
+changes them; outputs must stay byte-identical.
 """
 
 import hashlib
 
 import pytest
 
+from expander_forge import spectra
 from expander_forge.cli import main
 from expander_forge.construct import (
     _first_connected_member,
@@ -100,6 +100,14 @@ SAMPLE_DIGESTS = {
 }
 
 
+# the same from spectra.LANCZOS_FROM vertices on (1538 here), recorded
+# when sigma1 came from a dense Cholesky solve: the sparse LU solve moves
+# it by rounding only, below the CSV's 12 significant digits
+SAMPLE_SPARSE_DIGESTS = {
+    (1500, 38, 2, 0): "1b97e2fab1284a0b42eb76bf718125df69496373a7d8a49846b59b812807fede",
+}
+
+
 @pytest.mark.parametrize("theta", sorted(CONSTRUCT_DIGESTS))
 def test_construct_outputs_match_golden(tmp_path, theta):
     out = tmp_path / "family"
@@ -160,10 +168,21 @@ def test_sweep_output_matches_golden(tmp_path, rule):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[rule]
 
 
-@pytest.mark.parametrize("chi,n,trials,seed", sorted(SAMPLE_DIGESTS))
-def test_sample_output_below_lanczos_threshold_matches_golden(tmp_path, chi, n, trials, seed):
+def _sample_digest(tmp_path, chi, n, trials, seed) -> str:
     out = tmp_path / "sample.csv"
     argv = ["sample", "--chi", str(chi), "--n", str(n), "--trials", str(trials)]
     assert main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("chi,n,trials,seed", sorted(SAMPLE_DIGESTS))
+def test_sample_output_below_lanczos_threshold_matches_golden(tmp_path, chi, n, trials, seed):
+    digest = _sample_digest(tmp_path, chi, n, trials, seed)
     assert digest == SAMPLE_DIGESTS[chi, n, trials, seed]
+
+
+@pytest.mark.parametrize("chi,n,trials,seed", sorted(SAMPLE_SPARSE_DIGESTS))
+def test_sample_output_above_lanczos_threshold_matches_golden(tmp_path, chi, n, trials, seed):
+    assert chi + n >= spectra.LANCZOS_FROM
+    digest = _sample_digest(tmp_path, chi, n, trials, seed)
+    assert digest == SAMPLE_SPARSE_DIGESTS[chi, n, trials, seed]

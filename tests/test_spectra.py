@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expander_forge import spectra
-from expander_forge.construct import add_loops, petersen_graph, plant_trees
+from expander_forge.construct import add_loops, heawood_graph, petersen_graph, plant_trees
 from expander_forge.errors import ExpanderForgeError, SolverError
 from expander_forge.graph_core import (
     HalfEdgePairing,
@@ -16,7 +16,9 @@ from expander_forge.sampler import SampleConfig, sample_graph
 from expander_forge.spectra import (
     DENSE_LIMIT,
     LANCZOS_FROM,
+    _lu_solve,
     _smallest_eigs_iterative,
+    combinatorial_laplacian,
     harmonic_extension,
     lambda1,
     laplacian_spectrum,
@@ -32,6 +34,10 @@ TOL = 1e-9
 STAR = build_graph(HalfEdgePairing(chi=1, n=3, pairs=((1, 4), (2, 5), (3, 6))))
 THETA = build_graph(HalfEdgePairing(chi=2, n=0, pairs=((1, 4), (2, 5), (3, 6))))
 LOOP_PENDANT = build_graph(HalfEdgePairing(chi=1, n=1, pairs=((1, 4), (2, 3))))
+# not a model graph: a triple edge between vertices of degrees 3 and 5, where
+# (dinv[u] * 3) * dinv[v] and (dinv[u] * dinv[v]) * 3 round apart; at a
+# model graph's triple edge both ends have degree 3 and they agree
+FAT_THETA = MultiGraph(chi=2, n=2, edges=((0, 1), (0, 1), (0, 1), (1, 2), (1, 3)))
 
 
 def star_graph(leaves: int) -> MultiGraph:
@@ -289,3 +295,114 @@ def test_report_json_lambda1_is_the_dense_entry_on_disconnected_graph():
     assert rep["lambda1"] == rep["lambda"][1]
     assert rep["lambda"] == list(laplacian_spectrum(g))
     assert rep["sigma"] == [] and rep["sigma1"] is None
+
+
+def _dense_adjacency(g: MultiGraph) -> np.ndarray:
+    a = np.zeros((g.num_vertices, g.num_vertices))
+    for u, v in g.edges:
+        a[u, v] += 1.0
+        a[v, u] += 1.0  # a loop adds 2
+    return a
+
+
+def _oracle_normalized_laplacian(g: MultiGraph) -> np.ndarray:
+    a = _dense_adjacency(g)
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    return np.eye(g.num_vertices) - dinv[:, None] * a * dinv[None, :]
+
+
+def _oracle_combinatorial_laplacian(g: MultiGraph) -> np.ndarray:
+    a = _dense_adjacency(g)
+    return np.diag(a.sum(axis=1)) - a
+
+
+def _planted_with_loops() -> list[MultiGraph]:
+    out = []
+    for base, k in [(petersen_graph(), 2), (heawood_graph(), 2), (petersen_graph(), 5)]:
+        planted = plant_trees(base, k)
+        out.append(add_loops(planted, planted.boundary_indices()[1::2]))
+    return out
+
+
+def _sampled(combos, seed) -> list[MultiGraph]:
+    return [
+        sample_graph(SampleConfig(chi=chi, n=n, trials=trials, seed=seed), t)
+        for chi, n, trials in combos
+        for t in range(trials)
+    ]
+
+
+def test_laplacians_are_bit_identical_to_the_dense_adjacency_oracle():
+    sampled = _sampled([(16, 4, 6), (60, 8, 4), (200, 20, 4), (400, 20, 3), (580, 20, 3)], seed=3)
+    assert len(sampled) == 20
+    assert {g.num_vertices for g in sampled} <= set(range(20, 601))
+    assert not all(is_connected(g) for g in sampled)
+    # a builder that scales as dinv * dinv * a fails only on FAT_THETA: the
+    # two orders agree exactly at counts 1, 2 and 4, and at degrees 3 and 3
+    d3, d5 = 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(5.0)
+    assert (d3 * 3.0) * d5 != (d3 * d5) * 3.0
+    graphs = [STAR, THETA, LOOP_PENDANT, FAT_THETA, *_planted_with_loops(), *sampled]
+    for g in graphs:
+        lap = normalized_laplacian(g)
+        assert lap.dtype == np.float64 and lap.flags.c_contiguous
+        assert np.array_equal(lap, _oracle_normalized_laplacian(g))
+        assert np.array_equal(combinatorial_laplacian(g), _oracle_combinatorial_laplacian(g))
+
+
+def test_sparse_steklov_route_matches_the_dense_one(monkeypatch):
+    sampled = _sampled([(60, 6, 2), (150, 12, 2), (300, 16, 2), (560, 40, 2)], seed=8)
+    graphs = [g for g in [*sampled, *_planted_with_loops()] if is_connected(g)]
+    assert len(graphs) >= 8
+    assert all(60 <= g.num_vertices <= 600 for g in graphs)
+    rng = np.random.default_rng(4)
+    for g in graphs:
+        data = rng.normal(size=g.n)
+        routes = []
+        for threshold in (10**9, 50):  # dense, then sparse
+            monkeypatch.setattr(spectra, "LANCZOS_FROM", threshold)
+            routes.append((np.array(steklov_spectrum(g)), harmonic_extension(g, data)))
+        for dense, sparse in zip(*routes):
+            assert np.allclose(sparse, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
+
+
+def test_sparse_route_never_builds_a_dense_laplacian(monkeypatch):
+    def dense(g):
+        raise AssertionError("dense Laplacian built")
+
+    (g,) = _connected_samples([(300, 16)], 1, seed=2)
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", 50)
+    monkeypatch.setattr(spectra, "combinatorial_laplacian", dense)
+    assert len(steklov_spectrum(g)) == 16
+    assert harmonic_extension(g, np.ones(16)) == pytest.approx(np.ones(g.num_vertices))
+
+
+def test_superlu_failure_is_solver_error(monkeypatch):
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    # the interior block of a theta without boundary: exactly singular
+    singular = scipy.sparse.csc_array(np.array([[3.0, -3.0], [-3.0, 3.0]]))
+    with pytest.raises(SolverError):
+        _lu_solve(singular, np.ones((2, 1)))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    (g,) = _connected_samples([(100, 8)], 1, seed=2)
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", 50)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
+    with pytest.raises(SolverError):
+        steklov_spectrum(g)
+
+
+def test_harmonic_extension_without_boundary_component_is_solver_error(monkeypatch):
+    # a closed cubic component of 60 vertices beside a star: SuperLU factors
+    # its singular interior block with a rounding-noise pivot instead of
+    # failing, where Cholesky fails; both routes must report it
+    (closed,) = _sampled([(60, 0, 1)], seed=0)
+    assert len(closed.components) == 1
+    g = MultiGraph(chi=61, n=3, edges=closed.edges + ((60, 61), (60, 62), (60, 63)))
+    for threshold in (10**9, 50):
+        monkeypatch.setattr(spectra, "LANCZOS_FROM", threshold)
+        with pytest.raises(SolverError):
+            harmonic_extension(g, [1.0, 2.0, 3.0])
