@@ -12,9 +12,11 @@ serial execution therefore produce identical trial streams.
 
 Monte Carlo connectivity draws each trial under that contract and decides
 connectivity a block of trials at a time: one sparse connected-components
-call on the disjoint union of the block's graphs, so batching changes no
-draw and no verdict.  scipy is imported inside `_connected_trials`, where
-it is called, so commands that never call it do not pay for it.
+call on the disjoint union of the block's interior multigraphs, a CSR read
+straight off the paired labels, so batching changes no draw and no
+verdict.  Exhaustive enumeration feeds its pairings to the same kernel.
+scipy is imported inside `_interior_connected`, where it is called, so
+commands that never call it do not pay for it.
 """
 
 from __future__ import annotations
@@ -22,21 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .errors import GuardExceededError
-from .graph_core import (
-    HalfEdgePairing,
-    build_graph,
-    check_parity,
-    is_connected,
-    label_to_vertex,
-)
+from .graph_core import HalfEdgePairing, build_graph, check_parity
 
 ENUM_GUARD = 10**7
-# Vertices per block of Monte Carlo trials (at least one trial per block);
+# Interior vertices per block of trials (at least one trial per block);
 # bounds the working set of the batched connectivity check.
 BLOCK_VERTICES = 4096
 # Two-sided 95% normal quantile, for the Wilson and Monte Carlo intervals.
@@ -112,40 +109,63 @@ def sample_graph(cfg: SampleConfig, trial_index: int):
     return build_graph(sample_partition(cfg, trial_index))
 
 
-def _connected_trials(cfg: SampleConfig) -> np.ndarray:
-    """Connectivity of the sampled graphs of trials 0..cfg.trials-1, as a
-    bool array in trial order, without building a MultiGraph.
+def _interior_connected(pairs: np.ndarray, chi: int) -> np.ndarray:
+    """Connectivity of k good partitions of F_{chi,n}, given as a (k, m, 2)
+    array of their 1-based label pairs, as a bool array of length k.
 
-    Each block of trials becomes one graph: trial i of the block occupies
-    vertices i*(chi+n) .. (i+1)*(chi+n)-1.  Components never straddle two
-    trials, so a trial is connected exactly when one component lies in it.
+    Only the interior multigraph is built, and that suffices.  A good
+    partition never pairs two boundary labels, so every boundary vertex is
+    a leaf on the interior vertex that owns its partner label; removing
+    leaves changes no connectivity, and chi >= 1 (check_parity) leaves an
+    interior vertex.  So G is connected exactly when its interior multigraph
+    is, and pairs that touch a label above 3*chi are dropped wherever they
+    sit.
+
+    Label l of partition i is row entry i*3*chi + l - 1 of one CSR with
+    three entries per interior vertex: the vertex that owns its partner
+    label, or its own vertex when that partner is a boundary label.
+    Components never straddle two partitions, so partition i is connected
+    exactly when its chi vertices share one component label.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    chi, nv = cfg.chi, cfg.chi + cfg.n
-    per_block = max(1, BLOCK_VERTICES // nv)
+    k = len(pairs)
+    size = 3 * chi * k
+    # a pair (l, b) with b a boundary label becomes (l, l): l points at its
+    # own vertex, as it would with the pair dropped
+    pairs = np.where(pairs > 3 * chi, pairs[..., ::-1], pairs)
+    labels = pairs - 1 + (3 * chi * np.arange(k))[:, None, None]
+    partner = np.arange(size, dtype=np.int32)
+    partner[labels[..., 0]] = labels[..., 1]
+    partner[labels[..., 1]] = labels[..., 0]
+    # float64 data and int32 indices, the dtypes csgraph works in: no conversion
+    graph = csr_array(
+        (np.ones(size), partner // 3, np.arange(0, size + 1, 3, dtype=np.int32)),
+        shape=(chi * k, chi * k),
+    )
+    _, component = connected_components(graph, directed=False)
+    component = component.reshape(k, chi)
+    return (component == component[:, :1]).all(axis=1)
+
+
+def _connected_trials(cfg: SampleConfig) -> np.ndarray:
+    """Connectivity of the sampled graphs of trials 0..cfg.trials-1, as a
+    bool array in trial order, without building a MultiGraph: each block
+    of trials, up to BLOCK_VERTICES interior vertices, is one
+    `_interior_connected` call on its interior pairs."""
+    chi, n = cfg.chi, cfg.n
+    per_block = max(1, BLOCK_VERTICES // chi)
     verdicts = np.empty(cfg.trials, dtype=bool)
     for start in range(0, cfg.trials, per_block):
         stop = min(start + per_block, cfg.trials)
         pairs = np.stack(
             [
-                _sample_label_pairs(chi, cfg.n, trial_rng(cfg.seed, t))
+                _sample_label_pairs(chi, n, trial_rng(cfg.seed, t))[n:]
                 for t in range(start, stop)
             ]
-        )  # (trials, edges, 2)
-        offsets = nv * np.arange(stop - start)
-        edges = (label_to_vertex(pairs, chi) + offsets[:, None, None]).reshape(-1, 2)
-        size = nv * (stop - start)
-        graph = coo_matrix(
-            (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
-            shape=(size, size),
-        )
-        n_comp, labels = connected_components(graph, directed=False)
-        trial_of_component = np.empty(n_comp, dtype=np.int64)
-        trial_of_component[labels] = np.arange(size) // nv
-        components_per_trial = np.bincount(trial_of_component, minlength=stop - start)
-        verdicts[start:stop] = components_per_trial == 1
+        )  # (trials, interior edges, 2)
+        verdicts[start:stop] = _interior_connected(pairs, chi)
     return verdicts
 
 
@@ -207,10 +227,13 @@ def enumerate_family(chi: int, n: int) -> Iterator[HalfEdgePairing]:
 
 def exact_connectivity_fraction(chi: int, n: int) -> Fraction:
     """Connected fraction of the family by exhaustive enumeration, within
-    ENUM_GUARD."""
+    ENUM_GUARD: blocks of up to BLOCK_VERTICES interior vertices of
+    enumerated pairings, each one `_interior_connected` call."""
+    pairings = enumerate_family(chi, n)
+    per_block = max(1, BLOCK_VERTICES // chi)
     total = 0
     connected = 0
-    for p in enumerate_family(chi, n):
-        total += 1
-        connected += is_connected(build_graph(p))
+    while block := [p.pairs for p in islice(pairings, per_block)]:
+        total += len(block)
+        connected += int(_interior_connected(np.array(block), chi).sum())
     return Fraction(connected, total)

@@ -2,14 +2,16 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from expander_forge.errors import GuardExceededError, ParityError
-from expander_forge.graph_core import is_connected, validate_partition
+from expander_forge.graph_core import build_graph, is_connected, validate_partition
 from expander_forge.sampler import (
     BLOCK_VERTICES,
     SampleConfig,
     _connected_trials,
+    _interior_connected,
     count_family,
     enumerate_family,
     estimate_connectivity,
@@ -101,9 +103,9 @@ def test_sampled_pairs_are_pinned():
         pytest.param(16, 4, 150, id="16-4"),
         pytest.param(50, 18, 150, id="50-18"),
         pytest.param(400, 100, 150, id="400-100"),
-        # several blocks of BLOCK_VERTICES // 20 trials, the last one partial
-        pytest.param(16, 4, 2 * (BLOCK_VERTICES // 20) + 7, id="several-blocks"),
-        # chi + n above the block cap: one trial per block
+        # several blocks of BLOCK_VERTICES // 16 trials, the last one partial
+        pytest.param(16, 4, 2 * (BLOCK_VERTICES // 16) + 7, id="several-blocks"),
+        # two trials' chi above the block cap: one trial per block
         pytest.param(4000, 800, 12, id="one-trial-per-block"),
         pytest.param(16, 4, 1, id="one-trial"),
     ],
@@ -118,6 +120,27 @@ def test_trial_connectivity_follows_the_rng_contract(chi, n, trials):
     assert verdicts.tolist() == expected
     if trials > 1:
         assert True in expected and False in expected
+
+
+@pytest.mark.parametrize(
+    "chi,n",
+    [
+        pytest.param(1, 3, id="star"),  # n = 3*chi: connected
+        pytest.param(2, 6, id="two-stars"),  # n = 3*chi: disconnected
+        pytest.param(1, 1, id="loop"),
+        # families with triple edges
+        pytest.param(2, 0, id="2-0"),
+        pytest.param(3, 1, id="3-1"),
+        pytest.param(3, 3, id="3-3"),
+        pytest.param(4, 0, id="4-0"),
+    ],
+)
+def test_interior_graph_decides_connectivity(chi, n):
+    """The interior-multigraph kernel, on every member of the family in one
+    call, gives the verdict of the whole graph, boundary leaves included."""
+    pairings = list(enumerate_family(chi, n))
+    verdicts = _interior_connected(np.array([p.pairs for p in pairings]), chi)
+    assert verdicts.tolist() == [is_connected(build_graph(p)) for p in pairings]
 
 
 def test_exact_connectivity_small_families():
