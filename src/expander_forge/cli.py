@@ -235,29 +235,10 @@ def cmd_construct(args) -> dict[Path, str]:
 
 
 def _read_graph(args) -> MultiGraph:
-    """The graph of a graph file (from_text checks its `G <chi> <n>`
-    header), checked to be a model graph in one pass over its edges:
-    at least one interior vertex, interior vertices of degree 3 (a loop
-    counts 2), boundary vertices of degree 1 and no edge between two
-    boundary vertices.  ExpanderForgeError (exit 2) names the first vertex
-    that breaks a rule."""
+    """The graph of a graph file, checked by from_text (its records) and
+    topology (the model-graph rule); ExpanderForgeError (exit 2) otherwise."""
     g = from_text(Path(args.graphfile).read_text())
-    if not g.chi:
-        raise ExpanderForgeError("a model graph needs an interior vertex, got chi = 0")
-    degree = [0] * g.num_vertices
-    for u, v in g.edges:  # u <= v: a boundary u makes v boundary too
-        if u >= g.chi:
-            raise ExpanderForgeError(
-                f"edge {g.names[u]} {g.names[v]} joins two boundary vertices"
-            )
-        degree[u] += 1
-        degree[v] += 1
-    for v, d in enumerate(degree):
-        want = 3 if v < g.chi else 1
-        if d != want:
-            raise ExpanderForgeError(
-                f"{g.roles[v]} vertex {g.names[v]} has degree {d}, not {want}"
-            )
+    topology(g)
     return g
 
 

@@ -45,6 +45,7 @@ class TreeSplit:
     removed_edges: tuple[tuple[int, int], ...]
     side_a: frozenset[int]
     side_b: frozenset[int]
+    forest: frozenset[tuple[int, int]]  # the edges left; a forest repeats none
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,15 @@ def two_tree_split(g: MultiGraph) -> TreeSplit:
         removed_edges=tuple(reversed(rejected)) + (final,),
         side_a=frozenset(comps[0]),
         side_b=frozenset(comps[1]),
+        forest=frozenset(tree),
     )
 
 
 def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
     """A subset H with |boundary(H)| <= g+1 and n/4 <= |H ∩ dG| <= n/2.
 
-    Needs a connected graph (two_tree_split rejects any other) with n >= 2
-    whose degrees lie in {1, 3} and whose boundary vertices all have degree 1.
+    Needs a model graph (topology checks the rule) with n >= 2 that is
+    connected (two_tree_split checks it).
 
     The descent starts from the two sides of the two-tree split.  At each
     step the pieces are sorted by boundary count (descending, then least
@@ -116,9 +118,7 @@ def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
     n = g.n
     if n <= 1:
         raise ExpanderForgeError("needs n >= 2 (integer window empty)")
-    topology(g)  # rejects degrees outside {1, 3}
-    if any(d != 1 for d in g.degrees()[g.chi :]):
-        raise ExpanderForgeError("every boundary vertex must have degree 1")
+    topology(g)
     boundary_set = set(g.boundary_indices())
     nv = g.num_vertices
 
@@ -126,9 +126,7 @@ def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
         return len(boundary_set & vs)
 
     split = two_tree_split(g)
-    tree = list(g.edges)
-    for e in split.removed_edges:
-        tree.remove(e)
+    tree = split.forest
     pieces = [split.side_a, split.side_b]
     while True:
         pieces.sort(key=lambda cset: (-bcount(cset), min(cset)))
@@ -192,11 +190,8 @@ def plant_trees(g: MultiGraph, k: int) -> MultiGraph:
     On a base with 2m vertices the result has 2m + 6mk vertices, 3mk of
     them pendant, and topological genus m + 1.
     """
-    degs = g.degrees()
-    if any(d != 3 for d in degs):
-        raise ExpanderForgeError("plant_trees requires a 3-regular base")
-    if not is_connected(g):
-        raise ExpanderForgeError("plant_trees requires a connected base")
+    if topology(g).components != 1 or g.n:
+        raise ExpanderForgeError("plant_trees requires a connected base with n = 0")
     tk = build_Tk(k)
     roles = [INTERIOR] * g.num_vertices
     edges: list[tuple[int, int]] = []
@@ -209,11 +204,11 @@ def plant_trees(g: MultiGraph, k: int) -> MultiGraph:
 
 
 def add_loops(g: MultiGraph, vs: list[int]) -> MultiGraph:
-    """Add a loop at each listed degree-1 vertex, flipping it to interior."""
-    degs = g.degrees()
+    """Add a loop at each listed boundary vertex, flipping it to interior:
+    on a model graph its degree goes from 1 to 3."""
     for v in vs:
-        if degs[v] != 1:
-            raise ExpanderForgeError(f"vertex {v} has degree {degs[v]}, not 1")
+        if not g.chi <= v < g.num_vertices:
+            raise ExpanderForgeError(f"vertex {v} is not a boundary vertex")
     if len(set(vs)) != len(vs):
         raise ExpanderForgeError("duplicate vertices in loop list")
     roles = list(g.roles)

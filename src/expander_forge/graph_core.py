@@ -8,6 +8,8 @@ least one interior label, so no edge ever joins two boundary vertices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -256,23 +258,37 @@ def is_connected(g: MultiGraph) -> bool:
     return len(g.components) <= 1
 
 
-def topology(g: MultiGraph) -> Topology:
-    """Component count, Euler characteristic |V| - |E| and topological genus.
+def _vertex_name(chi: int, v: int) -> str:
+    """The id of vertex index v in a graph with chi interior vertices."""
+    return f"v{v + 1}" if v < chi else f"w{v - chi + 1}"
 
-    Only defined for graphs with all degrees in {1, 3}; the genus
-    (chi - n)/2 + 1 is read off from the degree counts.
+
+def topology(g: MultiGraph) -> Topology:
+    """Component count, Euler characteristic |V| - |E| and genus
+    (chi - n)/2 + 1 of a model graph: an interior vertex at least, no edge
+    between two boundary vertices, interior degrees 3 (a loop counts 2) and
+    boundary degrees 1.  ExpanderForgeError names the first edge or vertex
+    that breaks the rule.  O(|E|) work whatever chi + n is: when chi + n >
+    2|E|, one of the first 2|E| + 1 vertices has degree 0 and stops the scan.
     """
-    degs = g.degrees()
-    n3 = sum(1 for d in degs if d == 3)
-    n1 = sum(1 for d in degs if d == 1)
-    if n3 + n1 != len(degs):
-        bad = sorted(set(d for d in degs if d not in (1, 3)))
-        raise ExpanderForgeError(f"vertex degrees {bad} outside {{1, 3}}")
-    return Topology(
-        components=len(g.components),
-        euler_char=g.num_vertices - g.num_edges,
-        genus=(n3 - n1) // 2 + 1,
-    )
+    chi, nv = g.chi, g.num_vertices
+    if not chi:
+        raise ExpanderForgeError("a model graph needs an interior vertex, got chi = 0")
+    i = bisect_left(g.edges, (chi,))  # edges sort by u <= v: the first boundary u
+    if i < len(g.edges):
+        u, v = g.edges[i]
+        raise ExpanderForgeError(
+            f"edge {_vertex_name(chi, u)} {_vertex_name(chi, v)} joins two boundary vertices"
+        )
+    degree = Counter(chain.from_iterable(g.edges))  # over the edge ends alone
+    for v in range(nv):
+        want = 3 if v < chi else 1
+        if degree[v] != want:
+            raise ExpanderForgeError(
+                f"{INTERIOR if v < chi else BOUNDARY} vertex {_vertex_name(chi, v)}"
+                f" has degree {degree[v]}, not {want}"
+            )
+    return Topology(len(g.components), nv - g.num_edges, (chi - g.n) // 2 + 1)
 
 
 # --- text format ------------------------------------------------------------
@@ -288,24 +304,42 @@ def to_text(g: MultiGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vertex_index(name: str, chi: int, n: int) -> int:
+    """The index of vertex id `name`: v<i> is i - 1 and w<j> is chi + j - 1,
+    for exactly the ids model_vertex_names writes (ASCII digits, no leading
+    zero, 1 <= i <= chi, 1 <= j <= n); ValueError for any other."""
+    digits = name[1:]
+    if digits.isascii() and digits.isdigit() and digits[0] != "0":
+        i = int(digits)  # ValueError past int's digit limit too
+        if name[0] == "v" and i <= chi:
+            return i - 1
+        if name[0] == "w" and i <= n:
+            return chi + i - 1
+    raise ValueError(name)
+
+
 def from_text(text: str) -> MultiGraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split() if lines else []
+    """The graph of a text file.  Vertex ids are read by arithmetic, so the
+    header's counts size no work; a malformed record's error names its line
+    in the text, blank lines included."""
+    lines = enumerate(map(str.strip, text.splitlines()), 1)
+    header = next((ln for _, ln in lines if ln), "").split()
     if len(header) != 3 or header[0] != "G" or not all(f.isdecimal() for f in header[1:]):
         raise ExpanderForgeError(
             f"expected a `G <chi> <n>` header, got {' '.join(header)!r}"
         )
     chi, n = int(header[1]), int(header[2])
-    idx = {name: i for i, name in enumerate(model_vertex_names(chi, n))}
     edges = []
-    for ln in lines[1:]:
+    for k, ln in lines:
         parts = ln.split()
+        if not parts:
+            continue
         if parts[0] != "E" or len(parts) != 3:
-            raise ExpanderForgeError(f"bad edge record: {ln!r}")
+            raise ExpanderForgeError(f"line {k}: bad edge record: {ln!r}")
         try:
-            edges.append((idx[parts[1]], idx[parts[2]]))
-        except KeyError as exc:
-            raise ExpanderForgeError(f"unknown vertex id in {ln!r}") from exc
+            edges.append((_vertex_index(parts[1], chi, n), _vertex_index(parts[2], chi, n)))
+        except ValueError:
+            raise ExpanderForgeError(f"line {k}: unknown vertex id in {ln!r}") from None
     return MultiGraph(chi=chi, n=n, edges=tuple(edges))
 
 

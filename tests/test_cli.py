@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -556,8 +557,8 @@ def test_every_construct_graph_is_a_model_graph(tmp_path, theta):
         assert cli._read_graph(argparse.Namespace(graphfile=str(path))) == graph
 
 
-# K_{3,3} with one side named boundary: every degree is 3, so the genus
-# reads 4, but the balanced-subset descent needs degree-1 boundary vertices
+# K_{3,3} with one side named boundary: every degree is 3, so the degree
+# counts alone would read genus 4, but a boundary vertex needs degree 1
 BOUNDARY_OF_DEGREE_3 = "G 3 3\n" + "".join(
     f"E v{i} w{j}\n" for i in (1, 2, 3) for j in (1, 2, 3)
 )
@@ -573,6 +574,23 @@ def test_degree_3_boundary_vertex_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("G 2 0\n\nE v1\n", "line 3: bad edge record: 'E v1'"),
+        ("G 2 0\nE v1 v2\n\nE v1 v9\n", "line 4: unknown vertex id in 'E v1 v9'"),
+        ("\nG 2 0\nX v1 v2\n", "line 3: bad edge record: 'X v1 v2'"),
+    ],
+)
+def test_malformed_record_names_its_line(tmp_path, capsys, text, error):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["cheeger", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -604,6 +622,33 @@ def _cold_main(cwd: Path, argv: list[str]) -> dict:
     code and the scipy modules it loaded."""
     _fresh_python(cwd, COLD_MAIN, argv)
     return json.loads((cwd / "cold.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("G 1000000000000 0\nE v1 v2\n", "interior vertex v1 has degree 1, not 3"),
+        ("G 1 1000000000000\nE v1 v1\nE v1 w1000000000000\n",
+         "boundary vertex w1 has degree 0, not 1"),
+    ],
+)
+def test_header_counts_size_no_work(tmp_path, text, error):
+    """A header of 10^12 vertices over one or two edges: no table of vertex
+    names or degrees may be sized by it, so `cheeger` exits 2 in 1 GB of
+    address space, well inside 20 s."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (tmp_path / "huge.txt").write_text(text)
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "expander_forge.cli", "cheeger", "huge.txt"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {error}\n"
 
 
 def test_package_import_loads_no_submodule(tmp_path):

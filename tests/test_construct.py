@@ -79,7 +79,7 @@ def _split_by_retesting(g):
     edges.remove(final)
     removed.append(final)
     a, b = components(g.num_vertices, edges)
-    return TreeSplit(tuple(removed), frozenset(a), frozenset(b))
+    return TreeSplit(tuple(removed), frozenset(a), frozenset(b), frozenset(edges))
 
 
 def _random_connected_multigraphs(count, seed):
@@ -309,6 +309,30 @@ def test_lemma_bound_numeric(base, name, k):
         # necessary condition only: any upper bound must clear the certified
         # lower bound
         assert cheeger_upper(planted).h >= bound
+
+
+# members of at most 48 vertices; vertex counts grow with the genus
+LEMMA_MEMBERS = {"2": 8, "5/2": 7, "3": 7, "6": 4}
+# where the lemma is tight: k = 1 on the sampled 12-vertex base (h = 1/5)
+# gives h = h_lower = 1/21 on 48 vertices
+LEMMA_TIGHT = {"2": [8], "5/2": [7], "3": [7], "6": []}
+
+
+@pytest.mark.parametrize("theta", sorted(LEMMA_MEMBERS))
+def test_lemma_bound_on_every_member_the_mask_holds(theta):
+    spec = FamilySpec.from_theta(theta)
+    hs, g = {}, 1
+    member = expander_family(spec, g)
+    while member.graph.num_vertices <= 48:
+        h = cheeger_exact(member.graph, guard=48).h
+        hs[g] = h, member.h_lower, member.graph.num_vertices
+        g += 1
+        member = expander_family(spec, g)
+    assert len(hs) == LEMMA_MEMBERS[theta]
+    assert all(h >= h_lower for h, h_lower, _ in hs.values())
+    assert [g for g, (h, h_lower, _) in hs.items() if h == h_lower] == LEMMA_TIGHT[theta]
+    for g in LEMMA_TIGHT[theta]:
+        assert hs[g] == (Fraction(1, 21), Fraction(1, 21), 48)
 
 
 def test_named_bases_are_cubic_expanders():

@@ -120,6 +120,30 @@ def test_topology_rejects_bad_degrees():
         topology(g)  # both vertices have degree 2
 
 
+@pytest.mark.parametrize(
+    "g,error",
+    [
+        (MultiGraph(chi=0, n=2, edges=((0, 1),)),
+         "a model graph needs an interior vertex, got chi = 0"),
+        (MultiGraph(chi=1, n=3, edges=((0, 0), (0, 1), (2, 3))),
+         "edge w2 w3 joins two boundary vertices"),
+        # K_{3,3} with one side named boundary: every degree is 3
+        (MultiGraph(chi=3, n=3, edges=[(i, 3 + j) for i in range(3) for j in range(3)]),
+         "boundary vertex w1 has degree 3, not 1"),
+        # header counts far beyond the edges: the scan stops at the first
+        # vertex of degree 0, which a list of all degrees would never reach
+        (MultiGraph(chi=10**12, n=0, edges=((0, 1),)),
+         "interior vertex v1 has degree 1, not 3"),
+        (MultiGraph(chi=1, n=10**12, edges=((0, 0), (0, 1))),
+         "boundary vertex w2 has degree 0, not 1"),
+    ],
+)
+def test_topology_names_the_first_offender(g, error):
+    with pytest.raises(ExpanderForgeError) as err:
+        topology(g)
+    assert str(err.value) == error
+
+
 @pytest.mark.parametrize("chi,n", [(1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)])
 def test_euler_genus_over_enumeration(chi, n):
     for p in enumerate_family(chi, n):
@@ -168,3 +192,16 @@ def test_relabel_canonical_reorders_roles():
     assert g.names == ("v1", "v2", "w1")
     assert g.roles == (INTERIOR, INTERIOR, BOUNDARY)
     assert sorted(g.edges) == [(0, 1), (0, 1), (0, 2), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["v0", "v01", "v3", "w1", "v", "v+1", "w0", "x1", "V1", "v\u0661",
+     pytest.param("v" + "9" * 5000, id="v-5000-digits")],
+)
+def test_from_text_reads_only_the_ids_to_text_writes(name):
+    # ids are read by arithmetic: v1..v2 and no w, exactly as to_text writes
+    # them, with no leading zero and no digit other than ASCII
+    with pytest.raises(ExpanderForgeError, match="^line 2: unknown vertex id in "):
+        from_text(f"G 2 0\nE v1 {name}\n")
+
