@@ -31,7 +31,9 @@ keep the X*Y*Z form, so they bound the interior-cut class only.
 
 Both counts come from one pass of _mincut_py.connected_subsets, the batched
 engine of the exact Cheeger search, tallied with array operations; one pass
-takes any number of graphs and sums their counts.
+takes any number of graphs and sums their counts.  numpy and the engine are
+imported inside the two functions that use them, so the exact rational
+tables (and the `bounds` command) never load numpy.
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import GuardExceededError
-from ._mincut_py import MAX_VERTICES, connected_subsets, popcount, stack_graphs
 from .graph_core import (
     MultiGraph, _bitmask_inputs, check_parity, exact_fraction, is_connected
 )
@@ -234,6 +233,10 @@ def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Cou
     """Counters of (a, b, s) over every connected vertex subset of the
     graphs and over the interior-cut ones, summed over the graphs and
     filled in one engine pass; a disconnected graph counts nothing."""
+    import numpy as np
+
+    from ._mincut_py import MAX_VERTICES, connected_subsets, popcount, stack_graphs
+
     unrestricted, interior_cut = Counter(), Counter()
     views, pendants = [], []
     for g in graphs:
@@ -326,6 +329,8 @@ def audit_first_moment(
     convention.  Passes when the estimate is below the bound plus the CI
     half-width.
     """
+    import numpy as np
+
     cfg = SampleConfig(chi=chi, n=n, trials=trials, seed=seed)
     values = np.empty(trials)
     for t in range(trials):

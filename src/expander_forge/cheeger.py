@@ -21,13 +21,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _mincut_py as _kernel
-from .errors import ExpanderForgeError, GuardExceededError
+from .errors import DEFAULT_GUARD, ExpanderForgeError, GuardExceededError
 from .graph_core import MultiGraph, _bitmask_inputs, boundary_size, is_connected
 from .spectra import normalized_laplacian
 
 HAVE_COMPILED_KERNEL = False  # no compiled kernel; perfbench/run.py records it
 
-DEFAULT_GUARD = 24
 NAIVE_GUARD = 12
 
 

@@ -8,6 +8,10 @@ file-writing command also writes a JSON run manifest with sha256 digests of
 its outputs; the data files themselves contain no timestamps, so re-runs
 are byte-identical.  A command that exits with an error writes no file:
 each `cmd_*` returns the files it would write and `main` writes them.
+
+numpy, and the modules that compute with it (spectra, cheeger, construct),
+are imported inside the commands that use them: the parser, `--help`,
+usage errors and the whole `bounds` command run without loading numpy.
 """
 
 from __future__ import annotations
@@ -21,23 +25,13 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import mu_pair_terms, sum_terms
-from .cheeger import DEFAULT_GUARD, cheeger_exact, cheeger_exact_many
-from .construct import (
-    FamilySpec,
-    balanced_boundary_subset,
-    expander_family,
-    two_tree_split,
-)
-from .errors import ExpanderForgeError, ParityError, exit_code
+from .errors import DEFAULT_GUARD, ExpanderForgeError, ParityError, exit_code
 from .graph_core import (
-    MultiGraph, exact_fraction, from_text, is_connected, to_text, topology
+    MultiGraph, Topology, exact_fraction, from_text, is_connected, to_text, topology
 )
 from .sampler import SampleConfig, estimate_connectivity, sample_graph
-from .spectra import DEFAULT_TOL, lambda1, report_json, steklov_spectrum
 
 
 def _fmt(x: float) -> str:
@@ -92,6 +86,11 @@ def _write_outputs(files: dict[Path, str], argv: list[str], seed, started: str) 
 
 
 def cmd_sample(args) -> dict[Path, str]:
+    import numpy as np
+
+    from .cheeger import cheeger_exact_many
+    from .spectra import lambda1, steklov_spectrum
+
     cfg = SampleConfig(chi=args.chi, n=args.n, trials=args.trials, seed=args.seed)
     rows = []
     lambda1s = []
@@ -213,6 +212,10 @@ def cmd_bounds(args) -> dict[Path, str]:
 
 
 def cmd_construct(args) -> dict[Path, str]:
+    from .cheeger import cheeger_exact_many
+    from .construct import FamilySpec, expander_family
+    from .spectra import DEFAULT_TOL, lambda1
+
     spec = FamilySpec.from_theta(_parse_fraction(args.theta))
     out = Path(args.out)
     genera = range(args.g_min, args.g_max + 1)
@@ -234,29 +237,35 @@ def cmd_construct(args) -> dict[Path, str]:
     return {out / "manifest.csv": "\n".join(lines) + "\n", **graphs}
 
 
-def _read_graph(args) -> MultiGraph:
-    """The graph of a graph file, checked by from_text (its records) and
-    topology (the model-graph rule); ExpanderForgeError (exit 2) otherwise."""
+def _read_graph(args) -> tuple[MultiGraph, Topology]:
+    """The graph of a graph file and its topology, checked by from_text (its
+    records) and topology (the model-graph rule); ExpanderForgeError (exit
+    2) otherwise."""
     g = from_text(Path(args.graphfile).read_text())
-    topology(g)
-    return g
+    return g, topology(g)
 
 
 def cmd_spectra(args) -> dict[Path, str]:
-    g = _read_graph(args)
-    print(json.dumps(report_json(g), indent=2))
+    from .spectra import report_json
+
+    g, top = _read_graph(args)
+    print(json.dumps(report_json(g, top), indent=2))
     return {}
 
 
 def cmd_cheeger(args) -> dict[Path, str]:
-    g = _read_graph(args)
+    from .cheeger import cheeger_exact
+
+    g, _ = _read_graph(args)
     cert = cheeger_exact(g, guard=args.guard)
     print(json.dumps(cert.to_json(g), indent=2))
     return {}
 
 
 def cmd_split(args) -> dict[Path, str]:
-    g = _read_graph(args)
+    from .construct import balanced_boundary_subset, two_tree_split
+
+    g, top = _read_graph(args)
     split = two_tree_split(g)
     out = {
         "removed_edges": [
@@ -266,12 +275,12 @@ def cmd_split(args) -> dict[Path, str]:
         "side_b": sorted(g.names[v] for v in split.side_b),
     }
     if g.n >= 2:
-        bal = balanced_boundary_subset(g)
+        bal = balanced_boundary_subset(g, top)
         out["balanced_subset"] = {
             "h_set": sorted(g.names[v] for v in bal.h_set),
             "boundary_edges": bal.boundary_edges,
             "boundary_vertices_inside": bal.boundary_vertices_inside,
-            "genus": topology(g).genus,
+            "genus": top.genus,
         }
     print(json.dumps(out, indent=2))
     return {}

@@ -17,12 +17,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .cheeger import DEFAULT_GUARD, cheeger_exact, cheeger_exact_within, cheeger_upper
-from .errors import CertificationError, ExpanderForgeError
+from .cheeger import cheeger_exact, cheeger_exact_within, cheeger_upper
+from .errors import DEFAULT_GUARD, CertificationError, ExpanderForgeError
 from .graph_core import (
     INTERIOR,
     HalfEdgePairing,
     MultiGraph,
+    Topology,
     boundary_size,
     build_graph,
     components,
@@ -87,11 +88,12 @@ def two_tree_split(g: MultiGraph) -> TreeSplit:
     )
 
 
-def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
+def balanced_boundary_subset(g: MultiGraph, top: Topology | None = None) -> BalancedSubset:
     """A subset H with |boundary(H)| <= g+1 and n/4 <= |H ∩ dG| <= n/2.
 
-    Needs a model graph (topology checks the rule) with n >= 2 that is
-    connected (two_tree_split checks it).
+    Needs a model graph (topology checks the rule, unless the caller passes
+    the `top` it already has) with n >= 2 that is connected (two_tree_split
+    checks it).
 
     The descent starts from the two sides of the two-tree split.  At each
     step the pieces are sorted by boundary count (descending, then least
@@ -118,7 +120,8 @@ def balanced_boundary_subset(g: MultiGraph) -> BalancedSubset:
     n = g.n
     if n <= 1:
         raise ExpanderForgeError("needs n >= 2 (integer window empty)")
-    topology(g)
+    if top is None:
+        topology(g)
     boundary_set = set(g.boundary_indices())
     nv = g.num_vertices
 

@@ -8,6 +8,10 @@ Exit-code mapping used by the CLI (EXIT_CODES, first match wins):
     graph input, ...)                               -> 2
 """
 
+# Most vertices the exact Cheeger search takes unless a --guard or `guard`
+# argument says otherwise; above it the search raises GuardExceededError.
+DEFAULT_GUARD = 24
+
 
 class ExpanderForgeError(Exception):
     """Base class for all package errors."""

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ExpanderForgeError, ParityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -156,6 +157,8 @@ def label_to_vertex(labels: np.ndarray, chi: int) -> np.ndarray:
     """Map an array of half-edge labels elementwise to the indices of their
     owning vertices (interior vertices first, then boundary): label l <=
     3*chi belongs to v_{ceil(l/3)}, label 3*chi + j to w_j."""
+    import numpy as np
+
     return np.where(labels <= 3 * chi, (labels - 1) // 3, labels - 2 * chi - 1)
 
 
@@ -165,6 +168,8 @@ def build_graph(p: HalfEdgePairing) -> MultiGraph:
     Interior vertex v_i owns labels (3i-2, 3i-1, 3i) and ends up with
     degree 3; boundary vertex w_j owns label 3*chi + j and has degree 1.
     """
+    import numpy as np
+
     # fromiter: np.array on a tuple of pairs costs more than the mapping
     labels = np.fromiter(chain.from_iterable(p.pairs), np.int64, 2 * len(p.pairs))
     edges = label_to_vertex(labels, p.chi).reshape(-1, 2).tolist()
@@ -324,11 +329,17 @@ def from_text(text: str) -> MultiGraph:
     in the text, blank lines included."""
     lines = enumerate(map(str.strip, text.splitlines()), 1)
     header = next((ln for _, ln in lines if ln), "").split()
-    if len(header) != 3 or header[0] != "G" or not all(f.isdecimal() for f in header[1:]):
+    try:
+        # ASCII digits only: int() also reads other scripts' digits
+        if len(header) != 3 or header[0] != "G" or not all(
+            f.isascii() and f.isdigit() for f in header[1:]
+        ):
+            raise ValueError
+        chi, n = int(header[1]), int(header[2])  # ValueError past the digit limit
+    except ValueError:
         raise ExpanderForgeError(
             f"expected a `G <chi> <n>` header, got {' '.join(header)!r}"
-        )
-    chi, n = int(header[1]), int(header[2])
+        ) from None
     edges = []
     for k, ln in lines:
         parts = ln.split()

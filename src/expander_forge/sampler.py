@@ -15,8 +15,9 @@ connectivity a block of trials at a time: one sparse connected-components
 call on the disjoint union of the block's interior multigraphs, a CSR read
 straight off the paired labels, so batching changes no draw and no
 verdict.  Exhaustive enumeration feeds its pairings to the same kernel.
-scipy is imported inside `_interior_connected`, where it is called, so
-commands that never call it do not pay for it.
+numpy and scipy are imported inside the functions that call them, so
+commands that never call them do not pay for them: `count_family`,
+`matching_count`, `SampleConfig` and `wilson_interval` need neither.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import GuardExceededError
 from .graph_core import HalfEdgePairing, build_graph, check_parity
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUM_GUARD = 10**7
 # Interior vertices per block of trials (at least one trial per block);
@@ -78,6 +80,8 @@ def count_family(chi: int, n: int) -> int:
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """The per-trial generator mandated by the RNG contract."""
+    import numpy as np
+
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
     )
@@ -87,6 +91,8 @@ def _sample_label_pairs(chi: int, n: int, rng: np.random.Generator) -> np.ndarra
     """Draw the label pairs of a uniform good partition as an (m, 2) array
     (labels 1-based): the n boundary pairs first, then the shuffled rest
     of the interior labels paired off consecutively."""
+    import numpy as np
+
     boundary_targets = rng.choice(3 * chi, size=n, replace=False)
     free = np.ones(3 * chi, dtype=bool)
     free[boundary_targets] = False
@@ -127,6 +133,7 @@ def _interior_connected(pairs: np.ndarray, chi: int) -> np.ndarray:
     Components never straddle two partitions, so partition i is connected
     exactly when its chi vertices share one component label.
     """
+    import numpy as np
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
@@ -154,6 +161,8 @@ def _connected_trials(cfg: SampleConfig) -> np.ndarray:
     bool array in trial order, without building a MultiGraph: each block
     of trials, up to BLOCK_VERTICES interior vertices, is one
     `_interior_connected` call on its interior pairs."""
+    import numpy as np
+
     chi, n = cfg.chi, cfg.n
     per_block = max(1, BLOCK_VERTICES // chi)
     verdicts = np.empty(cfg.trials, dtype=bool)
@@ -229,6 +238,8 @@ def exact_connectivity_fraction(chi: int, n: int) -> Fraction:
     """Connected fraction of the family by exhaustive enumeration, within
     ENUM_GUARD: blocks of up to BLOCK_VERTICES interior vertices of
     enumerated pairings, each one `_interior_connected` call."""
+    import numpy as np
+
     pairings = enumerate_family(chi, n)
     per_block = max(1, BLOCK_VERTICES // chi)
     total = 0

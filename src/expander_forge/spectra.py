@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExpanderForgeError, SolverError
-from .graph_core import MultiGraph, is_connected, topology
+from .graph_core import MultiGraph, Topology, is_connected, topology
 
 DEFAULT_TOL = 1e-9
 DENSE_LIMIT = 2000
@@ -285,11 +285,12 @@ def verify_domination(g: MultiGraph):
     }
 
 
-def report_json(g: MultiGraph) -> dict:
+def report_json(g: MultiGraph, top: Topology | None = None) -> dict:
     """The JSON spectral report emitted by the CLI; `lambda` is empty above
-    DENSE_LIMIT vertices, and `lambda1` then comes from `lambda1`."""
+    DENSE_LIMIT vertices, and `lambda1` then comes from `lambda1`.  `top`
+    is topology(g), when the caller has it already."""
     connected = is_connected(g)
-    top = topology(g)
+    top = topology(g) if top is None else top
     if g.num_vertices <= DENSE_LIMIT:
         lam = laplacian_spectrum(g)
         lam1 = lam[1] if len(lam) > 1 else None

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from expander_forge import _mincut_py, cli, spectra
+from expander_forge import _mincut_py, cli, construct, spectra
 from expander_forge.cheeger import cheeger_exact, cheeger_exact_many
 from expander_forge.cli import main, parity_adjust
 from expander_forge.construct import (
     FamilySpec, balanced_boundary_subset, expander_family, plant_trees, theta_base
 )
 from expander_forge.errors import CertificationError, ExpanderForgeError
-from expander_forge.graph_core import from_text, is_connected, to_text
+from expander_forge.graph_core import from_text, is_connected, to_text, topology
 from expander_forge.sampler import SampleConfig, sample_graph
 
 
@@ -439,7 +439,7 @@ def test_certification_failure_exit_4(tmp_path, monkeypatch):
     def failing(spec, g, guard):
         raise CertificationError("forced")
 
-    monkeypatch.setattr(cli, "expander_family", failing)
+    monkeypatch.setattr(construct, "expander_family", failing)
     code = main(
         ["construct", "--theta", "3", "--g-min", "2", "--g-max", "2",
          "--out", str(tmp_path / "x")]
@@ -534,6 +534,20 @@ def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text
     assert captured.err == f"error: {BAD_GRAPH_ERRORS[text]}\n"
 
 
+@pytest.mark.parametrize(
+    "header", ["G \u0662 0", "G " + "1" * 4301 + " 0"], ids=["arabic-indic-2", "4301-digits"]
+)
+def test_header_counts_are_ascii_within_the_digit_limit(tmp_path, capsys, header):
+    """`G ٢ 0` used to read as chi = 2, and a 4301-digit count printed the
+    interpreter's digit-limit text: both are header errors."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{header}\nE v1 v1\nE v1 v2\nE v2 v2\n")
+    assert main(["cheeger", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected a `G <chi> <n>` header, got {header!r}\n"
+
+
 @pytest.mark.parametrize("command", ["spectra", "cheeger", "split"])
 @pytest.mark.parametrize("text", ["G 0 0\n", "G 0 2\nE w1 w2\n"])
 def test_graph_without_interior_vertex_exit_2(tmp_path, capsys, command, text):
@@ -554,7 +568,27 @@ def test_every_construct_graph_is_a_model_graph(tmp_path, theta):
         graph = expander_family(spec, g).graph
         path = tmp_path / f"g{g}.txt"
         path.write_text(to_text(graph))
-        assert cli._read_graph(argparse.Namespace(graphfile=str(path))) == graph
+        assert cli._read_graph(argparse.Namespace(graphfile=str(path))) == (
+            graph, topology(graph)
+        )
+
+
+@pytest.mark.parametrize("command", ["spectra", "split"])
+def test_graph_file_topology_runs_once(tmp_path, monkeypatch, command):
+    # _read_graph checks the model-graph rule and hands its Topology on to
+    # the report, the split genus and the balanced-subset descent
+    path = tmp_path / "planted.txt"
+    path.write_text(to_text(plant_trees(theta_base(), 3)))  # n = 9
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return topology(g)
+
+    for module in (cli, spectra, construct):
+        monkeypatch.setattr(module, "topology", counted)
+    assert main([command, str(path)]) == 0
+    assert len(calls) == 1
 
 
 # K_{3,3} with one side named boundary: every degree is 3, so the degree
@@ -597,10 +631,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 COLD_MAIN = """
 import json, sys
 from expander_forge import cli
-code = cli.main(sys.argv[1:])
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse exits on --help and usage errors
+    code = exc.code
+loaded = {
+    root: sorted(m for m in sys.modules if m == root or m.startswith(root + "."))
+    for root in ("scipy", "numpy")
+}
 with open("cold.json", "w") as f:
-    json.dump({"code": code, "scipy": scipy}, f)
+    json.dump({"code": code, **loaded}, f)
 """
 
 
@@ -619,7 +659,7 @@ def _fresh_python(cwd: Path, code: str, argv: list[str]) -> str:
 
 def _cold_main(cwd: Path, argv: list[str]) -> dict:
     """cli.main(argv) in a fresh interpreter running in `cwd`: its exit
-    code and the scipy modules it loaded."""
+    code and the scipy and numpy modules it loaded."""
     _fresh_python(cwd, COLD_MAIN, argv)
     return json.loads((cwd / "cold.json").read_text())
 
@@ -672,19 +712,60 @@ def test_package_import_loads_no_submodule(tmp_path):
 )
 def test_certified_commands_never_import_scipy(tmp_path, argv):
     (tmp_path / "planted.txt").write_text(to_text(plant_trees(theta_base(), 3)))
-    assert _cold_main(tmp_path, argv) == {"code": 0, "scipy": []}
+    record = _cold_main(tmp_path, argv)
+    assert (record["code"], record["scipy"]) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["bounds", "--chi", "20", "--n", "4", "--mu", "1/2", "--out", "b"], 0),
+        (["--help"], 0),
+        (["bounds", "--chi", "twenty", "--n", "4", "--mu", "1/2", "--out", "b"], 2),
+    ],
+    ids=["bounds", "help", "usage-error"],
+)
+def test_parser_and_bounds_never_import_numpy(tmp_path, argv, code):
+    # cli.main builds the parser first: the parser, argparse's exits and the
+    # exact rational tables of `bounds` compute with no array
+    assert _cold_main(tmp_path, argv) == {"code": code, "scipy": [], "numpy": []}
+
+
+def _data_files(cwd: Path) -> dict[Path, bytes]:
+    """Every file under cwd but the run manifests, which carry timestamps,
+    and COLD_MAIN's record."""
+    return {
+        p.relative_to(cwd): p.read_bytes()
+        for p in sorted(cwd.rglob("*"))
+        if p.is_file() and not p.name.endswith(".manifest.json") and p.name != "cold.json"
+    }
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sample", "--chi", "16", "--n", "4", "--trials", "3"],
-        ["sweep", "--chi-list", "50", "--rule", "pow:0.5", "--trials", "20"],
+        ["sample", "--chi", "16", "--n", "4", "--trials", "3", "--out", "out.csv"],
+        ["sweep", "--chi-list", "50", "--rule", "pow:0.5", "--trials", "20",
+         "--out", "out.csv"],
+        ["cheeger", "planted.txt"],
+        ["split", "planted.txt"],
+        ["construct", "--theta", "3", "--g-min", "1", "--g-max", "4", "--out", "fam"],
+        ["spectra", "planted.txt"],
     ],
-    ids=["sample", "sweep"],
+    ids=["sample", "sweep", "cheeger", "split", "construct", "spectra"],
 )
-def test_scipy_commands_run_cold(tmp_path, argv):
-    # scipy is first imported inside the call, in a clean process
-    assert _cold_main(tmp_path, argv + ["--out", "cold.csv"])["code"] == 0
-    assert main(argv + ["--out", str(tmp_path / "warm.csv")]) == 0
-    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+def test_scipy_commands_run_cold(tmp_path, monkeypatch, capsys, argv):
+    # numpy, and scipy where a command calls it, are first imported inside
+    # the call in a clean process: its stdout and files are the bytes the
+    # same command writes in this warm process
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    planted = to_text(plant_trees(theta_base(), 3))
+    for cwd in (cold, warm):
+        cwd.mkdir()
+        (cwd / "planted.txt").write_text(planted)
+    cold_out = _fresh_python(cold, COLD_MAIN, argv)
+    assert json.loads((cold / "cold.json").read_text())["code"] == 0
+    monkeypatch.chdir(warm)
+    assert main(argv) == 0
+    assert cold_out == capsys.readouterr().out
+    assert _data_files(cold) == _data_files(warm)

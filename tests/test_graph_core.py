@@ -184,6 +184,20 @@ def test_from_text_errors():
         assert str(err.value) == f"expected a `G <chi> <n>` header, got {got}"
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["G \u0662 0", "G 2 \u0660", "G \uff12 0",
+     pytest.param("G " + "9" * 5000 + " 0", id="chi-5000-digits"),
+     pytest.param("G 2 " + "9" * 4301, id="n-4301-digits")],
+)
+def test_from_text_header_reads_ascii_counts_only(header):
+    # counts are ASCII digits, as to_text writes them: an Arabic-Indic or
+    # fullwidth 2 is no count, nor is one past int's digit limit
+    with pytest.raises(ExpanderForgeError) as err:
+        from_text(f"{header}\nE v1 v1\nE v1 v2\nE v2 v2\n")
+    assert str(err.value) == f"expected a `G <chi> <n>` header, got {header!r}"
+
+
 def test_relabel_canonical_reorders_roles():
     g = relabel_canonical(
         [BOUNDARY, INTERIOR, INTERIOR],
