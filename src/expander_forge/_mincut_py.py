@@ -10,17 +10,18 @@ Edges are counted as popcounts: each vertex has one uint64 neighbour mask
 per multiplicity level, the neighbours joined to it by more than k edges,
 so the edges from v into a mask are a sum of np.bitwise_count over the
 levels.
-bounds counts N_{a,b,s} with the complete enumeration.  cheeger runs
-min_ratio_cuts (min_ratio_cut for one graph), which hands the engine each
-graph's best ratio so far as a prune hook: each subset carries its forced
-cut, the edges from it to the vertices its subtree may never add, and a
-subtree whose forced cut shows that no subset in it can beat its graph's
-best ratio is not grown.
+Every caller hands the engine one bound per graph, as two int64 arrays
+that it reads live: each subset carries its forced cut, the edges from it
+to the vertices its subtree may never add, and a subtree whose forced cut
+shows that no subset in it can beat its graph's bound is not grown.
+cheeger runs min_ratio_cuts (min_ratio_cut for one graph), which lowers
+each graph's bound to its best ratio so far; bounds counts N_{a,b,s} under
+the bound best_k = 0, which prunes nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +39,6 @@ _REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 # (size, graph, S, nbrs, s): one subset size, and per row its graph's index
 Batch = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-Bound = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 def popcount(x: np.ndarray) -> np.ndarray:
@@ -65,10 +65,11 @@ def stack_graphs(views: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.nda
     return adj, mult, nv
 
 
-def _alive(f: np.ndarray, graph: np.ndarray, bound: Bound, half: np.ndarray) -> np.ndarray:
+def _alive(
+    f: np.ndarray, graph: np.ndarray, half: np.ndarray, best_s: np.ndarray, best_k: np.ndarray
+) -> np.ndarray:
     """Rows whose subtree may still hold a subset at or below the bound:
     the strict test f * best_k <= best_s * half, per row's graph."""
-    best_s, best_k = bound()
     return f * best_k[graph] <= best_s[graph] * half[graph]
 
 
@@ -87,12 +88,13 @@ def connected_subsets(
     mult: np.ndarray,
     nv: np.ndarray,
     half: np.ndarray,
-    bound: Bound | None = None,
+    best_s: np.ndarray,
+    best_k: np.ndarray,
 ) -> Iterator[Batch]:
     """Yield batches (size, graph, S, nbrs, s) covering, for each graph i,
-    every vertex mask S that induces a connected subgraph of graph i with
-    |S| <= half[i] exactly once; with a bound, only those the bound lets
-    through, each once.
+    the vertex masks S that induce a connected subgraph of graph i with
+    |S| <= half[i] and that its bound (best_s[i], best_k[i]) lets through,
+    each exactly once; best_k[i] = 0 lets every such S through.
 
     The graphs are stacked as stack_graphs makes them: adj[i] holds graph
     i's neighbour masks and mult[i] its edge multiplicities, loops left out
@@ -109,12 +111,13 @@ def connected_subsets(
     The cut updates as v joins: its edges into S turn inward.  A row stops
     growing at its own graph's half.
 
-    bound, if given, returns per-graph arrays (best_s, best_k): the ratio
-    to beat for each graph, with best_k = 0 for none yet; they may tighten
-    as the caller reads the batches.  Each row then also carries its
-    forced cut f = e(S, F), the edges from S to its forbidden set F,
-    counted with multiplicity.  Every descendant T of the row keeps S
-    inside and F outside, with |T| <= half, so |boundary(T)| >= f and
+    best_s and best_k hold each graph's bound, the ratio best_s/best_k to
+    beat, with best_k = 0 for none.  They belong to the caller, who may
+    lower them in place as it reads the batches: the engine reads them
+    live, every time it tests a row.  Each row carries its forced cut
+    f = e(S, F), the edges from S to its forbidden set F, counted with
+    multiplicity.  Every descendant T of the row keeps S inside and F
+    outside, with |T| <= half, so |boundary(T)| >= f and
     |boundary(T)|/|T| >= f/half.  So a row with f * best_k > best_s * half
     (for its graph) is dropped with its whole subtree, the row itself
     included: tested when the row is made, before its S, nbrs and s are
@@ -123,9 +126,7 @@ def connected_subsets(
     (_alive) is strict, so every connected S with |boundary(S)| * best_k
     <= best_s * |S| is still yielded, ties included: each ancestor A of S
     has S inside and F_A outside, so e(A, F_A) <= |boundary(S)|.  Graphs
-    share batches but never bounds.  Without a bound every connected S is
-    yielded and f is not tracked: updating it would make the complete
-    enumeration of a small graph about half again as slow.
+    share batches but never bounds.
     """
     if not adj.size:
         return
@@ -142,30 +143,28 @@ def connected_subsets(
     # bytes of a little-endian mask that hold bits 0 .. N-1
     nbytes = (width_v + 7) // 8
 
-    # a row is (graph, S, nbrs, forbidden, s, f); without a bound f is None.
+    # a row is (graph, S, nbrs, forbidden, s, f).
     # The roots: every vertex of every graph, graph by graph, ascending.
     graph, v = np.nonzero(np.arange(width_v) < nv[:, None])
     gv = graph * width_v + v
     # a root's forced cut: its edges to the vertices below it
-    f = _edges_into(_POW2[v] - _ONE, levels, gv) if bound else None
+    f = _edges_into(_POW2[v] - _ONE, levels, gv)
     stack: list = []
 
     def push(size, graph, S, nbrs, forbidden, s, f):
         for i in range(0, len(S), BATCH):
             j = slice(i, i + BATCH)
-            stack.append((size, graph[j], S[j], nbrs[j], forbidden[j], s[j],
-                          f if f is None else f[j]))
+            stack.append((size, graph[j], S[j], nbrs[j], forbidden[j], s[j], f[j]))
 
     push(1, graph, _POW2[v], flat_adj[gv], _POW2[v] - _ONE, degw[gv], f)
     while stack:
         size, graph, S, nbrs, forbidden, s, f = stack.pop()
-        if bound:
-            keep = _alive(f, graph, bound, half)
-            if not keep.all():
-                graph, S, nbrs, forbidden = graph[keep], S[keep], nbrs[keep], forbidden[keep]
-                s, f = s[keep], f[keep]
-                if not len(S):
-                    continue
+        keep = _alive(f, graph, half, best_s, best_k)
+        if not keep.all():
+            graph, S, nbrs, forbidden = graph[keep], S[keep], nbrs[keep], forbidden[keep]
+            s, f = s[keep], f[keep]
+            if not len(S):
+                continue
         yield size, graph, S, nbrs, s
         cand = np.where(size < half[graph], nbrs & ~S & ~forbidden, 0)
         # (row, v) for each set bit v of each row's cand, row-major
@@ -181,20 +180,18 @@ def connected_subsets(
         bit = _POW2[v]
         eSv = _edges_into(S[row], levels, gv)
         cF = forbidden[row] | (cand[row] & (bit - _ONE))
-        cf = None
-        if bound:
-            # f' = f + e(S, candidates below v) + e(v, F').  A row's children
-            # are contiguous with v ascending, and first is the index of each
-            # child's first sibling, so the middle term is an exclusive cumsum
-            # of e(S, v) restarted there.
-            before = np.cumsum(eSv) - eSv
-            first = np.searchsorted(row, row)
-            eVF = _edges_into(cF, levels, gv)
-            cf = f[row] + before - before[first] + eVF
-            keep = _alive(cf, cg, bound, half)
-            if not keep.all():
-                row, cg, gv, bit = row[keep], cg[keep], gv[keep], bit[keep]
-                eSv, cF, cf = eSv[keep], cF[keep], cf[keep]
+        # f' = f + e(S, candidates below v) + e(v, F').  A row's children
+        # are contiguous with v ascending, and first is the index of each
+        # child's first sibling, so the middle term is an exclusive cumsum
+        # of e(S, v) restarted there.
+        before = np.cumsum(eSv) - eSv
+        first = np.searchsorted(row, row)
+        eVF = _edges_into(cF, levels, gv)
+        cf = f[row] + before - before[first] + eVF
+        keep = _alive(cf, cg, half, best_s, best_k)
+        if not keep.all():
+            row, cg, gv, bit = row[keep], cg[keep], gv[keep], bit[keep]
+            eSv, cF, cf = eSv[keep], cF[keep], cf[keep]
         cs = s[row] + degw[gv] - 2 * eSv
         push(size + 1, cg, S[row] | bit, nbrs[row] | flat_adj[gv], cF, cs, cf)
 
@@ -217,7 +214,7 @@ def min_ratio_cuts(inputs: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
     best_k = np.zeros(len(inputs), dtype=np.int64)
     best_mask = np.zeros(len(inputs), dtype=np.uint64)
     visited = np.zeros(len(inputs), dtype=np.int64)
-    batches = connected_subsets(adj, mult, nv, half, bound=lambda: (best_s, best_k))
+    batches = connected_subsets(adj, mult, nv, half, best_s, best_k)
     for size, graph, S, _nbrs, s in batches:
         visited += np.bincount(graph, minlength=len(inputs))
         k = best_k[graph]

@@ -30,8 +30,9 @@ connected count (count_all_Nabs).  mu_pair_sum and the `bounds` CLI table
 keep the X*Y*Z form, so they bound the interior-cut class only.
 
 Both counts come from one pass of _mincut_py.connected_subsets, the batched
-engine of the exact Cheeger search, tallied with array operations; one pass
-takes any number of graphs and sums their counts.  numpy and the engine are
+engine of the exact Cheeger search, run under the bound best_k = 0, which
+prunes nothing, and tallied with array operations; one pass takes any
+number of graphs and sums their counts.  numpy and the engine are
 imported inside the two functions that use them, so the exact rational
 tables (and the `bounds` command) never load numpy.
 """
@@ -257,7 +258,8 @@ def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Cou
     adj, mult, nv = stack_graphs(views)
     pendants = np.array(pendants, dtype=np.uint64)
 
-    for size, graph, S, nbrs, s in connected_subsets(adj, mult, nv, nv):
+    none = np.zeros(len(nv), dtype=np.int64)  # best_k = 0: nothing is pruned
+    for size, graph, S, nbrs, s in connected_subsets(adj, mult, nv, nv, none, none):
         p = pendants[graph]
         # a degree-1 vertex p has one neighbour, so p is in nbrs exactly
         # when that neighbour is in S, and p's edge crosses exactly when p

@@ -326,12 +326,15 @@ class CertifiedBase:
 
 
 def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
-    """Connected 3-regular graph on 2m vertices with h >= 2/11.
+    """Connected 3-regular graph on 2m vertices, with h >= 2/11 proven
+    where exact is True.
 
     Named graphs (certified by exact search) for small m; otherwise random
     cubic samples, certified exactly where cheeger_exact_within takes them
-    and screened by the sweep upper bound beyond it.  The exact search
-    costs time exponential in the guard.
+    and screened by the sweep upper bound beyond it.  A screened base is
+    not proven: it comes back with h_bound = 2/11 and exact=False, until
+    the exact search can prove bases beyond the guard (ROADMAP, open item
+    1).  The exact search costs time exponential in the guard.
     """
     if m in NAMED_BASES:
         g = NAMED_BASES[m]()

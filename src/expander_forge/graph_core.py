@@ -109,7 +109,7 @@ class MultiGraph:
     # cached: callers index these once per vertex
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return model_vertex_names(self.chi, self.n)
+        return tuple(_vertex_name(self.chi, v) for v in range(self.num_vertices))
 
     @cached_property
     def roles(self) -> tuple[str, ...]:
@@ -145,12 +145,6 @@ class Topology:
     components: int
     euler_char: int
     genus: int
-
-
-def model_vertex_names(chi: int, n: int) -> tuple[str, ...]:
-    return tuple(f"v{i}" for i in range(1, chi + 1)) + tuple(
-        f"w{j}" for j in range(1, n + 1)
-    )
 
 
 def label_to_vertex(labels: np.ndarray, chi: int) -> np.ndarray:
@@ -311,7 +305,7 @@ def to_text(g: MultiGraph) -> str:
 
 def _vertex_index(name: str, chi: int, n: int) -> int:
     """The index of vertex id `name`: v<i> is i - 1 and w<j> is chi + j - 1,
-    for exactly the ids model_vertex_names writes (ASCII digits, no leading
+    for exactly the ids _vertex_name writes (ASCII digits, no leading
     zero, 1 <= i <= chi, 1 <= j <= n); ValueError for any other."""
     digits = name[1:]
     if digits.isascii() and digits.isdigit() and digits[0] != "0":

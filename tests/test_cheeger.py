@@ -29,6 +29,7 @@ from expander_forge.graph_core import (
 from expander_forge.construct import (
     FamilySpec,
     expander_family,
+    heawood_graph,
     k4_graph,
     plant_trees,
     theta_base,
@@ -249,13 +250,15 @@ def test_exact_many_reads_one_pass_ahead():
     assert list(certs) == [cheeger_exact(g) for g in graphs[1:]]
 
 
-def _batches(g, half, bound=None):
-    """The engine's batches over g alone, as a one-graph stack."""
+def _batches(g, half, bound=(0, 0)):
+    """The engine's batches over g alone, as a one-graph stack, under the
+    fixed bound (s, k); k = 0 prunes nothing."""
     adj, mult, nv = _mincut_py.stack_graphs([_bitmask_inputs(g)])
-    return _mincut_py.connected_subsets(adj, mult, nv, np.array([half]), bound)
+    best_s, best_k = (np.array([b]) for b in bound)
+    return _mincut_py.connected_subsets(adj, mult, nv, np.array([half]), best_s, best_k)
 
 
-def _yielded(g, half, bound=None):
+def _yielded(g, half, bound=(0, 0)):
     """{S: (size, s, nbrs)} over the engine's batches, each S once."""
     got = {}
     for size, graph, S, nbrs, s in _batches(g, half, bound):
@@ -286,8 +289,7 @@ def test_fixed_bound_keeps_every_subset_at_or_below_it():
             h = reference_kernel.min_ratio_cut(adj, mult, nv, half)
             bounds = {(r.numerator, r.denominator) for r in ratios[:4]} | {h[:2]}
             for s_max, k_max in bounds:
-                fixed = np.array([s_max]), np.array([k_max])
-                got = _yielded(g, half, lambda: fixed)
+                got = _yielded(g, half, (s_max, k_max))
                 assert got.items() <= want.items()
                 below = {S for S, (size, s, _) in want.items() if k_max * s <= s_max * size}
                 assert below <= got.keys(), (g.edges, half, (s_max, k_max))
@@ -332,10 +334,9 @@ def test_level_masks_count_cuts_with_multiplicity():
             cut = {S: graph_core.boundary_size(g, _members(S)) for S in want}
             ratios = sorted({Fraction(c, want[S]) for S, c in cut.items()})
             r = ratios[len(ratios) // 2]
-            fixed = np.array([r.numerator]), np.array([r.denominator])
             unbounded = _yielded(g, half)
             assert unbounded.keys() == want.keys()
-            bounded = _yielded(g, half, lambda: fixed)
+            bounded = _yielded(g, half, (r.numerator, r.denominator))
             pruned += len(bounded) < len(want)
             below = set()
             for S, (size, s, _) in bounded.items():
@@ -397,6 +398,23 @@ def test_pinned_40_vertex_family_certificate():
     assert cert.to_json(g) == {
         "h_num": 5, "h_den": 19, "omega": witness, "boundary": 5, "exact": True
     }
+
+
+@pytest.mark.parametrize(
+    "graph, half, want",
+    [
+        (lambda: plant_trees(k4_graph(), 2), 14, (3, 13, 4129777, 2720)),
+        (lambda: plant_trees(theta_base(), 3), 10, (1, 5, 14360, 221)),
+        (heawood_graph, 7, (6, 6, 63, 1547)),
+    ],
+)
+def test_pruning_reads_the_tightened_bound(graph, half, want):
+    """min_ratio_cut's (s, k, mask, visited), visited included.  The engine
+    must prune against the best ratio as min_ratio_cuts lowers it: an
+    engine that copied the bound on entry keeps every certificate but
+    visits more subsets (84533, 1728 and 1974 here)."""
+    g = graph()
+    assert py_min_ratio_cut(*_bitmask_inputs(g), g.num_vertices, half) == want
 
 
 def test_engine_yields_each_connected_subset_once():
