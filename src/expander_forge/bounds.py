@@ -33,14 +33,15 @@ Both counts come from one pass of _mincut_py.connected_subsets, the batched
 engine of the exact Cheeger search, run under the bound best_k = 0, which
 prunes nothing, and tallied with array operations; one pass takes any
 number of graphs and sums their counts.  numpy and the engine are
-imported inside the two functions that use them, so the exact rational
-tables (and the `bounds` command) never load numpy.
+imported only inside _connected_subset_counts, the engine tally, so the
+exact rational tables (and the `bounds` command) never load numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,15 +332,10 @@ def audit_first_moment(
     convention.  Passes when the estimate is below the bound plus the CI
     half-width.
     """
-    import numpy as np
-
     cfg = SampleConfig(chi=chi, n=n, trials=trials, seed=seed)
-    values = np.empty(trials)
-    for t in range(trials):
-        g = sample_graph(cfg, t)
-        values[t] = count_Nabs(g, a, b, s)
-    mean = float(values.mean())
-    half = Z95 * float(values.std(ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    values = [count_Nabs(sample_graph(cfg, t), a, b, s) for t in range(trials)]
+    mean = statistics.fmean(values)
+    half = Z95 * statistics.stdev(values) / math.sqrt(trials) if trials > 1 else 0.0
     bound = float(first_moment_bound(chi, n, a, b, s))
     return FirstMomentAudit(
         estimate=mean,

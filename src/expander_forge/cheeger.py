@@ -55,9 +55,9 @@ def _limit(guard: int) -> int:
 def _searchable(g: MultiGraph) -> None:
     """Raise unless g is connected with at least 2 vertices."""
     if not is_connected(g):
-        raise ExpanderForgeError("cheeger_exact requires a connected graph")
+        raise ExpanderForgeError("the Cheeger constant needs a connected graph")
     if g.num_vertices < 2:
-        raise ExpanderForgeError("cheeger_exact needs at least 2 vertices")
+        raise ExpanderForgeError("the Cheeger constant needs at least 2 vertices")
 
 
 def _search_input(g: MultiGraph) -> tuple:
@@ -141,8 +141,7 @@ def cheeger_exact_naive(g: MultiGraph) -> CheegerCertificate:
     |boundary(S)|/|S|, then size |S|, then lexicographic order: S precedes
     T when S holds the lowest vertex where they differ.
     """
-    if not is_connected(g):
-        raise ExpanderForgeError("requires a connected graph")
+    _searchable(g)
     nv = g.num_vertices
     if nv > NAIVE_GUARD:
         raise GuardExceededError(f"|V| = {nv} exceeds naive guard {NAIVE_GUARD}")
@@ -166,11 +165,8 @@ def cheeger_upper(g: MultiGraph) -> CheegerCertificate:
     cut as each vertex joins (O(|E|) in all).  The first strictly best
     prefix wins.  Always >= h(G).
     """
-    if not is_connected(g):
-        raise ExpanderForgeError("cheeger_upper requires a connected graph")
+    _searchable(g)
     nv = g.num_vertices
-    if nv < 2:
-        raise ExpanderForgeError("need at least 2 vertices")
     lap = normalized_laplacian(g)
     _, eigvecs = np.linalg.eigh(lap)
     fiedler = eigvecs[:, 1]  # eigh sorts ascending

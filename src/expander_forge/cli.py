@@ -219,6 +219,8 @@ def cmd_construct(args) -> dict[Path, str]:
     spec = FamilySpec.from_theta(_parse_fraction(args.theta))
     out = Path(args.out)
     genera = range(args.g_min, args.g_max + 1)
+    if not genera:
+        raise ValueError(f"empty genus range: --g-min {args.g_min} > --g-max {args.g_max}")
     members = [expander_family(spec, g, guard=args.guard) for g in genera]
     certs = cheeger_exact_many([m.graph for m in members], args.guard)
     lines = ["g,n,chi,h_lower,lambda1,h_exact,cheeger_check"]

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ExpanderForgeError, ParityError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -147,26 +144,17 @@ class Topology:
     genus: int
 
 
-def label_to_vertex(labels: np.ndarray, chi: int) -> np.ndarray:
-    """Map an array of half-edge labels elementwise to the indices of their
-    owning vertices (interior vertices first, then boundary): label l <=
-    3*chi belongs to v_{ceil(l/3)}, label 3*chi + j to w_j."""
-    import numpy as np
-
-    return np.where(labels <= 3 * chi, (labels - 1) // 3, labels - 2 * chi - 1)
-
-
 def build_graph(p: HalfEdgePairing) -> MultiGraph:
     """Glue the half-edges of a good partition into a multigraph.
 
     Interior vertex v_i owns labels (3i-2, 3i-1, 3i) and ends up with
     degree 3; boundary vertex w_j owns label 3*chi + j and has degree 1.
+    So label l <= 3*chi goes to index (l - 1) // 3, and label l > 3*chi
+    to index l - 2*chi - 1 (interior vertices first, then boundary).  Each
+    pair (i, j) has i < j and, the partition being good, i <= 3*chi.
     """
-    import numpy as np
-
-    # fromiter: np.array on a tuple of pairs costs more than the mapping
-    labels = np.fromiter(chain.from_iterable(p.pairs), np.int64, 2 * len(p.pairs))
-    edges = label_to_vertex(labels, p.chi).reshape(-1, 2).tolist()
+    c, d = 3 * p.chi, 2 * p.chi + 1
+    edges = [((i - 1) // 3, (j - 1) // 3 if j <= c else j - d) for i, j in p.pairs]
     return MultiGraph(chi=p.chi, n=p.n, edges=edges)
 
 

@@ -573,6 +573,21 @@ def test_disconnected_rejected():
     pytest.fail("no disconnected sample found")
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        MultiGraph(chi=1, n=0, edges=[]),
+        # two components, each v-w with a loop at v
+        MultiGraph(chi=2, n=2, edges=[(0, 0), (0, 2), (1, 1), (1, 3)]),
+    ],
+    ids=["one-vertex", "disconnected"],
+)
+@pytest.mark.parametrize("fn", [cheeger_exact, cheeger_exact_naive, cheeger_upper])
+def test_cheeger_functions_share_one_precondition(g, fn):
+    with pytest.raises(ExpanderForgeError, match="^the Cheeger constant needs "):
+        fn(g)
+
+
 def test_witness_tie_break_smallest_then_lex():
     # theta graph: both singletons give ratio 3; vertex 0 wins lex
     cert = cheeger_exact(theta_base())

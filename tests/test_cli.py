@@ -161,6 +161,7 @@ def test_bounds_parity_exit_2(tmp_path):
         ["bounds", "--chi", "4", "--n", "2", "--mu", "1/0"],
         ["construct", "--theta", "1/0", "--g-min", "1", "--g-max", "1"],
         ["construct", "--theta", "3", "--g-min", "0", "--g-max", "2"],
+        ["construct", "--theta", "3", "--g-min", "5", "--g-max", "3"],
     ],
 )
 def test_bad_mu_or_theta_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -729,6 +730,25 @@ def test_parser_and_bounds_never_import_numpy(tmp_path, argv, code):
     # cli.main builds the parser first: the parser, argparse's exits and the
     # exact rational tables of `bounds` compute with no array
     assert _cold_main(tmp_path, argv) == {"code": code, "scipy": [], "numpy": []}
+
+
+def test_model_graph_layer_never_imports_numpy(tmp_path):
+    # gluing a pairing, the text format, the model-graph rule, components
+    # and the bitmask view are integer work
+    code = """
+import sys
+from expander_forge.graph_core import (
+    HalfEdgePairing, _bitmask_inputs, build_graph, components, from_text, to_text,
+    topology,
+)
+g = build_graph(HalfEdgePairing(chi=2, n=2, pairs=((1, 7), (2, 4), (3, 5), (6, 8))))
+g = from_text(to_text(g))
+topology(g)
+components(g.num_vertices, g.edges)
+_bitmask_inputs(g)
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+"""
+    assert _fresh_python(tmp_path, code, []) == "[]\n"
 
 
 def _data_files(cwd: Path) -> dict[Path, bytes]:

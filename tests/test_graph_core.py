@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expander_forge.errors import ExpanderForgeError, ParityError
 from expander_forge.graph_core import (
@@ -15,7 +18,12 @@ from expander_forge.graph_core import (
     topology,
     validate_partition,
 )
-from expander_forge.sampler import enumerate_family
+from expander_forge.sampler import (
+    SampleConfig,
+    enumerate_family,
+    sample_graph,
+    sample_partition,
+)
 
 
 STAR = HalfEdgePairing(chi=1, n=3, pairs=((1, 4), (2, 5), (3, 6)))
@@ -144,10 +152,26 @@ def test_topology_names_the_first_offender(g, error):
     assert str(err.value) == error
 
 
-@pytest.mark.parametrize("chi,n", [(1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)])
+def _label_map(labels: np.ndarray, chi: int) -> np.ndarray:
+    """Reference for build_graph: the owning vertex of each half-edge label,
+    elementwise over an array."""
+    return np.where(labels <= 3 * chi, (labels - 1) // 3, labels - 2 * chi - 1)
+
+
+@pytest.mark.parametrize(
+    "chi,n", [(1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3), (400, 20), (1500, 38)]
+)
 def test_euler_genus_over_enumeration(chi, n):
-    for p in enumerate_family(chi, n):
+    # every member of the small families; three samples of the large ones
+    cfg = SampleConfig(chi=chi, n=n, trials=3, seed=1)
+    members = (
+        enumerate_family(chi, n) if chi <= 3
+        else (sample_partition(cfg, t) for t in range(cfg.trials))
+    )
+    for p in members:
         g = build_graph(p)
+        edges = _label_map(np.array(p.pairs), chi).tolist()
+        assert g == MultiGraph(chi=chi, n=n, edges=edges)
         degs = g.degrees()
         assert sum(1 for d in degs if d == 3) == chi
         assert sum(1 for d in degs if d == 1) == n
@@ -163,6 +187,30 @@ def test_text_round_trip():
     for p in (STAR, LOOP_PENDANT, THETA):
         g = build_graph(p)
         assert from_text(to_text(g)) == g
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    chi=st.integers(1, 60),
+    n=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+    text=st.tuples(
+        st.sampled_from(["", "G 1 1\n", "G 2 0\n", "G 3 3\n"]),
+        st.text(alphabet="GEvw0123456789 \t\r\n", max_size=40),
+    ).map("".join),
+)
+def test_text_round_trip_and_malformed_text(chi, n, seed, text):
+    n = min(n, 3 * chi)
+    n += (3 * chi - n) % 2  # 3*chi - n even
+    g = sample_graph(SampleConfig(chi=chi, n=n, trials=1, seed=seed), 0)
+    assert from_text(to_text(g)) == g
+    # any text either reads as a graph that round-trips, or raises
+    # ExpanderForgeError alone
+    try:
+        h = from_text(text)
+    except ExpanderForgeError:
+        return
+    assert from_text(to_text(h)) == h
 
 
 def test_text_format_shape():
