@@ -11,13 +11,14 @@ uses ``default_rng(SeedSequence(entropy=s, spawn_key=(t,)))``; parallel and
 serial execution therefore produce identical trial streams.
 
 Monte Carlo connectivity draws each trial under that contract and decides
-connectivity a block of trials at a time: one sparse connected-components
-call on the disjoint union of the block's interior multigraphs, a CSR read
+connectivity a block of trials at a time: one breadth-first search on the
+disjoint union of the block's interior multigraphs, a neighbour table read
 straight off the paired labels, so batching changes no draw and no
 verdict.  Exhaustive enumeration feeds its pairings to the same kernel.
-numpy and scipy are imported inside the functions that call them, so
-commands that never call them do not pay for them: `count_family`,
-`matching_count`, `SampleConfig` and `wilson_interval` need neither.
+numpy is the only array library here, imported inside the functions that
+call it, so commands that never call them do not pay for it:
+`count_family`, `matching_count`, `SampleConfig` and `wilson_interval`
+need none.
 """
 
 from __future__ import annotations
@@ -127,15 +128,24 @@ def _interior_connected(pairs: np.ndarray, chi: int) -> np.ndarray:
     is, and pairs that touch a label above 3*chi are dropped wherever they
     sit.
 
-    Label l of partition i is row entry i*3*chi + l - 1 of one CSR with
-    three entries per interior vertex: the vertex that owns its partner
-    label, or its own vertex when that partner is a boundary label.
-    Components never straddle two partitions, so partition i is connected
-    exactly when its chi vertices share one component label.
+    Label l of partition i is entry i*3*chi + l - 1 of one partner array,
+    which holds its partner label, or l itself when that partner is a
+    boundary label; divided by 3, the three entries of a vertex are its
+    neighbours.  A level-synchronous breadth-first search starts from
+    vertex 0 of every partition at once, and partition i is connected
+    exactly when it reaches all of its chi vertices, since no edge leaves a
+    partition.  A boolean level mask holds each vertex once, however many
+    parallel edges reach it.
+
+    Cost: each level is O(chi*k) array work, and the number of levels is the
+    largest distance from vertex 0 within any partition.  For uniform
+    samples that is O(log chi), since random cubic graphs have logarithmic
+    diameter (Bollobas and Fernandez de la Vega, 1982); a path-like
+    partition costs O(chi^2).  A ring of 2000 double-edge beads (chi = 4000,
+    2000 levels) takes about 10 ms on a 2-core host, against 0.3 ms for
+    scipy's csgraph, with the same verdict.
     """
     import numpy as np
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
 
     k = len(pairs)
     size = 3 * chi * k
@@ -143,17 +153,20 @@ def _interior_connected(pairs: np.ndarray, chi: int) -> np.ndarray:
     # own vertex, as it would with the pair dropped
     pairs = np.where(pairs > 3 * chi, pairs[..., ::-1], pairs)
     labels = pairs - 1 + (3 * chi * np.arange(k))[:, None, None]
-    partner = np.arange(size, dtype=np.int32)
+    partner = np.arange(size)
     partner[labels[..., 0]] = labels[..., 1]
     partner[labels[..., 1]] = labels[..., 0]
-    # float64 data and int32 indices, the dtypes csgraph works in: no conversion
-    graph = csr_array(
-        (np.ones(size), partner // 3, np.arange(0, size + 1, 3, dtype=np.int32)),
-        shape=(chi * k, chi * k),
-    )
-    _, component = connected_components(graph, directed=False)
-    component = component.reshape(k, chi)
-    return (component == component[:, :1]).all(axis=1)
+    nbrs = (partner // 3).reshape(-1, 3)  # the three neighbours of each vertex
+    seen = np.zeros(chi * k, dtype=bool)
+    frontier = chi * np.arange(k)  # vertex 0 of every partition
+    seen[frontier] = True
+    while frontier.size:
+        level = np.zeros(chi * k, dtype=bool)
+        level[nbrs[frontier]] = True
+        level &= ~seen
+        seen |= level
+        frontier = np.flatnonzero(level)
+    return seen.reshape(k, chi).all(axis=1)
 
 
 def _connected_trials(cfg: SampleConfig) -> np.ndarray:

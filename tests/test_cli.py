@@ -708,8 +708,10 @@ def test_package_import_loads_no_submodule(tmp_path):
         ["split", "planted.txt"],
         ["construct", "--theta", "3", "--g-min", "1", "--g-max", "4",
          "--out", "fam"],
+        ["sweep", "--chi-list", "50,400", "--rule", "pow:0.5", "--trials", "20",
+         "--out", "s.csv"],
     ],
-    ids=["bounds", "cheeger", "split", "construct"],
+    ids=["bounds", "cheeger", "split", "construct", "sweep"],
 )
 def test_certified_commands_never_import_scipy(tmp_path, argv):
     (tmp_path / "planted.txt").write_text(to_text(plant_trees(theta_base(), 3)))

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from expander_forge.errors import GuardExceededError, ParityError
-from expander_forge.graph_core import build_graph, is_connected, validate_partition
+from expander_forge.graph_core import (
+    HalfEdgePairing,
+    build_graph,
+    is_connected,
+    validate_partition,
+)
 from expander_forge.sampler import (
     BLOCK_VERTICES,
     SampleConfig,
@@ -141,6 +146,42 @@ def test_interior_graph_decides_connectivity(chi, n):
     pairings = list(enumerate_family(chi, n))
     verdicts = _interior_connected(np.array([p.pairs for p in pairings]), chi)
     assert verdicts.tolist() == [is_connected(build_graph(p)) for p in pairings]
+
+
+def necklace_pairing(rings):
+    """Necklaces of double-edge beads as one good partition with n = 0: a
+    ring of m beads has 2m vertices and diameter m.  Bead j of a ring is
+    vertices (a, b) joined twice through their first two labels; b's third
+    label pairs with the third label of the next bead's a."""
+    pairs, start = [], 0
+    for m in rings:
+        for j in range(m):
+            a, b = start + 2 * j, start + 2 * j + 1
+            nxt = start + 2 * ((j + 1) % m)
+            pairs += [(3 * a + 1, 3 * b + 1), (3 * a + 2, 3 * b + 2),
+                      (3 * b + 3, 3 * nxt + 3)]
+        start += 2 * m
+    return HalfEdgePairing(chi=start, n=0, pairs=pairs)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        pytest.param([[10]], id="ring-10"),
+        pytest.param([[200]], id="ring-200"),
+        pytest.param([[2000]], id="ring-2000"),
+        pytest.param([[3, 7]], id="two-rings"),
+        pytest.param([[100, 100], [200], [50, 150]], id="mixed-block"),
+    ],
+)
+def test_interior_graph_decides_deep_multigraphs(block):
+    """Path-like partitions with parallel edges, one search level per bead:
+    the kernel must run every level and read all three neighbour slots."""
+    pairings = [necklace_pairing(rings) for rings in block]
+    chi = pairings[0].chi
+    verdicts = _interior_connected(np.array([p.pairs for p in pairings]), chi)
+    expected = [is_connected(build_graph(p)) for p in pairings]
+    assert verdicts.tolist() == expected == [len(rings) == 1 for rings in block]
 
 
 def test_exact_connectivity_small_families():
