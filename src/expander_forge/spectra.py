@@ -17,12 +17,12 @@ Each dense matrix is built in one nv x nv allocation, straight from the
 edge list.  One threshold, LANCZOS_FROM, selects both sparse routes: from
 there on `lambda1` is a Lanczos solve and the Steklov interior block
 L_II is factored by a sparse LU, so neither builds a dense nv x nv array.
-Below it the Steklov route is one dense Laplacian, sliced, and a Cholesky
-factorization.
+Below it the Steklov route is one dense Laplacian and a blocked Cholesky
+factorization of its interior block, made in place in that array with
+numpy alone.
 
-scipy is imported inside the functions that call it, the sparse solves
-and the Cholesky solve, so commands that never call them do not pay for
-it.
+scipy is imported only inside the sparse solves, so no command loads it
+below LANCZOS_FROM vertices.
 """
 
 from __future__ import annotations
@@ -42,11 +42,17 @@ DENSE_LIMIT = 2000
 # scipy.sparse.linalg (0.26-0.33 s) beats one dense eigvalsh from here, so
 # `lambda1` never makes a process slower.  1 BLAS thread, 2-core host:
 # dense 261, 319 and 403 ms against Lanczos 16, 25 and 30 ms at 1230, 1332
-# and 1434 vertices.  The Steklov solves cross earlier, warm: dense
-# Cholesky 2.7, 24 and 56 ms against sparse LU 2.3, 8.2 and 15 ms at 420,
-# 1030 and 1436 vertices.  Steklov keeps this one threshold, so every
-# output below it stays what the dense route computes.
+# and 1434 vertices.  The Steklov solves cross earlier, warm: the dense
+# blocked Cholesky 1.2, 9.8 and 25 ms against sparse LU 1.1, 3.6 and 6.7 ms
+# at 420, 1030 and 1436 vertices.  Steklov keeps this one threshold, so
+# every output below it stays what the dense route computes, and no
+# command loads scipy below it.
 LANCZOS_FROM = 1400
+# Interior columns per step of `_schur_dense`.  1 BLAS thread, 2-core
+# host, best of 25 at 420, 624 and 1030 vertices: 32 takes 1.05, 2.6 and
+# 9.4 ms, 64 1.2, 2.7 and 9.3 ms, 96 1.5, 3.3 and 10 ms, 128 2.1, 4.1 and
+# 12 ms, 16 1.1, 2.8 and 11 ms.
+SCHUR_PANEL = 32
 
 
 def _adjacency_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -155,19 +161,31 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
     return np.sort(2.0 - vals)
 
 
-def _cholesky_solve(lap_ii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lap_ii^{-1} rhs by a dense Cholesky factorization, made in place on
-    a fresh Fortran-ordered copy of lap_ii; SolverError when lap_ii is not
-    positive definite."""
-    import scipy.linalg
+def _schur_dense(lap: np.ndarray, chi: int) -> np.ndarray:
+    """The Schur complement L_BB - L_BI L_II^{-1} L_IB of a dense L = D - A
+    split at its first chi rows and columns, by a left-looking blocked
+    Cholesky factorization of L_II (Golub and Van Loan, Matrix
+    Computations, 4.2) made in place in lap; SolverError when L_II is not
+    positive definite.
 
-    try:
-        cho = scipy.linalg.cho_factor(
-            np.array(lap_ii, order="F"), overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("interior Dirichlet block not SPD") from exc
-    return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+    Each panel of SCHUR_PANEL interior columns takes the products of every
+    earlier panel in one matrix product, is factored as a small diagonal
+    block, and is scaled below that block: the boundary rows with the
+    interior ones.  The boundary rows of the first chi columns then hold
+    X = L_BI C^{-T}, C the Cholesky factor of L_II, and the complement is
+    L_BB - X X^T, so the only large array is lap itself.
+    """
+    for k in range(0, chi, SCHUR_PANEL):
+        e = min(k + SCHUR_PANEL, chi)
+        if k:  # no earlier panel: the empty product costs 8% at 20 vertices
+            lap[k:, k:e] -= lap[k:, :k] @ lap[k:e, :k].T
+        try:
+            c = np.linalg.cholesky(lap[k:e, k:e])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("interior Dirichlet block not SPD") from exc
+        lap[e:, k:e] = lap[e:, k:e] @ np.linalg.inv(c).T
+    x = lap[chi:, :chi]
+    return lap[chi:, chi:] - x @ x.T
 
 
 def _lu_solve(lap_ii, rhs: np.ndarray) -> np.ndarray:
@@ -190,12 +208,13 @@ def _lu_solve(lap_ii, rhs: np.ndarray) -> np.ndarray:
 def _dirichlet_blocks(g: MultiGraph):
     """(solve, lap_ib, lap_bb) for L = D - A split at the chi interior
     vertices: L_IB and L_BB dense, and solve(rhs) = L_II^{-1} rhs by
-    Cholesky of the sliced dense L below LANCZOS_FROM vertices, by SuperLU
-    of a sparse L from there on."""
+    SuperLU of a sparse L from LANCZOS_FROM vertices on.  Below it, where
+    only `harmonic_extension` asks for the blocks (`steklov_spectrum` takes
+    `_schur_dense`), solve is a dense LU solve of the sliced dense L."""
     chi = g.chi
     if g.num_vertices < LANCZOS_FROM:
         lap = combinatorial_laplacian(g)
-        return partial(_cholesky_solve, lap[:chi, :chi]), lap[:chi, chi:], lap[chi:, chi:]
+        return partial(np.linalg.solve, lap[:chi, :chi]), lap[:chi, chi:], lap[chi:, chi:]
     lap = _sparse_laplacian(g)
     return (
         partial(_lu_solve, lap[:chi, :chi]),
@@ -208,18 +227,22 @@ def steklov_spectrum(g: MultiGraph) -> tuple[float, ...]:
     """The Steklov spectrum, ascending, via the Schur complement of L = D - A.
 
     Requires a connected graph with at least one boundary vertex.  The
-    interior Dirichlet block is positive definite for such graphs and is
-    factored as `_dirichlet_blocks` says; a failed factorization, sigma_0
-    away from 0 or sigma_1 within tol of 0 is reported as an internal
-    inconsistency (SolverError).
+    interior Dirichlet block is positive definite for such graphs.  Below
+    LANCZOS_FROM vertices the complement is `_schur_dense`'s blocked
+    Cholesky, from there on a SuperLU solve as `_dirichlet_blocks` says; a
+    failed factorization, sigma_0 away from 0 or sigma_1 within tol of 0 is
+    reported as an internal inconsistency (SolverError).
     """
     if not is_connected(g):
         raise ExpanderForgeError("Steklov spectrum requires a connected graph")
     if not g.n:
         raise ExpanderForgeError("Steklov spectrum requires n >= 1")
-    solve, lap_ib, schur = _dirichlet_blocks(g)
-    if g.chi:
-        schur = schur - lap_ib.T @ solve(lap_ib)
+    if g.num_vertices < LANCZOS_FROM:
+        schur = _schur_dense(combinatorial_laplacian(g), g.chi)
+    else:
+        solve, lap_ib, schur = _dirichlet_blocks(g)
+        if g.chi:
+            schur = schur - lap_ib.T @ solve(lap_ib)
     eigs = tuple(np.linalg.eigvalsh((schur + schur.T) / 2.0).tolist())
     if abs(eigs[0]) > DEFAULT_TOL * max(1.0, abs(eigs[-1])):
         raise SolverError(f"sigma_0 = {eigs[0]} not 0 within tol")

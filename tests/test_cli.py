@@ -710,8 +710,12 @@ def test_package_import_loads_no_submodule(tmp_path):
          "--out", "fam"],
         ["sweep", "--chi-list", "50,400", "--rule", "pow:0.5", "--trials", "20",
          "--out", "s.csv"],
+        # below LANCZOS_FROM vertices: lambda1 from the dense spectrum, the
+        # Steklov Schur complement from the numpy blocked Cholesky
+        ["sample", "--chi", "16", "--n", "4", "--trials", "3", "--out", "s.csv"],
+        ["spectra", "planted.txt"],
     ],
-    ids=["bounds", "cheeger", "split", "construct", "sweep"],
+    ids=["bounds", "cheeger", "split", "construct", "sweep", "sample", "spectra"],
 )
 def test_certified_commands_never_import_scipy(tmp_path, argv):
     (tmp_path / "planted.txt").write_text(to_text(plant_trees(theta_base(), 3)))

@@ -365,6 +365,45 @@ def test_sparse_steklov_route_matches_the_dense_one(monkeypatch):
             assert np.allclose(sparse, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
 
 
+def _lu_schur_complement(g: MultiGraph) -> np.ndarray:
+    """L_BB - L_BI L_II^{-1} L_IB from the dense adjacency oracle, by an LU
+    solve on the role-indexed blocks."""
+    lap = _oracle_combinatorial_laplacian(g)
+    it = [v for v, r in enumerate(g.roles) if r != "boundary"]
+    bd = [v for v, r in enumerate(g.roles) if r == "boundary"]
+    return lap[np.ix_(bd, bd)] - lap[np.ix_(bd, it)] @ np.linalg.solve(
+        lap[np.ix_(it, it)], lap[np.ix_(it, bd)]
+    )
+
+
+def test_blocked_schur_complement_matches_an_lu_one():
+    # chi one below, at and one above the first and second panel edges, and
+    # a dozen panels; loops cancel in L, multi-edges count
+    assert spectra.SCHUR_PANEL == 32
+    sampled = _connected_samples(
+        [(31, 1), (32, 2), (33, 1), (64, 2), (65, 1), (420, 20)], 3, seed=6
+    )
+    graphs = [STAR, LOOP_PENDANT, *sampled, *_planted_with_loops()]
+    assert {g.chi for g in graphs} >= {1, 31, 32, 33, 64, 65, 420}
+    assert {g.n for g in graphs} >= {1, 2}
+    for g in graphs:
+        want = _lu_schur_complement(g)
+        lap = combinatorial_laplacian(g)
+        # at n = 1 the complement is 0: absolute error is on the scale of L
+        atol = 1e-12 * np.max(np.abs(lap))
+        got = spectra._schur_dense(lap, g.chi)
+        assert got.shape == (g.n, g.n)
+        assert np.allclose(got, want, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.parametrize("bad", [5, 40])  # in the first panel, in the second
+def test_blocked_schur_complement_rejects_an_indefinite_interior_block(bad):
+    lap = np.eye(43)
+    lap[bad, bad] = -1.0
+    with pytest.raises(SolverError):
+        spectra._schur_dense(lap, 41)
+
+
 def test_sparse_route_never_builds_a_dense_laplacian(monkeypatch):
     def dense(g):
         raise AssertionError("dense Laplacian built")
