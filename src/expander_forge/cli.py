@@ -93,7 +93,6 @@ def cmd_sample(args) -> dict[Path, str]:
 
     cfg = SampleConfig(chi=args.chi, n=args.n, trials=args.trials, seed=args.seed)
     rows = []
-    lambda1s = []
 
     def connected_trials():
         # cheeger_exact_many reads the trials pass by pass, and the rows
@@ -102,11 +101,10 @@ def cmd_sample(args) -> dict[Path, str]:
             g = sample_graph(cfg, t)
             connected = is_connected(g)
             lam1 = lambda1(g)
-            lambda1s.append(lam1)
             sigma1 = ""
             if connected and g.n >= 2:
                 sigma1 = _fmt(steklov_spectrum(g)[1])
-            rows.append((t, connected, _fmt(lam1), sigma1, topology(g).genus))
+            rows.append((t, connected, lam1, sigma1, topology(g).genus))
             if connected:
                 yield g
 
@@ -115,8 +113,8 @@ def cmd_sample(args) -> dict[Path, str]:
     connected_h = iter(hs)
     for t, connected, lam1, sigma1, genus in rows:
         h = next(connected_h) if connected else ""
-        lines.append(f"{t},{int(connected)},{lam1},{sigma1},{h},{genus}")
-    q = np.quantile(np.array(lambda1s), [0.25, 0.5, 0.75])
+        lines.append(f"{t},{int(connected)},{_fmt(lam1)},{sigma1},{h},{genus}")
+    q = np.quantile(np.array([row[2] for row in rows]), [0.25, 0.5, 0.75])
     lines.append(
         f"# summary connected_fraction={len(hs)}/{cfg.trials}"
         f" lambda1_q25={_fmt(q[0])} lambda1_q50={_fmt(q[1])}"

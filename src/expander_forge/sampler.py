@@ -14,7 +14,8 @@ Monte Carlo connectivity draws each trial under that contract and decides
 connectivity a block of trials at a time: one breadth-first search on the
 disjoint union of the block's interior multigraphs, a neighbour table read
 straight off the paired labels, so batching changes no draw and no
-verdict.  Exhaustive enumeration feeds its pairings to the same kernel.
+verdict.  One driver, `_block_verdicts`, cuts the blocks: the Monte Carlo
+trials and the exhaustive enumeration both feed it their pairings.
 numpy is the only array library here, imported inside the functions that
 call it, so commands that never call them do not pay for it:
 `count_family`, `matching_count`, `SampleConfig` and `wilson_interval`
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import GuardExceededError
 from .graph_core import HalfEdgePairing, build_graph, check_parity
@@ -169,26 +170,32 @@ def _interior_connected(pairs: np.ndarray, chi: int) -> np.ndarray:
     return seen.reshape(k, chi).all(axis=1)
 
 
-def _connected_trials(cfg: SampleConfig) -> np.ndarray:
-    """Connectivity of the sampled graphs of trials 0..cfg.trials-1, as a
-    bool array in trial order, without building a MultiGraph: each block
-    of trials, up to BLOCK_VERTICES interior vertices, is one
-    `_interior_connected` call on its interior pairs."""
+def _block_verdicts(pairs: Iterable[np.ndarray], chi: int) -> np.ndarray:
+    """Connectivity of each good partition of F_{chi,n} that `pairs` yields
+    (at least one), given as its label pairs, all or the interior ones, as
+    a bool array in input order.  The pairs are read lazily, a block of up
+    to BLOCK_VERTICES interior vertices (at least one partition) at a
+    time, and each block is one `_interior_connected` call."""
     import numpy as np
 
-    chi, n = cfg.chi, cfg.n
+    pairs = iter(pairs)
     per_block = max(1, BLOCK_VERTICES // chi)
-    verdicts = np.empty(cfg.trials, dtype=bool)
-    for start in range(0, cfg.trials, per_block):
-        stop = min(start + per_block, cfg.trials)
-        pairs = np.stack(
-            [
-                _sample_label_pairs(chi, n, trial_rng(cfg.seed, t))[n:]
-                for t in range(start, stop)
-            ]
-        )  # (trials, interior edges, 2)
-        verdicts[start:stop] = _interior_connected(pairs, chi)
-    return verdicts
+    verdicts = []
+    while block := list(islice(pairs, per_block)):
+        verdicts.append(_interior_connected(np.array(block), chi))
+    return np.concatenate(verdicts)
+
+
+def _connected_trials(cfg: SampleConfig) -> np.ndarray:
+    """Connectivity of the sampled graphs of trials 0..cfg.trials-1, as a
+    bool array in trial order, without building a MultiGraph: each trial's
+    interior pairs are drawn under the RNG contract and fed to
+    `_block_verdicts`."""
+    chi, n = cfg.chi, cfg.n
+    draws = (
+        _sample_label_pairs(chi, n, trial_rng(cfg.seed, t))[n:] for t in range(cfg.trials)
+    )
+    return _block_verdicts(draws, chi)
 
 
 def wilson_interval(successes: int, trials: int):
@@ -249,15 +256,6 @@ def enumerate_family(chi: int, n: int) -> Iterator[HalfEdgePairing]:
 
 def exact_connectivity_fraction(chi: int, n: int) -> Fraction:
     """Connected fraction of the family by exhaustive enumeration, within
-    ENUM_GUARD: blocks of up to BLOCK_VERTICES interior vertices of
-    enumerated pairings, each one `_interior_connected` call."""
-    import numpy as np
-
-    pairings = enumerate_family(chi, n)
-    per_block = max(1, BLOCK_VERTICES // chi)
-    total = 0
-    connected = 0
-    while block := [p.pairs for p in islice(pairings, per_block)]:
-        total += len(block)
-        connected += int(_interior_connected(np.array(block), chi).sum())
-    return Fraction(connected, total)
+    ENUM_GUARD: `_block_verdicts` on the pairs of `enumerate_family`."""
+    verdicts = _block_verdicts((p.pairs for p in enumerate_family(chi, n)), chi)
+    return Fraction(int(verdicts.sum()), len(verdicts))

@@ -27,7 +27,6 @@ below LANCZOS_FROM vertices.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -205,33 +204,17 @@ def _lu_solve(lap_ii, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def _dirichlet_blocks(g: MultiGraph):
-    """(solve, lap_ib, lap_bb) for L = D - A split at the chi interior
-    vertices: L_IB and L_BB dense, and solve(rhs) = L_II^{-1} rhs by
-    SuperLU of a sparse L from LANCZOS_FROM vertices on.  Below it, where
-    only `harmonic_extension` asks for the blocks (`steklov_spectrum` takes
-    `_schur_dense`), solve is a dense LU solve of the sliced dense L."""
-    chi = g.chi
-    if g.num_vertices < LANCZOS_FROM:
-        lap = combinatorial_laplacian(g)
-        return partial(np.linalg.solve, lap[:chi, :chi]), lap[:chi, chi:], lap[chi:, chi:]
-    lap = _sparse_laplacian(g)
-    return (
-        partial(_lu_solve, lap[:chi, :chi]),
-        lap[:chi, chi:].toarray(),
-        lap[chi:, chi:].toarray(),
-    )
-
-
 def steklov_spectrum(g: MultiGraph) -> tuple[float, ...]:
     """The Steklov spectrum, ascending, via the Schur complement of L = D - A.
 
     Requires a connected graph with at least one boundary vertex.  The
     interior Dirichlet block is positive definite for such graphs.  Below
     LANCZOS_FROM vertices the complement is `_schur_dense`'s blocked
-    Cholesky, from there on a SuperLU solve as `_dirichlet_blocks` says; a
-    failed factorization, sigma_0 away from 0 or sigma_1 within tol of 0 is
-    reported as an internal inconsistency (SolverError).
+    Cholesky; from there on it is L_BB - L_IB^T L_II^{-1} L_IB, with L_IB and
+    L_BB sliced dense from `_sparse_laplacian` and L_II^{-1} L_IB by
+    `_lu_solve` of its sparse L_II.  A failed factorization, sigma_0 away
+    from 0 or sigma_1 within tol of 0 is reported as an internal
+    inconsistency (SolverError).
     """
     if not is_connected(g):
         raise ExpanderForgeError("Steklov spectrum requires a connected graph")
@@ -240,9 +223,10 @@ def steklov_spectrum(g: MultiGraph) -> tuple[float, ...]:
     if g.num_vertices < LANCZOS_FROM:
         schur = _schur_dense(combinatorial_laplacian(g), g.chi)
     else:
-        solve, lap_ib, schur = _dirichlet_blocks(g)
-        if g.chi:
-            schur = schur - lap_ib.T @ solve(lap_ib)
+        chi, lap = g.chi, _sparse_laplacian(g)
+        lap_ib, schur = lap[:chi, chi:].toarray(), lap[chi:, chi:].toarray()
+        if chi:
+            schur = schur - lap_ib.T @ _lu_solve(lap[:chi, :chi], lap_ib)
     eigs = tuple(np.linalg.eigvalsh((schur + schur.T) / 2.0).tolist())
     if abs(eigs[0]) > DEFAULT_TOL * max(1.0, abs(eigs[-1])):
         raise SolverError(f"sigma_0 = {eigs[0]} not 0 within tol")
@@ -254,7 +238,10 @@ def steklov_spectrum(g: MultiGraph) -> tuple[float, ...]:
 
 
 def harmonic_extension(g: MultiGraph, boundary_values: Sequence[float]) -> np.ndarray:
-    """Extend boundary data to a function harmonic at interior vertices."""
+    """Extend boundary data to a function harmonic at interior vertices:
+    f_I = -L_II^{-1} L_IB f_B, by `np.linalg.solve` of the dense L_II
+    below LANCZOS_FROM vertices and `_lu_solve` of the sparse one from
+    there on."""
     if len(boundary_values) != g.n:
         raise ExpanderForgeError("boundary data length mismatch")
     chi = g.chi
@@ -264,9 +251,12 @@ def harmonic_extension(g: MultiGraph, boundary_values: Sequence[float]) -> np.nd
         raise SolverError("interior Dirichlet block singular: a component has no boundary")
     f = np.zeros(g.num_vertices)
     f[chi:] = boundary_values
-    if chi:
-        solve, lap_ib, _ = _dirichlet_blocks(g)
-        f[:chi] = solve(-lap_ib @ f[chi:])
+    if chi and g.num_vertices < LANCZOS_FROM:
+        lap = combinatorial_laplacian(g)
+        f[:chi] = np.linalg.solve(lap[:chi, :chi], -lap[:chi, chi:] @ f[chi:])
+    elif chi:
+        lap = _sparse_laplacian(g)
+        f[:chi] = _lu_solve(lap[:chi, :chi], -lap[:chi, chi:].toarray() @ f[chi:])
     return f
 
 

@@ -9,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from expander_forge import _mincut_py, cli, construct, spectra
 from expander_forge.cheeger import cheeger_exact, cheeger_exact_many
@@ -626,6 +628,61 @@ def test_malformed_record_names_its_line(tmp_path, capsys, text, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def _first_connected_sample(chi: int, n: int, seed: int):
+    cfg = SampleConfig(chi=chi, n=n, trials=20, seed=seed)
+    return next(g for g in (sample_graph(cfg, t) for t in range(cfg.trials)) if is_connected(g))
+
+
+# two valid graph files to mutate: a connected F_{16,4} sample (20 vertices,
+# within the default guard) and the theta base with one planted tree
+FUZZ_BASES = tuple(
+    to_text(g).splitlines()
+    for g in (_first_connected_sample(16, 4, 0), plant_trees(theta_base(), 1))
+)
+FUZZ_TOKENS = st.one_of(
+    st.integers(-2, 40).map(str),  # a count
+    st.builds("{}{}".format, st.sampled_from("vw"), st.integers(0, 30)),  # an id
+    st.sampled_from(["G", "E"]),
+)
+
+
+@st.composite
+def mutated_graph_files(draw):
+    """A base file after one to three line deletions, duplications, swaps
+    or single-token replacements."""
+    lines = list(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "token"]))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split()
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = draw(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_graph_files())
+def test_mutated_graph_files_exit_with_a_documented_code(tmp_path, capsys, text):
+    """Never a traceback: every graph-reading command either reports or
+    exits 2 (bad input) or 3 (guard) with one error line."""
+    path = tmp_path / "mutated.txt"
+    path.write_text(text)
+    for command in ("cheeger", "spectra", "split"):
+        code = main([command, str(path)])
+        assert code in (0, 2, 3)
+        err = capsys.readouterr().err
+        assert (code == 0) == (err == "")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -207,6 +207,17 @@ def test_disconnection_grows_with_n_exact():
     assert f3[2] < f3[0]
     f4 = [exact_connectivity_fraction(4, n) for n in (0, 2)]
     assert f4[0] >= f4[1]
+    assert f3 == [Fraction(6, 7), Fraction(24, 35), Fraction(3, 7)]
+    assert f4 == [Fraction(72, 77), Fraction(60, 77)]
+
+
+def test_exact_connectivity_matches_union_find_over_blocks():
+    """F_{3,3} has 7560 members, six blocks of BLOCK_VERTICES // 3 with the
+    last one partial: every block's verdicts count, in order or not."""
+    assert count_family(3, 3) % (BLOCK_VERTICES // 3) != 0
+    assert count_family(3, 3) > 5 * (BLOCK_VERTICES // 3)
+    hits = sum(is_connected(build_graph(p)) for p in enumerate_family(3, 3))
+    assert exact_connectivity_fraction(3, 3) == Fraction(hits, count_family(3, 3))
 
 
 def test_wilson_interval_degenerate_edges():

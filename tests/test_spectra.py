@@ -365,6 +365,23 @@ def test_sparse_steklov_route_matches_the_dense_one(monkeypatch):
             assert np.allclose(sparse, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
 
 
+@pytest.mark.parametrize("threshold", [10**9, 50], ids=["dense", "sparse"])
+def test_harmonic_extension_is_harmonic_on_both_routes(monkeypatch, threshold):
+    """L f vanishes at every interior vertex and f is the data on the
+    boundary, whichever solve extends it."""
+    monkeypatch.setattr(spectra, "LANCZOS_FROM", threshold)
+    graphs = [*_connected_samples([(60, 6), (150, 12), (300, 16)], 2, seed=8),
+              *_planted_with_loops()]
+    assert len(graphs) >= 6
+    rng = np.random.default_rng(9)
+    for g in graphs:
+        data = rng.normal(size=g.n)
+        f = harmonic_extension(g, data)
+        assert np.array_equal(f[g.chi:], data)
+        interior = (combinatorial_laplacian(g) @ f)[: g.chi]
+        assert np.max(np.abs(interior)) <= 1e-12 * np.max(np.abs(data))
+
+
 def _lu_schur_complement(g: MultiGraph) -> np.ndarray:
     """L_BB - L_BI L_II^{-1} L_IB from the dense adjacency oracle, by an LU
     solve on the role-indexed blocks."""
