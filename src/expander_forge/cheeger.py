@@ -9,7 +9,8 @@ into can beat the best ratio so far.  Ties are never pruned, so the
 certificate, witness included, is the unpruned search's.  cheeger_exact
 searches one graph; cheeger_exact_many searches many graphs in shared
 engine passes, so the fixed cost per batch is paid once for all of them,
-with the same certificates.
+with the same certificates.  cheeger_at_least decides h >= b with one
+pass under the fixed bound b, beyond the guard up to the mask width.
 """
 
 from __future__ import annotations
@@ -131,6 +132,28 @@ def _certify(pending: list[MultiGraph | None]) -> Iterator[CheegerCertificate | 
     cuts = iter(_kernel.min_ratio_cuts(searched) if searched else ())
     for g in pending:
         yield None if g is None else _certificate(*next(cuts)[:3])
+
+
+def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
+    """Whether h(g) >= bound, for g of at most MAX_VERTICES vertices,
+    whatever the guard.
+
+    One engine pass under the fixed bound p/q = bound: it yields every
+    connected S with |S| <= |V|/2 and q |boundary(S)| <= p |S|, and the
+    minimum over connected S is h (_mincut_py.min_ratio_cut).  So h < p/q
+    exactly when a yielded S has q |boundary(S)| < p |S|; the pass stops
+    at the first batch that holds one.
+    """
+    _searchable(g)
+    adj, mult, nv, half = _search_input(g)
+    if nv > _kernel.MAX_VERTICES:
+        raise GuardExceededError(
+            f"|V| = {nv} exceeds the mask width {_kernel.MAX_VERTICES}"
+        )
+    p, q = Fraction(bound).as_integer_ratio()
+    bounds = (np.array([b]) for b in (half, p, q))
+    batches = _kernel.connected_subsets(*_kernel.stack_graphs([(adj, mult)]), *bounds)
+    return not any((q * s < p * size).any() for size, _, _, _, s in batches)
 
 
 def cheeger_exact_naive(g: MultiGraph) -> CheegerCertificate:

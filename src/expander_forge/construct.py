@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .cheeger import cheeger_exact, cheeger_exact_within, cheeger_upper
+from ._mincut_py import MAX_VERTICES
+from .cheeger import cheeger_at_least, cheeger_exact, cheeger_exact_within, cheeger_upper
 from .errors import DEFAULT_GUARD, CertificationError, ExpanderForgeError
 from .graph_core import (
     INTERIOR,
@@ -322,25 +323,29 @@ NAMED_BASES: dict[int, Callable[[], MultiGraph]] = {
 class CertifiedBase:
     graph: MultiGraph
     h_bound: Fraction
-    exact: bool
 
 
 def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
-    """Connected 3-regular graph on 2m vertices, with h >= 2/11 proven
-    where exact is True.
+    """Connected 3-regular graph on 2m vertices with h >= 2/11 proven.
 
     Named graphs (certified by exact search) for small m; otherwise random
-    cubic samples, certified exactly where cheeger_exact_within takes them
-    and screened by the sweep upper bound beyond it.  A screened base is
-    not proven: it comes back with h_bound = 2/11 and exact=False, until
-    the exact search can prove bases beyond the guard (ROADMAP, open item
-    1).  The exact search costs time exponential in the guard.
+    cubic samples.  Where cheeger_exact_within takes a sample, the exact
+    search certifies it.  Beyond it the sweep upper bound screens the
+    trials and cheeger_at_least proves the trial the screen picks, which
+    comes back with h_bound = 2/11.  No base above MAX_VERTICES vertices
+    is proven: CertificationError.  The exact search costs time
+    exponential in the guard.
     """
     if m in NAMED_BASES:
         g = NAMED_BASES[m]()
         h = cheeger_exact(g, guard=2 * m).h  # proven whatever the guard
         if h >= BASE_CHEEGER_TARGET:
-            return CertifiedBase(graph=g, h_bound=h, exact=True)
+            return CertifiedBase(graph=g, h_bound=h)
+    if 2 * m > MAX_VERTICES:
+        raise CertificationError(
+            f"no cubic base on {2 * m} vertices can be certified: "
+            f"the exact search takes at most {MAX_VERTICES}"
+        )
     cfg = SampleConfig(chi=2 * m, n=0, trials=BASE_ATTEMPTS, seed=BASE_SEED + m)
     for t in range(BASE_ATTEMPTS):
         g = sample_graph(cfg, t)
@@ -349,9 +354,10 @@ def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
         cert = cheeger_exact_within(g, guard)
         if cert is not None:
             if cert.h >= BASE_CHEEGER_TARGET:
-                return CertifiedBase(graph=g, h_bound=cert.h, exact=True)
-        elif cheeger_upper(g).h >= 2 * BASE_CHEEGER_TARGET:  # screen only: upper >= h
-            return CertifiedBase(graph=g, h_bound=BASE_CHEEGER_TARGET, exact=False)
+                return CertifiedBase(graph=g, h_bound=cert.h)
+        elif cheeger_upper(g).h >= 2 * BASE_CHEEGER_TARGET:  # the screen picks
+            if cheeger_at_least(g, BASE_CHEEGER_TARGET):  # the decision proves
+                return CertifiedBase(graph=g, h_bound=BASE_CHEEGER_TARGET)
     raise CertificationError(
         f"no cubic base on {2 * m} vertices certified h >= 2/11 "
         f"after {BASE_ATTEMPTS} attempts"
@@ -362,7 +368,6 @@ def default_base_provider(m: int, guard: int = DEFAULT_GUARD) -> CertifiedBase:
 class FamilyMember:
     graph: MultiGraph
     h_lower: Fraction
-    base_exact: bool
 
 
 def expander_family(
@@ -381,7 +386,7 @@ def expander_family(
         raise ExpanderForgeError("genus must be >= 1")
     if g < spec.g_of(spec.m0):
         chain = _first_connected_member(2 * g, 2)
-        return FamilyMember(graph=chain, h_lower=Fraction(0), base_exact=False)
+        return FamilyMember(graph=chain, h_lower=Fraction(0))
 
     m = spec.m0
     while spec.g_of(m + 1) <= g:
@@ -396,9 +401,7 @@ def expander_family(
             f"constructed genus {top.genus} != requested {g} (internal error)"
         )
     return FamilyMember(
-        graph=result,
-        h_lower=tree_planting_lower_bound(base.h_bound, spec.k),
-        base_exact=base.exact,
+        graph=result, h_lower=tree_planting_lower_bound(base.h_bound, spec.k)
     )
 
 

@@ -12,6 +12,7 @@ from expander_forge.cheeger import (
     NAIVE_GUARD,
     _bitmask_inputs,
     boundary_size,
+    cheeger_at_least,
     cheeger_exact,
     cheeger_exact_many,
     cheeger_exact_naive,
@@ -361,13 +362,14 @@ def test_popcount_matches_bit_count():
     assert got.tolist() == [v.bit_count() for v in x.tolist()]
 
 
-def _random_multigraphs(count, seed):
-    """Connected multigraphs on 2..12 vertices: a random spanning tree plus
-    up to |V| extra edges, each a random pair, a loop or a parallel copy."""
+def _random_multigraphs(count, seed, max_nv=NAIVE_GUARD):
+    """Connected multigraphs on 2..max_nv vertices: a random spanning tree
+    plus up to |V| extra edges, each a random pair, a loop or a parallel
+    copy."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        nv = rng.randint(2, NAIVE_GUARD)
+        nv = rng.randint(2, max_nv)
         edges = [(v, rng.randrange(v)) for v in range(1, nv)]
         for _ in range(rng.randint(0, nv)):
             u = rng.randrange(nv)
@@ -385,6 +387,36 @@ def test_pruned_search_matches_naive_oracle_on_random_multigraphs():
     assert sum(any(u == v for u, v in g.edges) for g in graphs) > 100
     for g in graphs:
         assert cheeger_exact(g) == cheeger_exact_naive(g), g.edges
+
+
+def test_decision_matches_the_exact_search():
+    """cheeger_at_least(g, b) is cheeger_exact(g).h >= b on 400 seeded
+    multigraphs of at most 28 vertices, loops and parallel edges included,
+    and on connected model samples of 20 to 28 vertices, at b = h (a tie),
+    h +- 1/97, 2/11 and 1/3; cheeger_exact_naive agrees up to 12
+    vertices."""
+    graphs = _random_multigraphs(400, seed=35, max_nv=28) + _connected_samples(
+        [(16, 4), (20, 6), (22, 0), (24, 4)], trials=4, seed=35
+    )
+    assert sum(g.num_vertices > 20 for g in graphs) > 100
+    naive = 0
+    for g in graphs:
+        h = cheeger_exact(g, guard=28).h
+        if g.num_vertices <= NAIVE_GUARD:
+            assert cheeger_exact_naive(g).h == h, g.edges
+            naive += 1
+        for b in (h, h - Fraction(1, 97), h + Fraction(1, 97), Fraction(2, 11), Fraction(1, 3)):
+            assert cheeger_at_least(g, b) == (h >= b), (g.edges, b)
+    assert naive > 100
+
+
+def test_decision_takes_up_to_the_mask_width_whatever_the_guard():
+    """Vertex 62 uses the top bit of the masks; 64 vertices do not fit."""
+    h = Fraction(2, 31)  # the 63-cycle's
+    assert cheeger_at_least(_cycle(63), h)
+    assert not cheeger_at_least(_cycle(63), h + Fraction(1, 97))
+    with pytest.raises(GuardExceededError):
+        cheeger_at_least(_cycle(64), Fraction(2, 11))
 
 
 def test_pinned_40_vertex_family_certificate():

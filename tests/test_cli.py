@@ -450,6 +450,16 @@ def test_certification_failure_exit_4(tmp_path, monkeypatch):
     assert code == 4
 
 
+def test_construct_base_above_mask_width_exit_4(tmp_path, capsys):
+    # g = 33 at theta 3 plants a 64-vertex base, which no exact search
+    # proves: exit 4 with one error line, and no file or directory
+    out = tmp_path / "x"
+    argv = ["construct", "--theta", "3", "--g-min", "33", "--g-max", "33"]
+    assert main(argv + ["--out", str(out)]) == 4
+    assert capsys.readouterr().err.count("error:") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_lanczos_failure_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
     import scipy.sparse.linalg
 
@@ -683,6 +693,52 @@ def test_mutated_graph_files_exit_with_a_documented_code(tmp_path, capsys, text)
         assert code in (0, 2, 3)
         err = capsys.readouterr().err
         assert (code == 0) == (err == "")
+
+
+# Each pool mixes valid values with bad ones, about half of each: counts
+# below 1, non-numbers, zero denominators, non-finite and overflowing
+# floats, and rule-shaped text.  The valid values keep every graph small.
+ARG_COUNTS = st.one_of(st.integers(1, 6), st.integers(-2, 40)).map(str)
+FRACTION_TOKENS = st.one_of(
+    st.sampled_from(["1", "1/2", "5/2", "3"]),
+    st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "abc", "pow:", "foo:1"]),
+)
+RULE_TOKENS = st.one_of(
+    st.sampled_from(["pow:0.5", "pow:1", "linear:1", "linear:0.5"]),
+    st.sampled_from(["0", "-1", "1/0", "nan", "abc", "pow:", "foo:1", "linear:-1",
+                     "pow:nan", "linear:1e400"]),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """argv for sample, sweep, bounds or construct, each option given as
+    --name=value so that a negative value is read as a value."""
+    command = draw(st.sampled_from(["sample", "sweep", "bounds", "construct"]))
+    if command == "sample":
+        opts = {"chi": draw(ARG_COUNTS), "n": draw(ARG_COUNTS),
+                "trials": draw(st.integers(-1, 4)), "guard": draw(st.integers(-1, 30))}
+    elif command == "sweep":
+        opts = {"chi-list": ",".join(draw(st.lists(ARG_COUNTS, min_size=1, max_size=3))),
+                "rule": draw(RULE_TOKENS), "trials": draw(st.integers(-1, 4))}
+    elif command == "bounds":
+        opts = {"chi": draw(ARG_COUNTS), "n": draw(ARG_COUNTS), "mu": draw(FRACTION_TOKENS)}
+    else:
+        opts = {"theta": draw(FRACTION_TOKENS), "g-min": draw(ARG_COUNTS),
+                "g-max": draw(st.integers(-1, 6)), "guard": draw(st.integers(-1, 30))}
+    return [command, *(f"--{name}={value}" for name, value in opts.items())]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_fuzzed_arguments_exit_with_a_documented_code(tmp_path, capsys, argv):
+    """Never a traceback: the commands that take no graph file either
+    succeed or exit 2, 3 or 4 with exactly one error line."""
+    code = main(argv + [f"--out={tmp_path / 'out' / 'o'}"])
+    assert code in (0, 2, 3, 4)
+    err = capsys.readouterr().err
+    assert err.count("error:") == (code != 0), (argv, err)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from expander_forge.cheeger import boundary_size, cheeger_exact, cheeger_upper
+from expander_forge import construct
+from expander_forge.cheeger import (
+    CheegerCertificate,
+    boundary_size,
+    cheeger_exact,
+    cheeger_upper,
+)
 from expander_forge.construct import (
     BASE_CHEEGER_TARGET,
     _first_connected_member,
@@ -25,7 +31,7 @@ from expander_forge.construct import (
     tree_planting_lower_bound,
     two_tree_split,
 )
-from expander_forge.errors import ExpanderForgeError
+from expander_forge.errors import DEFAULT_GUARD, CertificationError, ExpanderForgeError
 from expander_forge.graph_core import (
     BOUNDARY,
     HalfEdgePairing,
@@ -422,27 +428,66 @@ def test_default_base_provider_sampled():
     base = default_base_provider(6)  # 12 vertices, not a named graph
     assert base.graph.num_vertices == 12
     assert all(d == 3 for d in base.graph.degrees())
-    assert base.exact and base.h_bound >= BASE_CHEEGER_TARGET
+    assert base.h_bound >= BASE_CHEEGER_TARGET
     assert cheeger_exact(base.graph).h == base.h_bound
 
 
-def test_base_provider_guard_above_mask_width():
-    # 64 vertices exceed the 63-bit subset masks whatever the guard, so the
-    # base is screened, as with the default guard
-    base = default_base_provider(32, guard=64)
-    assert base == default_base_provider(32)
-    assert not base.exact and base.h_bound == BASE_CHEEGER_TARGET
-    assert base.graph.num_vertices == 64 and is_connected(base.graph)
+def test_base_provider_guard_above_mask_width(monkeypatch):
+    # 64 vertices exceed the 63-bit subset masks whatever the guard: no
+    # base is proven, so none is returned, and no trial is drawn
+    monkeypatch.setattr(construct, "sample_graph", None)
+    for guard in (DEFAULT_GUARD, 64):
+        with pytest.raises(CertificationError):
+            default_base_provider(32, guard=guard)
 
 
 def test_guard_reaches_base_certification():
-    # g = 14 plants a 26-vertex base: the default guard 24 only screens it
-    # with the upper bound, guard 26 proves it by exact search
+    # g = 14 plants a 26-vertex base: the default guard 24 proves the
+    # screened trial at 2/11, guard 26 finds its exact constant
     spec = FamilySpec.from_theta(3)
-    screened = expander_family(spec, 14)
-    assert not screened.base_exact and screened.h_lower == Fraction(1, 23)
-    proven = expander_family(spec, 14, guard=26)
-    assert proven.base_exact and proven.h_lower == Fraction(1, 9)
+    assert expander_family(spec, 14).h_lower == Fraction(1, 23)
+    assert expander_family(spec, 14, guard=26).h_lower == Fraction(1, 9)
+
+
+def test_base_provider_returns_no_unproven_screened_trial(monkeypatch):
+    """Beyond the guard the screen only picks a trial: a 26-vertex path
+    (h = 1/13) that the screen passes at trial 0 must be skipped."""
+    path = MultiGraph(chi=26, n=0, edges=tuple((v, v + 1) for v in range(25)))
+    drawn = []
+
+    def sample(cfg, t):
+        drawn.append(t)
+        return path if t == 0 else sample_graph(cfg, t)
+
+    monkeypatch.setattr(construct, "sample_graph", sample)
+    monkeypatch.setattr(construct, "cheeger_upper", lambda g: CheegerCertificate(1, (), 0, False))
+    base = default_base_provider(13)
+    assert drawn[0] == 0 and len(drawn) > 1
+    assert base.graph != path and base.h_bound == BASE_CHEEGER_TARGET
+    assert cheeger_exact(base.graph, guard=26).h >= BASE_CHEEGER_TARGET
+
+
+def test_family_bases_beyond_the_guard_are_proven(monkeypatch):
+    """theta = 3, 6 and 9 over g = 14..20 plant the bases m = 13..19, all
+    beyond the default guard: each member's h_lower is the planting bound
+    at 2/11, and the exact search with a raised guard proves h >= 2/11 on
+    each distinct base, searched once."""
+    bases = {}
+
+    def recorded(m, guard):
+        bases[m] = default_base_provider(m, guard)
+        return bases[m]
+
+    monkeypatch.setattr(construct, "default_base_provider", recorded)
+    for theta in (3, 6, 9):
+        spec = FamilySpec.from_theta(theta)
+        for g in range(14, 21):
+            member = expander_family(spec, g)
+            assert member.h_lower == tree_planting_lower_bound(BASE_CHEEGER_TARGET, spec.k)
+    assert sorted(bases) == list(range(13, 20))
+    for m, base in bases.items():
+        assert base.h_bound == BASE_CHEEGER_TARGET
+        assert cheeger_exact(base.graph, guard=2 * m).h >= BASE_CHEEGER_TARGET
 
 
 @pytest.mark.parametrize("chi", [2, 4])
