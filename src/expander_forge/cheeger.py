@@ -9,7 +9,8 @@ into can beat the best ratio so far.  Ties are never pruned, so the
 certificate, witness included, is the unpruned search's.  cheeger_exact
 searches one graph; cheeger_exact_many searches many graphs in shared
 engine passes, so the fixed cost per batch is paid once for all of them,
-with the same certificates.  cheeger_at_least decides h >= b with one
+with the same certificates, and cheeger_exact_block does so for a block
+of connected graphs of one size.  cheeger_at_least decides h >= b with one
 pass under the fixed bound b, beyond the guard up to the mask width.
 """
 
@@ -23,8 +24,10 @@ import numpy as np
 
 from . import _mincut_py as _kernel
 from .errors import DEFAULT_GUARD, ExpanderForgeError, GuardExceededError
-from .graph_core import MultiGraph, _bitmask_inputs, boundary_size, is_connected
-from .spectra import normalized_laplacian
+from .graph_core import (
+    GraphBlock, MultiGraph, _bitmask_inputs, boundary_size, is_connected
+)
+from .spectra import combinatorial_laplacian, normalized_laplacian
 
 HAVE_COMPILED_KERNEL = False  # no compiled kernel; perfbench/run.py records it
 
@@ -98,6 +101,32 @@ def cheeger_exact_within(g: MultiGraph, guard: int) -> CheegerCertificate | None
     if g.num_vertices > _limit(guard):
         return None
     return cheeger_exact(g, guard)
+
+
+def _block_search_inputs(b: GraphBlock) -> list[tuple]:
+    """The engine input (adj, mult, nv, half) of each graph of block b,
+    from one stacked bitmask view: mult, the (k, nv, nv) edge
+    multiplicities, is -L off the diagonal of the stacked L = D - A, with
+    no loop since a loop never crosses a cut, and bit v of adj[i, u] is set
+    where mult[i, u, v] > 0; as _bitmask_inputs views one graph."""
+    nv = b.num_vertices
+    mult = -combinatorial_laplacian(b).astype(np.int64)
+    mult.reshape(len(mult), nv * nv)[:, :: nv + 1] = 0
+    bits = np.left_shift(np.uint64(1), np.arange(nv, dtype=np.uint64))
+    adj = np.bitwise_or.reduce(np.where(mult > 0, bits, np.uint64(0)), axis=-1)
+    return [(a, m, nv, nv // 2) for a, m in zip(adj, mult)]
+
+
+def cheeger_exact_block(b: GraphBlock, guard: int) -> list[CheegerCertificate | None]:
+    """cheeger_exact_within(g, guard) for each graph g of block b, in one
+    engine pass of _kernel.min_ratio_cuts over the whole block; no pass when
+    the block is empty or the search does not take its graphs' size.  The
+    graphs must be connected, which the caller vouches for: the search
+    would certify h = 0 for a disconnected one."""
+    k = len(b.edges)
+    if not k or b.num_vertices > _limit(guard):
+        return [None] * k
+    return [_certificate(*cut[:3]) for cut in _kernel.min_ratio_cuts(_block_search_inputs(b))]
 
 
 def cheeger_exact_many(

@@ -24,14 +24,16 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .bounds import mu_pair_terms, sum_terms
 from .errors import DEFAULT_GUARD, ExpanderForgeError, ParityError, exit_code
 from .graph_core import (
-    MultiGraph, Topology, exact_fraction, from_text, is_connected, to_text, topology
+    GraphBlock, MultiGraph, Topology, exact_fraction, from_text, genus, is_connected,
+    label_owners, to_text, topology,
 )
-from .sampler import SampleConfig, estimate_connectivity, sample_graph
+from .sampler import SampleConfig, estimate_connectivity, sample_graph, sample_partition
 
 
 def _fmt(x: float) -> str:
@@ -44,11 +46,17 @@ def _ratio(q: Fraction) -> str:
 
 def _parse_fraction(text: str) -> Fraction:
     """A --mu/--theta value: "p/q" exactly, a decimal as its float's
-    literal; ValueError (exit 2) for anything else, a zero denominator too."""
+    literal; ValueError (exit 2) for anything else, a zero denominator or
+    a decimal beyond the floats (1e400, inf, nan) too, naming the text."""
     try:
-        return Fraction(text) if "/" in text else exact_fraction(float(text))
+        if "/" in text:
+            return Fraction(text)
+        x = float(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return exact_fraction(x)
 
 
 def _out_path(path: Path) -> None:
@@ -85,38 +93,76 @@ def _write_outputs(files: dict[Path, str], argv: list[str], seed, started: str) 
     target.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_sample(args) -> dict[Path, str]:
+def _sample_trials(cfg: SampleConfig, guard: int) -> Iterator[tuple]:
+    """(trial, connected, lambda1, sigma1, certificate) of each trial of cfg,
+    in order; sigma1 is None unless the trial is connected with n >= 2, and
+    the certificate is cheeger_exact_within's, None for a disconnected trial.
+
+    A block holds as many trials as one engine pass of _mincut_py.BATCH
+    vertices (at least one), and only one block is held at a time.  Its
+    trials are drawn by sample_partition and their label pairs stacked: one
+    sampler._block_verdicts search gives the connected flags, label_owners
+    the vertex pairs, and the connected trials, one GraphBlock, get one
+    stacked laplacian_spectrum, one stacked steklov_spectrum and one
+    cheeger_exact_block engine pass; no MultiGraph is built.  From
+    spectra.LANCZOS_FROM vertices on a block is one trial, which keeps the
+    per-graph route: sample_graph and the sparse solves.
+    """
     import numpy as np
 
-    from .cheeger import cheeger_exact_many
-    from .spectra import lambda1, steklov_spectrum
+    from . import spectra
+    from ._mincut_py import BATCH
+    from .cheeger import cheeger_exact_block, cheeger_exact_within
+    from .sampler import _block_verdicts
+
+    chi, n = cfg.chi, cfg.n
+    sparse = chi + n >= spectra.LANCZOS_FROM
+    per_block = 1 if sparse else max(1, BATCH // (chi + n))
+    owner = np.array(label_owners(chi, n))
+    for first in range(0, cfg.trials, per_block):
+        trials = range(first, min(first + per_block, cfg.trials))
+        if sparse:
+            g = sample_graph(cfg, first)
+            connected = np.array([is_connected(g)])
+            lam1 = [spectra.lambda1(g)]
+            sigma1 = [spectra.steklov_spectrum(g)[1]] if connected[0] and n >= 2 else []
+            certs = [cheeger_exact_within(g, guard)] if connected[0] else []
+        else:
+            pairs = np.array([sample_partition(cfg, t).pairs for t in trials])
+            connected = _block_verdicts(pairs, chi)
+            block = GraphBlock(chi, n, owner[pairs[connected] - 1])
+            lam1 = np.zeros(len(trials))
+            sigma1 = certs = []
+            if connected.any():
+                lam1[connected] = spectra.laplacian_spectrum(block)[:, 1]
+                if n >= 2:
+                    sigma1 = spectra.steklov_spectrum(block)[:, 1].tolist()
+                certs = cheeger_exact_block(block, guard)
+            lam1 = lam1.tolist()
+        sigma1, certs = iter(sigma1), iter(certs)
+        for t, c, lam in zip(trials, connected.tolist(), lam1):
+            yield t, c, lam, next(sigma1) if c and n >= 2 else None, next(certs) if c else None
+
+
+def cmd_sample(args) -> dict[Path, str]:
+    """One CSV row per trial of _sample_trials, with its genus, which
+    depends on (chi, n) alone, then a summary line."""
+    import numpy as np
 
     cfg = SampleConfig(chi=args.chi, n=args.n, trials=args.trials, seed=args.seed)
-    rows = []
-
-    def connected_trials():
-        # cheeger_exact_many reads the trials pass by pass, and the rows
-        # fill as it does, so at most one pass of graphs is held
-        for t in range(cfg.trials):
-            g = sample_graph(cfg, t)
-            connected = is_connected(g)
-            lam1 = lambda1(g)
-            sigma1 = ""
-            if connected and g.n >= 2:
-                sigma1 = _fmt(steklov_spectrum(g)[1])
-            rows.append((t, connected, lam1, sigma1, topology(g).genus))
-            if connected:
-                yield g
-
-    hs = [_ratio(c.h) if c else "" for c in cheeger_exact_many(connected_trials(), args.guard)]
+    top = genus(cfg.chi, cfg.n)
     lines = ["trial,connected,lambda1,sigma1,h,genus"]
-    connected_h = iter(hs)
-    for t, connected, lam1, sigma1, genus in rows:
-        h = next(connected_h) if connected else ""
-        lines.append(f"{t},{int(connected)},{_fmt(lam1)},{sigma1},{h},{genus}")
-    q = np.quantile(np.array([row[2] for row in rows]), [0.25, 0.5, 0.75])
+    lam1s = []
+    hits = 0
+    for t, connected, lam1, sigma1, cert in _sample_trials(cfg, args.guard):
+        sigma = "" if sigma1 is None else _fmt(sigma1)
+        h = _ratio(cert.h) if cert else ""
+        lines.append(f"{t},{int(connected)},{_fmt(lam1)},{sigma},{h},{top}")
+        lam1s.append(lam1)
+        hits += connected
+    q = np.quantile(np.array(lam1s), [0.25, 0.5, 0.75])
     lines.append(
-        f"# summary connected_fraction={len(hs)}/{cfg.trials}"
+        f"# summary connected_fraction={hits}/{cfg.trials}"
         f" lambda1_q25={_fmt(q[0])} lambda1_q50={_fmt(q[1])}"
         f" lambda1_q75={_fmt(q[2])}"
     )
@@ -219,7 +265,8 @@ def cmd_construct(args) -> dict[Path, str]:
     genera = range(args.g_min, args.g_max + 1)
     if not genera:
         raise ValueError(f"empty genus range: --g-min {args.g_min} > --g-max {args.g_max}")
-    members = [expander_family(spec, g, guard=args.guard) for g in genera]
+    bases = {}  # one certified base per size for this command
+    members = [expander_family(spec, g, args.guard, bases) for g in genera]
     certs = cheeger_exact_many([m.graph for m in members], args.guard)
     lines = ["g,n,chi,h_lower,lambda1,h_exact,cheeger_check"]
     graphs = {}

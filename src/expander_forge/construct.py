@@ -371,7 +371,10 @@ class FamilyMember:
 
 
 def expander_family(
-    spec: FamilySpec, g: int, guard: int = DEFAULT_GUARD
+    spec: FamilySpec,
+    g: int,
+    guard: int = DEFAULT_GUARD,
+    bases: dict[int, CertifiedBase] | None = None,
 ) -> FamilyMember:
     """The genus-g member of the family with n(g)/g -> theta.
 
@@ -381,6 +384,10 @@ def expander_family(
     default_base_provider(m, guard) is planted at depth k, and the
     t(m) + g - g_of(m) pendants with the lowest canonical ids get loops
     (see FamilySpec).
+
+    bases, if given, maps m to the base already certified under this
+    guard and takes each new one, so callers that share it certify each
+    base size once; the provider is deterministic, so no member changes.
     """
     if g < 1:
         raise ExpanderForgeError("genus must be >= 1")
@@ -391,7 +398,10 @@ def expander_family(
     m = spec.m0
     while spec.g_of(m + 1) <= g:
         m += 1
-    base = default_base_provider(m, guard)
+    bases = {} if bases is None else bases
+    if m not in bases:
+        bases[m] = default_base_provider(m, guard)
+    base = bases[m]
     planted = plant_trees(base.graph, spec.k)
     loops = spec.t(m) + g - spec.g_of(m)
     result = add_loops(planted, planted.boundary_indices()[:loops])

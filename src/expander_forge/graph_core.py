@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ExpanderForgeError, ParityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -144,17 +147,38 @@ class Topology:
     genus: int
 
 
-def build_graph(p: HalfEdgePairing) -> MultiGraph:
-    """Glue the half-edges of a good partition into a multigraph.
+@dataclass(frozen=True)
+class GraphBlock:
+    """k model graphs of one size, chi interior and n boundary vertices
+    each, numbered as in MultiGraph: edges is a (k, E, 2) integer array of
+    vertex index pairs, in any order, graph by graph.  The spectra and the
+    exact Cheeger search take a block where they take a MultiGraph, to
+    work on its k graphs at once."""
 
-    Interior vertex v_i owns labels (3i-2, 3i-1, 3i) and ends up with
-    degree 3; boundary vertex w_j owns label 3*chi + j and has degree 1.
-    So label l <= 3*chi goes to index (l - 1) // 3, and label l > 3*chi
-    to index l - 2*chi - 1 (interior vertices first, then boundary).  Each
-    pair (i, j) has i < j and, the partition being good, i <= 3*chi.
-    """
-    c, d = 3 * p.chi, 2 * p.chi + 1
-    edges = [((i - 1) // 3, (j - 1) // 3 if j <= c else j - d) for i, j in p.pairs]
+    chi: int
+    n: int
+    edges: np.ndarray
+
+    @property
+    def num_vertices(self) -> int:
+        return self.chi + self.n
+
+
+def label_owners(chi: int, n: int) -> list[int]:
+    """The vertex index that owns each half-edge label 1..3*chi+n, at
+    position label - 1.  Interior vertex v_i owns labels (3i-2, 3i-1, 3i)
+    and boundary vertex w_j owns label 3*chi + j, so label l <= 3*chi goes
+    to index (l - 1) // 3, and label l > 3*chi to index l - 2*chi - 1
+    (interior vertices first, then boundary)."""
+    return [v for v in range(chi) for _ in range(3)] + list(range(chi, chi + n))
+
+
+def build_graph(p: HalfEdgePairing) -> MultiGraph:
+    """Glue the half-edges of a good partition into a multigraph: each
+    pair joins the owners (label_owners) of its two labels, so an interior
+    vertex ends up with degree 3 and a boundary vertex with degree 1."""
+    owner = label_owners(p.chi, p.n)
+    edges = [(owner[i - 1], owner[j - 1]) for i, j in p.pairs]
     return MultiGraph(chi=p.chi, n=p.n, edges=edges)
 
 
@@ -275,7 +299,13 @@ def topology(g: MultiGraph) -> Topology:
                 f"{INTERIOR if v < chi else BOUNDARY} vertex {_vertex_name(chi, v)}"
                 f" has degree {degree[v]}, not {want}"
             )
-    return Topology(len(g.components), nv - g.num_edges, (chi - g.n) // 2 + 1)
+    return Topology(len(g.components), nv - g.num_edges, genus(chi, g.n))
+
+
+def genus(chi: int, n: int) -> int:
+    """The genus (chi - n)/2 + 1 that topology reports for a model graph
+    with chi interior and n boundary vertices: it depends on them alone."""
+    return (chi - n) // 2 + 1
 
 
 # --- text format ------------------------------------------------------------

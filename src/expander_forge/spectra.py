@@ -8,18 +8,22 @@ L_BB - L_BI L_II^{-1} L_IB of the combinatorial Laplacian L = D - A maps
 boundary data to the outward derivative of its harmonic extension.
 
 `laplacian_spectrum` (the one dense normalized-Laplacian solve, at every
-size) and `steklov_spectrum` return ascending tuples of floats.  `lambda1`
-answers the spectral gap alone: 0 for a disconnected graph, with no solve,
-else entry 1 of `laplacian_spectrum` below LANCZOS_FROM vertices and a
-sparse Lanczos solve from there on.
+size) and `steklov_spectrum` return ascending tuples of floats for a
+MultiGraph, and a (k, .) array for a graph_core.GraphBlock of k graphs of
+one size.  The dense builders, `_schur_dense` and eigvalsh each take a
+block's stack in one call, which LAPACK and BLAS run matrix by matrix, so
+each row is bit for bit its graph's tuple; a MultiGraph is a block of one.
+`lambda1` answers the spectral gap alone: 0 for a disconnected graph, with
+no solve, else entry 1 of `laplacian_spectrum` below LANCZOS_FROM vertices
+and a sparse Lanczos solve from there on.
 
-Each dense matrix is built in one nv x nv allocation, straight from the
-edge list.  One threshold, LANCZOS_FROM, selects both sparse routes: from
+Each dense stack is built in one k x nv x nv allocation, straight from the
+edge arrays.  One threshold, LANCZOS_FROM, selects both sparse routes: from
 there on `lambda1` is a Lanczos solve and the Steklov interior block
 L_II is factored by a sparse LU, so neither builds a dense nv x nv array.
-Below it the Steklov route is one dense Laplacian and a blocked Cholesky
-factorization of its interior block, made in place in that array with
-numpy alone.
+Below it the Steklov route is one dense Laplacian stack and a blocked
+Cholesky factorization of its interior blocks, made in place in that
+array with numpy alone.
 
 scipy is imported only inside the sparse solves, so no command loads it
 below LANCZOS_FROM vertices.
@@ -32,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExpanderForgeError, SolverError
-from .graph_core import MultiGraph, Topology, is_connected, topology
+from .graph_core import GraphBlock, MultiGraph, Topology, is_connected, topology
 
 DEFAULT_TOL = 1e-9
 DENSE_LIMIT = 2000
@@ -54,46 +58,72 @@ LANCZOS_FROM = 1400
 SCHUR_PANEL = 32
 
 
-def _adjacency_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the adjacency's unit entries: edge (u, v)
-    adds 1 at (u, v) and at (v, u), so a loop adds 2 on the diagonal."""
-    e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    return np.concatenate((e[:, 0], e[:, 1])), np.concatenate((e[:, 1], e[:, 0]))
+def _edge_array(g: MultiGraph) -> np.ndarray:
+    """The edges of g as an (E, 2) array of vertex index pairs."""
+    return np.array(g.edges, dtype=np.intp).reshape(-1, 2)
 
 
-def normalized_laplacian(g: MultiGraph) -> np.ndarray:
-    """I - D^{-1/2} A D^{-1/2}, dense, in one allocation: the adjacency
+def _as_block(g: MultiGraph | GraphBlock) -> GraphBlock:
+    """g itself if it is a block; a MultiGraph as a block of one graph."""
+    if isinstance(g, GraphBlock):
+        return g
+    return GraphBlock(g.chi, g.n, _edge_array(g)[None])
+
+
+def _adjacency_entries(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the adjacency's unit entries, per graph of
+    an (..., E, 2) edge array, as (..., 2E) arrays: edge (u, v) adds 1 at
+    (u, v) and at (v, u), so a loop adds 2 on the diagonal."""
+    u, v = edges[..., 0], edges[..., 1]
+    return np.concatenate((u, v), axis=-1), np.concatenate((v, u), axis=-1)
+
+
+def _adjacency_stack(b: GraphBlock, unit: float) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The adjacency counts of the k graphs of b times unit, summed in
+    place in one (k, nv, nv) allocation; with the (graph, row, column)
+    index of every unit entry and the (k, nv) vertex degrees."""
+    k, nv = len(b.edges), b.num_vertices
+    rows, cols = _adjacency_entries(b.edges)
+    graph = np.arange(k)[:, None]
+    lap = np.zeros((k, nv, nv))
+    np.add.at(lap, (graph, rows, cols), unit)
+    deg = np.bincount((rows + nv * graph).reshape(-1), minlength=k * nv)
+    return lap, (graph, rows, cols), deg.reshape(k, nv)
+
+
+def normalized_laplacian(g: MultiGraph | GraphBlock) -> np.ndarray:
+    """I - D^{-1/2} A D^{-1/2}, dense: (nv, nv) for a MultiGraph and
+    (k, nv, nv) for a block of k graphs, in one allocation.  The adjacency
     counts are summed in place, then scaled at their non-zeros as
     (dinv[u] * a) * dinv[v], and 1 is added on the diagonal."""
-    nv = g.num_vertices
-    rows, cols = _adjacency_entries(g)
-    lap = np.zeros((nv, nv))
-    np.add.at(lap, (rows, cols), 1.0)
-    deg = np.bincount(rows, minlength=nv)
+    b = _as_block(g)
+    lap, at, deg = _adjacency_stack(b, 1.0)
     if np.any(deg == 0):
         raise ExpanderForgeError("isolated vertex (degree 0)")
     dinv = 1.0 / np.sqrt(deg)
-    lap[rows, cols] = -(dinv[rows] * lap[rows, cols]) * dinv[cols]
-    lap.reshape(-1)[:: nv + 1] += 1.0
-    return lap
+    graph, rows, cols = at
+    lap[at] = -(dinv[graph, rows] * lap[at]) * dinv[graph, cols]
+    nv = b.num_vertices
+    lap.reshape(len(lap), nv * nv)[:, :: nv + 1] += 1.0
+    return lap if g is b else lap[0]
 
 
-def combinatorial_laplacian(g: MultiGraph) -> np.ndarray:
-    """L = D - A, dense, in one allocation."""
-    nv = g.num_vertices
-    rows, cols = _adjacency_entries(g)
-    lap = np.zeros((nv, nv))
-    np.add.at(lap, (rows, cols), -1.0)
-    lap.reshape(-1)[:: nv + 1] += np.bincount(rows, minlength=nv)
-    return lap
+def combinatorial_laplacian(g: MultiGraph | GraphBlock) -> np.ndarray:
+    """L = D - A, dense: (nv, nv) for a MultiGraph and (k, nv, nv) for a
+    block of k graphs, in one allocation."""
+    b = _as_block(g)
+    lap, _, deg = _adjacency_stack(b, -1.0)
+    nv = b.num_vertices
+    lap.reshape(len(lap), nv * nv)[:, :: nv + 1] += deg
+    return lap if g is b else lap[0]
 
 
-def _sparse_laplacian(g: MultiGraph):
-    """L = D - A as a scipy CSC array; repeated entries are summed."""
+def _sparse_laplacian(nv: int, edges: np.ndarray):
+    """L = D - A of the graph on nv vertices with the (E, 2) edge array
+    edges, as a scipy CSC array; repeated entries are summed."""
     import scipy.sparse
 
-    nv = g.num_vertices
-    rows, cols = _adjacency_entries(g)
+    rows, cols = _adjacency_entries(edges)
     diag = np.arange(nv)
     data = np.concatenate((np.full(len(rows), -1.0), np.bincount(rows, minlength=nv)))
     return scipy.sparse.csc_array(
@@ -102,10 +132,13 @@ def _sparse_laplacian(g: MultiGraph):
     )
 
 
-def laplacian_spectrum(g: MultiGraph) -> tuple[float, ...]:
+def laplacian_spectrum(g: MultiGraph | GraphBlock):
     """The normalized-Laplacian spectrum, ascending, from one dense
-    symmetric eigendecomposition at every size."""
-    return tuple(np.linalg.eigvalsh(normalized_laplacian(g)).tolist())
+    symmetric eigendecomposition at every size: a tuple of floats for a
+    MultiGraph, a (k, nv) array for a block of k graphs, whose k
+    eigendecompositions are one stacked eigvalsh call."""
+    eigs = np.linalg.eigvalsh(normalized_laplacian(g))
+    return eigs if isinstance(g, GraphBlock) else tuple(eigs.tolist())
 
 
 def lambda1(g: MultiGraph) -> float:
@@ -143,7 +176,7 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
 
     nv = g.num_vertices
     a = scipy.sparse.csr_matrix(
-        (np.ones(2 * g.num_edges), _adjacency_entries(g)), shape=(nv, nv)
+        (np.ones(2 * g.num_edges), _adjacency_entries(_edge_array(g))), shape=(nv, nv)
     )
     deg = np.asarray(a.sum(axis=1)).ravel()
     dinv = scipy.sparse.diags(1.0 / np.sqrt(deg))
@@ -165,7 +198,8 @@ def _schur_dense(lap: np.ndarray, chi: int) -> np.ndarray:
     split at its first chi rows and columns, by a left-looking blocked
     Cholesky factorization of L_II (Golub and Van Loan, Matrix
     Computations, 4.2) made in place in lap; SolverError when L_II is not
-    positive definite.
+    positive definite.  lap may be a block's (k, nv, nv) stack: each step
+    is then one stacked call, and each complement bit for bit its matrix's.
 
     Each panel of SCHUR_PANEL interior columns takes the products of every
     earlier panel in one matrix product, is factored as a small diagonal
@@ -177,14 +211,14 @@ def _schur_dense(lap: np.ndarray, chi: int) -> np.ndarray:
     for k in range(0, chi, SCHUR_PANEL):
         e = min(k + SCHUR_PANEL, chi)
         if k:  # no earlier panel: the empty product costs 8% at 20 vertices
-            lap[k:, k:e] -= lap[k:, :k] @ lap[k:e, :k].T
+            lap[..., k:, k:e] -= lap[..., k:, :k] @ lap[..., k:e, :k].swapaxes(-1, -2)
         try:
-            c = np.linalg.cholesky(lap[k:e, k:e])
+            c = np.linalg.cholesky(lap[..., k:e, k:e])
         except np.linalg.LinAlgError as exc:
             raise SolverError("interior Dirichlet block not SPD") from exc
-        lap[e:, k:e] = lap[e:, k:e] @ np.linalg.inv(c).T
-    x = lap[chi:, :chi]
-    return lap[chi:, chi:] - x @ x.T
+        lap[..., e:, k:e] = lap[..., e:, k:e] @ np.linalg.inv(c).swapaxes(-1, -2)
+    x = lap[..., chi:, :chi]
+    return lap[..., chi:, chi:] - x @ x.swapaxes(-1, -2)
 
 
 def _lu_solve(lap_ii, rhs: np.ndarray) -> np.ndarray:
@@ -204,37 +238,47 @@ def _lu_solve(lap_ii, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def steklov_spectrum(g: MultiGraph) -> tuple[float, ...]:
-    """The Steklov spectrum, ascending, via the Schur complement of L = D - A.
+def _sparse_schur(chi: int, nv: int, edges: np.ndarray) -> np.ndarray:
+    """L_BB - L_IB^T L_II^{-1} L_IB of one graph: L_IB and L_BB sliced dense
+    from `_sparse_laplacian`, L_II^{-1} L_IB by `_lu_solve`."""
+    lap = _sparse_laplacian(nv, edges)
+    lap_ib, schur = lap[:chi, chi:].toarray(), lap[chi:, chi:].toarray()
+    if chi:
+        schur = schur - lap_ib.T @ _lu_solve(lap[:chi, :chi], lap_ib)
+    return schur
 
-    Requires a connected graph with at least one boundary vertex.  The
+
+def steklov_spectrum(g: MultiGraph | GraphBlock):
+    """The Steklov spectrum, ascending, via the Schur complement of L = D - A:
+    a tuple of floats for a MultiGraph, a (k, n) array for a block of k
+    graphs, whose k eigendecompositions are one stacked eigvalsh call.
+
+    Requires connected graphs with at least one boundary vertex (a
+    MultiGraph is checked, a block's caller vouches for its graphs).  The
     interior Dirichlet block is positive definite for such graphs.  Below
-    LANCZOS_FROM vertices the complement is `_schur_dense`'s blocked
-    Cholesky; from there on it is L_BB - L_IB^T L_II^{-1} L_IB, with L_IB and
-    L_BB sliced dense from `_sparse_laplacian` and L_II^{-1} L_IB by
-    `_lu_solve` of its sparse L_II.  A failed factorization, sigma_0 away
-    from 0 or sigma_1 within tol of 0 is reported as an internal
-    inconsistency (SolverError).
+    LANCZOS_FROM vertices the complements are `_schur_dense`'s on the
+    stacked dense L; from there on `_sparse_schur`'s, graph by graph.  A
+    failed factorization, sigma_0 away from 0 or sigma_1 within tol of 0,
+    in any graph, is reported as an internal inconsistency (SolverError).
     """
-    if not is_connected(g):
+    if not isinstance(g, GraphBlock) and not is_connected(g):
         raise ExpanderForgeError("Steklov spectrum requires a connected graph")
     if not g.n:
         raise ExpanderForgeError("Steklov spectrum requires n >= 1")
-    if g.num_vertices < LANCZOS_FROM:
-        schur = _schur_dense(combinatorial_laplacian(g), g.chi)
+    b = _as_block(g)
+    if b.num_vertices < LANCZOS_FROM:
+        schur = _schur_dense(combinatorial_laplacian(b), b.chi)
     else:
-        chi, lap = g.chi, _sparse_laplacian(g)
-        lap_ib, schur = lap[:chi, chi:].toarray(), lap[chi:, chi:].toarray()
-        if chi:
-            schur = schur - lap_ib.T @ _lu_solve(lap[:chi, :chi], lap_ib)
-    eigs = tuple(np.linalg.eigvalsh((schur + schur.T) / 2.0).tolist())
-    if abs(eigs[0]) > DEFAULT_TOL * max(1.0, abs(eigs[-1])):
-        raise SolverError(f"sigma_0 = {eigs[0]} not 0 within tol")
-    if len(eigs) > 1 and eigs[1] <= DEFAULT_TOL:
+        schur = np.array([_sparse_schur(b.chi, b.num_vertices, e) for e in b.edges])
+    eigs = np.linalg.eigvalsh((schur + schur.swapaxes(-1, -2)) / 2.0)
+    off = np.abs(eigs[:, 0]) > DEFAULT_TOL * np.maximum(1.0, np.abs(eigs[:, -1]))
+    if off.any():
+        raise SolverError(f"sigma_0 = {eigs[off.argmax(), 0]} not 0 within tol")
+    if b.n > 1 and (low := eigs[:, 1] <= DEFAULT_TOL).any():
         raise SolverError(
-            f"sigma_1 = {eigs[1]} <= tol on a connected graph (solver failure)"
+            f"sigma_1 = {eigs[low.argmax(), 1]} <= tol on a connected graph (solver failure)"
         )
-    return eigs
+    return eigs if g is b else tuple(eigs[0].tolist())
 
 
 def harmonic_extension(g: MultiGraph, boundary_values: Sequence[float]) -> np.ndarray:
@@ -255,7 +299,7 @@ def harmonic_extension(g: MultiGraph, boundary_values: Sequence[float]) -> np.nd
         lap = combinatorial_laplacian(g)
         f[:chi] = np.linalg.solve(lap[:chi, :chi], -lap[:chi, chi:] @ f[chi:])
     elif chi:
-        lap = _sparse_laplacian(g)
+        lap = _sparse_laplacian(g.num_vertices, _edge_array(g))
         f[:chi] = _lu_solve(lap[:chi, :chi], -lap[:chi, chi:].toarray() @ f[chi:])
     return f
 

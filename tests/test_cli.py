@@ -9,11 +9,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from expander_forge import _mincut_py, cli, construct, spectra
-from expander_forge.cheeger import cheeger_exact, cheeger_exact_many
+from expander_forge.cheeger import cheeger_exact, cheeger_exact_many, cheeger_exact_within
 from expander_forge.cli import main, parity_adjust
 from expander_forge.construct import (
     FamilySpec, balanced_boundary_subset, expander_family, plant_trees, theta_base
@@ -175,6 +175,18 @@ def test_bad_mu_or_theta_exit_2_without_traceback(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ["bounds", "--chi", "4", "--n", "2", "--mu={}"],
+    ["construct", "--theta={}", "--g-min", "1", "--g-max", "1"],
+])
+def test_non_finite_mu_or_theta_names_the_token(tmp_path, capsys, command, token):
+    argv = [a.format(token) for a in command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and token in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -268,6 +280,21 @@ def test_construct_guard_proves_base(tmp_path):
     assert (row[0], row[3]) == ("14", "1/9")
 
 
+def test_construct_certifies_each_base_size_once(tmp_path, monkeypatch):
+    # theta 2 over g = 1..16 plants m = 4, 7 and 10 at several genera
+    calls = []
+    provider = construct.default_base_provider
+
+    def counted(m, guard):
+        calls.append(m)
+        return provider(m, guard)
+
+    monkeypatch.setattr(construct, "default_base_provider", counted)
+    argv = ["construct", "--theta", "2", "--g-min", "1", "--g-max", "16"]
+    assert main(argv + ["--out", str(tmp_path / "f")]) == 0
+    assert len(calls) == len(set(calls)) and {4, 7, 10} <= set(calls)
+
+
 def test_sample_guard_above_mask_width(tmp_path):
     # chi = 60, n = 4 graphs have 64 vertices, one more than the subset
     # masks hold: --guard 64 leaves h blank, as the default guard does
@@ -341,6 +368,46 @@ def test_sample_certifies_in_shared_passes(tmp_path, engine_passes):
     for t, r in enumerate(rows):
         h = cheeger_exact(sample_graph(cfg, t)).h if t in connected else None
         assert r[4] == (f"{h.numerator}/{h.denominator}" if h else "")
+
+
+@st.composite
+def sample_runs(draw):
+    """(chi, n, trials, seed, guard) of a `sample` run below LANCZOS_FROM.
+    The guard is 0, |V| - 1, 24 or 63, and 63 only up to 30 vertices:
+    beyond that the exact search costs from tens of milliseconds to
+    seconds a graph, twice per trial here."""
+    chi = draw(st.integers(1, 70))
+    n = draw(st.integers(0, 3 * chi).filter(lambda n: (3 * chi - n) % 2 == 0))
+    guards = [0, chi + n - 1, 24] + ([63] if chi + n <= 30 else [])
+    return (chi, n, draw(st.integers(1, 120)), draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from(guards)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(run=(16, 4, 120, 3, 24))  # three blocks, 51 + 51 + 18, disconnected trials
+@example(run=(16, 4, 52, 0, 63))  # a last block of one graph
+@example(run=(70, 4, 30, 5, 24))  # chi > SCHUR_PANEL: three Schur panels a graph
+@example(run=(34, 2, 40, 2, 24))  # two panels
+@example(run=(26, 4, 70, 6, 63))  # 30 searched vertices a graph, two blocks
+@example(run=(2, 0, 25, 1, 24))  # n = 0: no sigma1
+@example(run=(5, 1, 60, 4, 5))  # n = 1: no sigma1, |V| - 1 guard: no search
+@example(run=(4, 6, 80, 2, 24))  # mostly disconnected
+@given(run=sample_runs())
+def test_sample_blocks_match_the_per_trial_definitions(run):
+    """Every trial of the block path equals the per-trial definitions on
+    g = sample_graph(cfg, t), floats bit for bit."""
+    chi, n, trials, seed, guard = run
+    assert spectra.SCHUR_PANEL < 70 and chi + n < spectra.LANCZOS_FROM
+    cfg = SampleConfig(chi=chi, n=n, trials=trials, seed=seed)
+    rows = list(cli._sample_trials(cfg, guard))
+    assert [r[0] for r in rows] == list(range(trials))
+    for t, connected, lam1, sigma1, cert in rows:
+        g = sample_graph(cfg, t)
+        assert connected == is_connected(g)
+        assert lam1 == spectra.lambda1(g)
+        assert sigma1 == (spectra.steklov_spectrum(g)[1] if connected and n >= 2 else None)
+        want = cheeger_exact_within(g, guard) if connected else None
+        assert (cert and cert.h) == (want and want.h)
 
 
 def test_cheeger_exact_many_rejects_a_disconnected_graph():
@@ -439,7 +506,7 @@ def test_cheeger_over_63_vertices_exit_3(tmp_path, capsys):
 
 
 def test_certification_failure_exit_4(tmp_path, monkeypatch):
-    def failing(spec, g, guard):
+    def failing(spec, g, guard, bases=None):
         raise CertificationError("forced")
 
     monkeypatch.setattr(construct, "expander_family", failing)

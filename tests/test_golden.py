@@ -93,10 +93,13 @@ SWEEP_DIGESTS = {
 
 # sha256 of the CSV that `sample --chi --n --trials --seed` writes, recorded
 # with the dense lambda1 of every size; 420 vertices is under LANCZOS_FROM
-# and (16, 4) has disconnected trials, whose lambda1 is exactly 0
+# and (16, 4) has disconnected trials, whose lambda1 is exactly 0.  The
+# 200-trial run spans four blocks of at most 51 trials, recorded when each
+# trial was its own graph
 SAMPLE_DIGESTS = {
     (400, 20, 5, 12): "31429623b310be0475da0f12d06550be693157809450d91082240ec44f5324da",
     (16, 4, 40, 11): "e93c0a28751a27371ac49959d8e225973b3fc083dc6377a02d694968778d957f",
+    (16, 4, 200, 3): "43842cf25fdb566dfd3348b4c72d69f1ac82d1f38128a629fbd5cde877c25b82",
 }
 
 
