@@ -196,27 +196,26 @@ def connected_subsets(
         push(size + 1, cg, S[row] | bit, nbrs[row] | flat_adj[gv], cF, cs, cf)
 
 
-def min_ratio_cuts(inputs: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
-    """min_ratio_cut of each (adj_masks, mult_matrix, nv, half) in inputs,
-    all in one engine pass.
+def min_ratio_cuts(
+    adj: np.ndarray, mult: np.ndarray, nv: np.ndarray, half: np.ndarray
+) -> list[tuple[int, int, int, int]]:
+    """min_ratio_cut of each graph of a stack, all in one engine pass: the
+    graphs stacked as connected_subsets takes them (adj, mult and nv as
+    stack_graphs makes them) and half[i], graph i's largest subset size.
 
     Each graph keeps its own best (s, k, mask) and its own bound.  A
     batch's rows that beat their graph's best are sorted by (graph, s,
     lexicographic), and the first row of each graph becomes its best.
     """
-    for _, _, nv, _ in inputs:
-        if nv < 1 or nv > MAX_VERTICES:
-            raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
-    adj, mult, nv = stack_graphs([(adj, mult) for adj, mult, _, _ in inputs])
-    half = np.array([h for *_, h in inputs], dtype=np.int64)
-
-    best_s = np.zeros(len(inputs), dtype=np.int64)
-    best_k = np.zeros(len(inputs), dtype=np.int64)
-    best_mask = np.zeros(len(inputs), dtype=np.uint64)
-    visited = np.zeros(len(inputs), dtype=np.int64)
+    if ((nv < 1) | (nv > MAX_VERTICES)).any():
+        raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
+    best_s = np.zeros(len(nv), dtype=np.int64)
+    best_k = np.zeros(len(nv), dtype=np.int64)
+    best_mask = np.zeros(len(nv), dtype=np.uint64)
+    visited = np.zeros(len(nv), dtype=np.int64)
     batches = connected_subsets(adj, mult, nv, half, best_s, best_k)
     for size, graph, S, _nbrs, s in batches:
-        visited += np.bincount(graph, minlength=len(inputs))
+        visited += np.bincount(graph, minlength=len(nv))
         k = best_k[graph]
         cross = s * k - best_s[graph] * size
         d = S ^ best_mask[graph]
@@ -266,4 +265,5 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
     the best ratio never drops below the minimum, and ties are never
     pruned.
     """
-    return min_ratio_cuts([(adj_masks, mult_matrix, nv, half)])[0]
+    adj, mult, _ = stack_graphs([(adj_masks, mult_matrix)])
+    return min_ratio_cuts(adj, mult, np.array([nv]), np.array([half]))[0]

@@ -7,18 +7,18 @@ both).  The kernel prunes by the forced cut: it stops growing a subset
 once the edges to the vertices it may never add show that nothing it grows
 into can beat the best ratio so far.  Ties are never pruned, so the
 certificate, witness included, is the unpruned search's.  cheeger_exact
-searches one graph; cheeger_exact_many searches many graphs in shared
-engine passes, so the fixed cost per batch is paid once for all of them,
-with the same certificates, and cheeger_exact_block does so for a block
-of connected graphs of one size.  cheeger_at_least decides h >= b with one
-pass under the fixed bound b, beyond the guard up to the mask width.
+searches one graph (cheeger_exact_within when the guard decides whether
+the graph gets the search); cheeger_exact_block searches a block of
+connected graphs of one size in one shared engine pass, so the fixed cost
+per batch is paid once for all of them, with the same certificates.
+cheeger_at_least decides h >= b with one pass under the fixed bound b,
+beyond the guard up to the mask width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -96,25 +96,25 @@ def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertifica
 def cheeger_exact_within(g: MultiGraph, guard: int) -> CheegerCertificate | None:
     """cheeger_exact(g, guard) if the search takes g, at most
     min(guard, MAX_VERTICES) vertices; None above that, with no search run.
-    Callers ask this or cheeger_exact_many, not the vertex count, whether
-    g gets the search."""
+    Callers ask this or cheeger_exact_block, not the vertex count, whether
+    a graph gets the search."""
     if g.num_vertices > _limit(guard):
         return None
     return cheeger_exact(g, guard)
 
 
-def _block_search_inputs(b: GraphBlock) -> list[tuple]:
-    """The engine input (adj, mult, nv, half) of each graph of block b,
-    from one stacked bitmask view: mult, the (k, nv, nv) edge
+def _block_search_inputs(b: GraphBlock) -> tuple[np.ndarray, ...]:
+    """The engine input (adj, mult, nv, half) of block b, stacked as
+    _kernel.connected_subsets takes it: mult, the (k, nv, nv) edge
     multiplicities, is -L off the diagonal of the stacked L = D - A, with
     no loop since a loop never crosses a cut, and bit v of adj[i, u] is set
     where mult[i, u, v] > 0; as _bitmask_inputs views one graph."""
-    nv = b.num_vertices
+    k, nv = len(b.edges), b.num_vertices
     mult = -combinatorial_laplacian(b).astype(np.int64)
-    mult.reshape(len(mult), nv * nv)[:, :: nv + 1] = 0
+    mult.reshape(k, nv * nv)[:, :: nv + 1] = 0
     bits = np.left_shift(np.uint64(1), np.arange(nv, dtype=np.uint64))
     adj = np.bitwise_or.reduce(np.where(mult > 0, bits, np.uint64(0)), axis=-1)
-    return [(a, m, nv, nv // 2) for a, m in zip(adj, mult)]
+    return adj, mult, np.full(k, nv), np.full(k, nv // 2)
 
 
 def cheeger_exact_block(b: GraphBlock, guard: int) -> list[CheegerCertificate | None]:
@@ -126,41 +126,7 @@ def cheeger_exact_block(b: GraphBlock, guard: int) -> list[CheegerCertificate | 
     k = len(b.edges)
     if not k or b.num_vertices > _limit(guard):
         return [None] * k
-    return [_certificate(*cut[:3]) for cut in _kernel.min_ratio_cuts(_block_search_inputs(b))]
-
-
-def cheeger_exact_many(
-    graphs: Iterable[MultiGraph], guard: int = DEFAULT_GUARD
-) -> Iterator[CheegerCertificate | None]:
-    """Yield cheeger_exact_within(g, guard) for each g of graphs, in
-    order, errors included, computed in engine passes of
-    _kernel.min_ratio_cuts.
-
-    A pass takes consecutive searched graphs until their vertices fill
-    one _kernel.BATCH, so one batch holds every root of a pass.  graphs
-    is read lazily and each pass runs as soon as it is full, so at most
-    one pass of graphs is held, however many graphs come.
-    """
-    pending: list[MultiGraph | None] = []  # None: a graph the search skips
-    room = 0
-    for g in graphs:
-        taken = g.num_vertices <= _limit(guard)
-        if taken:
-            _searchable(g)
-            if g.num_vertices > room:
-                yield from _certify(pending)
-                pending, room = [], _kernel.BATCH
-            room -= g.num_vertices
-        pending.append(g if taken else None)
-    yield from _certify(pending)
-
-
-def _certify(pending: list[MultiGraph | None]) -> Iterator[CheegerCertificate | None]:
-    """One engine pass over the graphs of pending; None where it holds None."""
-    searched = [_search_input(g) for g in pending if g is not None]
-    cuts = iter(_kernel.min_ratio_cuts(searched) if searched else ())
-    for g in pending:
-        yield None if g is None else _certificate(*next(cuts)[:3])
+    return [_certificate(*cut[:3]) for cut in _kernel.min_ratio_cuts(*_block_search_inputs(b))]
 
 
 def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
@@ -174,11 +140,11 @@ def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
     at the first batch that holds one.
     """
     _searchable(g)
-    adj, mult, nv, half = _search_input(g)
-    if nv > _kernel.MAX_VERTICES:
+    if g.num_vertices > _kernel.MAX_VERTICES:  # before the nv x nv view is built
         raise GuardExceededError(
-            f"|V| = {nv} exceeds the mask width {_kernel.MAX_VERTICES}"
+            f"|V| = {g.num_vertices} exceeds the mask width {_kernel.MAX_VERTICES}"
         )
+    adj, mult, _, half = _search_input(g)
     p, q = Fraction(bound).as_integer_ratio()
     bounds = (np.array([b]) for b in (half, p, q))
     batches = _kernel.connected_subsets(*_kernel.stack_graphs([(adj, mult)]), *bounds)

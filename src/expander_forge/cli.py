@@ -30,10 +30,11 @@ from . import __version__
 from .bounds import mu_pair_terms, sum_terms
 from .errors import DEFAULT_GUARD, ExpanderForgeError, ParityError, exit_code
 from .graph_core import (
-    GraphBlock, MultiGraph, Topology, exact_fraction, from_text, genus, is_connected,
-    label_owners, to_text, topology,
+    GraphBlock, MultiGraph, Topology, exact_fraction, from_text, genus, label_owners,
+    to_text, topology,
 )
-from .sampler import SampleConfig, estimate_connectivity, sample_graph, sample_partition
+from .sampler import SampleConfig, estimate_connectivity, sample_partition
+from .sampler import sample_graph  # noqa: F401  perfbench/selftest.py traces it here
 
 
 def _fmt(x: float) -> str:
@@ -99,48 +100,39 @@ def _sample_trials(cfg: SampleConfig, guard: int) -> Iterator[tuple]:
     the certificate is cheeger_exact_within's, None for a disconnected trial.
 
     A block holds as many trials as one engine pass of _mincut_py.BATCH
-    vertices (at least one), and only one block is held at a time.  Its
-    trials are drawn by sample_partition and their label pairs stacked: one
-    sampler._block_verdicts search gives the connected flags, label_owners
-    the vertex pairs, and the connected trials, one GraphBlock, get one
-    stacked laplacian_spectrum, one stacked steklov_spectrum and one
-    cheeger_exact_block engine pass; no MultiGraph is built.  From
-    spectra.LANCZOS_FROM vertices on a block is one trial, which keeps the
-    per-graph route: sample_graph and the sparse solves.
+    vertices (at least one, so one from 1025 vertices on), and only one
+    block is held at a time.  Its trials are drawn by sample_partition and
+    their label pairs stacked: one sampler._block_verdicts search gives the
+    connected flags, label_owners the vertex pairs, and the connected
+    trials, one GraphBlock, get one spectra.lambda1, one stacked
+    steklov_spectrum and one cheeger_exact_block engine pass; no
+    MultiGraph is built.  The spectra choose their dense or sparse solves
+    by the block's size.
     """
     import numpy as np
 
     from . import spectra
     from ._mincut_py import BATCH
-    from .cheeger import cheeger_exact_block, cheeger_exact_within
+    from .cheeger import cheeger_exact_block
     from .sampler import _block_verdicts
 
     chi, n = cfg.chi, cfg.n
-    sparse = chi + n >= spectra.LANCZOS_FROM
-    per_block = 1 if sparse else max(1, BATCH // (chi + n))
+    per_block = max(1, BATCH // (chi + n))
     owner = np.array(label_owners(chi, n))
     for first in range(0, cfg.trials, per_block):
         trials = range(first, min(first + per_block, cfg.trials))
-        if sparse:
-            g = sample_graph(cfg, first)
-            connected = np.array([is_connected(g)])
-            lam1 = [spectra.lambda1(g)]
-            sigma1 = [spectra.steklov_spectrum(g)[1]] if connected[0] and n >= 2 else []
-            certs = [cheeger_exact_within(g, guard)] if connected[0] else []
-        else:
-            pairs = np.array([sample_partition(cfg, t).pairs for t in trials])
-            connected = _block_verdicts(pairs, chi)
-            block = GraphBlock(chi, n, owner[pairs[connected] - 1])
-            lam1 = np.zeros(len(trials))
-            sigma1 = certs = []
-            if connected.any():
-                lam1[connected] = spectra.laplacian_spectrum(block)[:, 1]
-                if n >= 2:
-                    sigma1 = spectra.steklov_spectrum(block)[:, 1].tolist()
-                certs = cheeger_exact_block(block, guard)
-            lam1 = lam1.tolist()
+        pairs = np.array([sample_partition(cfg, t).pairs for t in trials])
+        connected = _block_verdicts(pairs, chi)
+        block = GraphBlock(chi, n, owner[pairs[connected] - 1])
+        lam1 = np.zeros(len(trials))
+        sigma1 = certs = []
+        if connected.any():
+            lam1[connected] = spectra.lambda1(block)
+            if n >= 2:
+                sigma1 = spectra.steklov_spectrum(block)[:, 1].tolist()
+            certs = cheeger_exact_block(block, guard)
         sigma1, certs = iter(sigma1), iter(certs)
-        for t, c, lam in zip(trials, connected.tolist(), lam1):
+        for t, c, lam in zip(trials, connected.tolist(), lam1.tolist()):
             yield t, c, lam, next(sigma1) if c and n >= 2 else None, next(certs) if c else None
 
 
@@ -256,7 +248,7 @@ def cmd_bounds(args) -> dict[Path, str]:
 
 
 def cmd_construct(args) -> dict[Path, str]:
-    from .cheeger import cheeger_exact_many
+    from .cheeger import cheeger_exact_within
     from .construct import FamilySpec, expander_family
     from .spectra import DEFAULT_TOL, lambda1
 
@@ -267,11 +259,11 @@ def cmd_construct(args) -> dict[Path, str]:
         raise ValueError(f"empty genus range: --g-min {args.g_min} > --g-max {args.g_max}")
     bases = {}  # one certified base per size for this command
     members = [expander_family(spec, g, args.guard, bases) for g in genera]
-    certs = cheeger_exact_many([m.graph for m in members], args.guard)
     lines = ["g,n,chi,h_lower,lambda1,h_exact,cheeger_check"]
     graphs = {}
-    for g, member, cert in zip(genera, members, certs):
+    for g, member in zip(genera, members):
         graphs[out / f"g{g}.txt"] = to_text(member.graph)
+        cert = cheeger_exact_within(member.graph, args.guard)
         lam1 = lambda1(member.graph)
         h_exact = check = ""
         if cert is not None:
@@ -393,11 +385,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _signed_values_joined(argv: list[str]) -> list[str]:
+    """argv with a --theta or --mu value that starts with one "-" joined to
+    its option, as --theta=-1/2: argparse reads a separate token such as
+    -1/2 or -1e400 as an unknown option, so the value check, which names
+    the token or says the value must be positive, would never see it."""
+    out: list[str] = []
+    for token in argv:
+        after = out and out[-1] in ("--theta", "--mu")
+        if after and token.startswith("-") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_signed_values_joined(argv))
         started = datetime.now(timezone.utc).isoformat()
         files = args.func(args)
         if files:

@@ -13,9 +13,10 @@ MultiGraph, and a (k, .) array for a graph_core.GraphBlock of k graphs of
 one size.  The dense builders, `_schur_dense` and eigvalsh each take a
 block's stack in one call, which LAPACK and BLAS run matrix by matrix, so
 each row is bit for bit its graph's tuple; a MultiGraph is a block of one.
-`lambda1` answers the spectral gap alone: 0 for a disconnected graph, with
-no solve, else entry 1 of `laplacian_spectrum` below LANCZOS_FROM vertices
-and a sparse Lanczos solve from there on.
+`lambda1` answers the spectral gap alone, for a MultiGraph (0 when it is
+disconnected, with no solve) or a block: entry 1 of `laplacian_spectrum`
+below LANCZOS_FROM vertices and one sparse Lanczos solve per graph from
+there on.
 
 Each dense stack is built in one k x nv x nv allocation, straight from the
 edge arrays.  One threshold, LANCZOS_FROM, selects both sparse routes: from
@@ -141,29 +142,34 @@ def laplacian_spectrum(g: MultiGraph | GraphBlock):
     return eigs if isinstance(g, GraphBlock) else tuple(eigs.tolist())
 
 
-def lambda1(g: MultiGraph) -> float:
-    """The spectral gap lambda1 alone; exactly 0 on a disconnected graph.
+def lambda1(g: MultiGraph | GraphBlock):
+    """The spectral gap lambda1 alone: a float for a MultiGraph, exactly 0
+    on a disconnected one; a (k,) array for a block of k graphs, which its
+    caller vouches are connected.
 
-    Below LANCZOS_FROM vertices it is entry 1 of the dense spectrum.  From
-    there on a connected graph has a simple eigenvalue 0, so the second of
-    the two smallest Lanczos eigenvalues is lambda1 even when lambda1
-    repeats; a value within tol of 0 there is a solver failure (SolverError).
+    Below LANCZOS_FROM vertices it is entry 1 of the dense spectrum, one
+    stacked laplacian_spectrum for a block.  From there on it is one
+    Lanczos solve per graph: a connected graph has a simple eigenvalue 0,
+    so the second of the two smallest Lanczos eigenvalues is lambda1 even
+    when lambda1 repeats; a value within tol of 0 there is a solver failure
+    (SolverError).
     """
-    if not is_connected(g):
-        return 0.0
+    if not isinstance(g, GraphBlock):
+        return float(lambda1(_as_block(g))[0]) if is_connected(g) else 0.0
     if g.num_vertices < LANCZOS_FROM:
-        return laplacian_spectrum(g)[1]
-    lam1 = float(_smallest_eigs_iterative(g, 2)[1])
-    if lam1 <= DEFAULT_TOL:
+        return laplacian_spectrum(g)[:, 1]
+    lam1 = np.array([_smallest_eigs_iterative(g.num_vertices, e, 2)[1] for e in g.edges])
+    if (low := lam1 <= DEFAULT_TOL).any():
         raise SolverError(
-            f"lambda_1 = {lam1} <= tol on a connected graph (solver failure)"
+            f"lambda_1 = {lam1[low.argmax()]} <= tol on a connected graph (solver failure)"
         )
     return lam1
 
 
-def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
-    """The k smallest normalized-Laplacian eigenvalues, ascending: Lanczos
-    for the k largest eigenvalues of the flipped operator 2I - L.  g is
+def _smallest_eigs_iterative(nv: int, edges: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest normalized-Laplacian eigenvalues, ascending, of the
+    graph on nv vertices with the (E, 2) edge array edges: Lanczos for the
+    k largest eigenvalues of the flipped operator 2I - L.  The graph is
     connected and not one vertex, as lambda1 passes it, so no degree is 0.
 
     The start vector is fixed, so repeated calls agree bit for bit.  It is
@@ -174,9 +180,8 @@ def _smallest_eigs_iterative(g: MultiGraph, k: int) -> np.ndarray:
     import scipy.sparse
     import scipy.sparse.linalg
 
-    nv = g.num_vertices
     a = scipy.sparse.csr_matrix(
-        (np.ones(2 * g.num_edges), _adjacency_entries(_edge_array(g))), shape=(nv, nv)
+        (np.ones(2 * len(edges)), _adjacency_entries(edges)), shape=(nv, nv)
     )
     deg = np.asarray(a.sum(axis=1)).ravel()
     dinv = scipy.sparse.diags(1.0 / np.sqrt(deg))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from expander_forge.cheeger import (
     boundary_size,
     cheeger_at_least,
     cheeger_exact,
-    cheeger_exact_many,
     cheeger_exact_naive,
     cheeger_exact_within,
     cheeger_upper,
@@ -191,7 +191,8 @@ def test_every_witness_has_a_connected_complement():
     samples_20 = _connected_samples([(16, 4)], trials=80, seed=21)[:40]
     graphs = REFERENCE_GRAPHS + _random_multigraphs(400, seed=21) + samples_20
     assert len(samples_20) == 40
-    for g, cert in zip(graphs, cheeger_exact_many(graphs, guard=63)):
+    for g in graphs:
+        cert = cheeger_exact(g, guard=63)
         nv = g.num_vertices
         for side in (set(cert.witness), set(range(nv)) - set(cert.witness)):
             inner = [(u, v) for u, v in g.edges if u in side and v in side]
@@ -216,39 +217,15 @@ def test_cross_graph_kernel_matches_one_graph_calls():
     assert sum(map(len, lists)) == len(cases) + 5
     for part in lists:
         inputs = [(*_bitmask_inputs(g), g.num_vertices, half) for g, half in part]
-        for (g, half), inp, got in zip(part, inputs, _mincut_py.min_ratio_cuts(inputs)):
+        adj, mult, nv = _mincut_py.stack_graphs([inp[:2] for inp in inputs])
+        halves = np.array([half for _, half in part])
+        cuts = _mincut_py.min_ratio_cuts(adj, mult, nv, halves)
+        for (g, half), inp, got in zip(part, inputs, cuts):
             *want, all_connected = reference_kernel.min_ratio_cut(*inp)
             assert got[:3] == py_min_ratio_cut(*inp)[:3] == tuple(want), (g.edges, half)
             assert got[3] <= all_connected
-    assert _mincut_py.min_ratio_cuts([]) == []
-
-
-def test_exact_many_is_exact_within_per_graph():
-    """Certificates, and None above the guard, as one call per graph."""
-    graphs = CUBIC_22 + SAMPLES_12[:30] + [_cycle(63), _cycle(64), STAR] + LOOPY[:10]
-    for guard in (12, 24, 63):
-        want = [cheeger_exact_within(g, guard) for g in graphs]
-        assert list(cheeger_exact_many(graphs, guard)) == want
-        assert sum(c is None for c in want) > 0
-    assert list(cheeger_exact_many([])) == []
-
-
-def test_exact_many_reads_one_pass_ahead():
-    """The first certificate comes once one pass of graphs is read, not
-    the whole input: a long run holds at most one pass of graphs."""
-    graphs = SAMPLES_12 * 4
-    read = []
-
-    def reading():
-        for g in graphs:
-            read.append(g)
-            yield g
-
-    certs = cheeger_exact_many(reading())
-    assert next(certs) == cheeger_exact(graphs[0])
-    passes = -(-sum(g.num_vertices for g in graphs) // _mincut_py.BATCH)
-    assert passes > 2 and len(read) < 2 * len(graphs) / passes
-    assert list(certs) == [cheeger_exact(g) for g in graphs[1:]]
+    empty = _mincut_py.stack_graphs([])
+    assert _mincut_py.min_ratio_cuts(*empty, np.zeros(0, dtype=np.int64)) == []
 
 
 def _batches(g, half, bound=(0, 0)):
@@ -417,6 +394,21 @@ def test_decision_takes_up_to_the_mask_width_whatever_the_guard():
     assert not cheeger_at_least(_cycle(63), h + Fraction(1, 97))
     with pytest.raises(GuardExceededError):
         cheeger_at_least(_cycle(64), Fraction(2, 11))
+
+
+def test_at_least_refuses_a_wide_graph_before_its_bitmask_view():
+    """The mask width is checked before the nv x nv multiplicity view is
+    built: on a 3000-vertex cycle that view alone takes about 72 MB of
+    Python lists, the connectivity check about 0.35 MB."""
+    g = _cycle(3000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError):
+            cheeger_at_least(g, Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_pinned_40_vertex_family_certificate():

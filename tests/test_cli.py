@@ -13,12 +13,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from expander_forge import _mincut_py, cli, construct, spectra
-from expander_forge.cheeger import cheeger_exact, cheeger_exact_many, cheeger_exact_within
+from expander_forge.cheeger import cheeger_exact, cheeger_exact_within
 from expander_forge.cli import main, parity_adjust
 from expander_forge.construct import (
     FamilySpec, balanced_boundary_subset, expander_family, plant_trees, theta_base
 )
-from expander_forge.errors import CertificationError, ExpanderForgeError
+from expander_forge.errors import DEFAULT_GUARD, CertificationError, ExpanderForgeError
 from expander_forge.graph_core import from_text, is_connected, to_text, topology
 from expander_forge.sampler import SampleConfig, sample_graph
 
@@ -187,6 +187,26 @@ def test_non_finite_mu_or_theta_names_the_token(tmp_path, capsys, command, token
     assert len(lines) == 1 and lines[0].startswith("error: ") and token in lines[0]
 
 
+@pytest.mark.parametrize("command,token,message", [
+    (["bounds", "--chi", "4", "--n", "2", "--mu"], "-1/2", "error: mu must be positive"),
+    (["construct", "--g-min", "1", "--g-max", "1", "--theta"], "-1/2",
+     "error: theta must be positive"),
+    (["bounds", "--chi", "4", "--n", "2", "--mu"], "-1e400",
+     "error: not a finite number: '-1e400'"),
+    (["construct", "--g-min", "1", "--g-max", "1", "--theta"], "-1e400",
+     "error: not a finite number: '-1e400'"),
+    (["construct", "--g-min", "1", "--g-max", "1", "--theta"], "-inf",
+     "error: not a finite number: '-inf'"),
+])
+def test_negative_mu_or_theta_as_a_separate_token(tmp_path, capsys, command, token, message):
+    """A value that starts with "-" after --mu or --theta is the value, not
+    an option: the value check answers it with its one error line."""
+    out = tmp_path / "out"
+    assert main(command + [token, "--out", str(out / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -314,9 +334,9 @@ def engine_passes(monkeypatch):
     passes = []
     kernel = _mincut_py.min_ratio_cuts
 
-    def counted(inputs):
-        passes.append(len(inputs))
-        return kernel(inputs)
+    def counted(adj, mult, nv, half):
+        passes.append(len(nv))
+        return kernel(adj, mult, nv, half)
 
     monkeypatch.setattr(_mincut_py, "min_ratio_cuts", counted)
     return passes
@@ -410,12 +430,38 @@ def test_sample_blocks_match_the_per_trial_definitions(run):
         assert (cert and cert.h) == (want and want.h)
 
 
-def test_cheeger_exact_many_rejects_a_disconnected_graph():
+@pytest.mark.parametrize("chi,n,trials,threshold", [
+    (60, 4, 40, 50),  # blocks of 16 graphs on the Lanczos and sparse LU solves
+    (1500, 38, 1, None),  # one graph a block at the real threshold
+])
+def test_sample_sparse_blocks_match_the_per_trial_definitions(
+    monkeypatch, chi, n, trials, threshold
+):
+    """From LANCZOS_FROM vertices on, the one `sample` route gives every
+    trial the connected flag, lambda1 and sigma1 that the per-graph calls
+    give g = sample_graph(cfg, t), floats bit for bit."""
+    if threshold is not None:
+        monkeypatch.setattr(spectra, "LANCZOS_FROM", threshold)
+    assert chi + n >= spectra.LANCZOS_FROM
+    cfg = SampleConfig(chi=chi, n=n, trials=trials, seed=0)
+    rows = list(cli._sample_trials(cfg, DEFAULT_GUARD))
+    assert [r[0] for r in rows] == list(range(trials))
+    for t, connected, lam1, sigma1, cert in rows:
+        g = sample_graph(cfg, t)
+        assert connected == is_connected(g)
+        assert lam1 == spectra.lambda1(g)
+        assert sigma1 == (spectra.steklov_spectrum(g)[1] if connected else None)
+        assert cert is None
+    assert sum(r[1] for r in rows) > trials // 2
+
+
+def test_exact_search_rejects_a_disconnected_graph():
     graphs = [sample_graph(SampleConfig(chi=4, n=6, trials=6, seed=2), t) for t in (2, 0)]
     assert is_connected(graphs[0]) and not is_connected(graphs[1])
-    with pytest.raises(ExpanderForgeError):
-        list(cheeger_exact_many(graphs))
-    assert list(cheeger_exact_many([])) == []
+    assert cheeger_exact_within(graphs[0], 24) == cheeger_exact(graphs[0])
+    for search in (cheeger_exact, lambda g: cheeger_exact_within(g, 24)):
+        with pytest.raises(ExpanderForgeError):
+            search(graphs[1])
 
 
 def test_construct_guard_above_mask_width(tmp_path):
@@ -768,7 +814,8 @@ def test_mutated_graph_files_exit_with_a_documented_code(tmp_path, capsys, text)
 ARG_COUNTS = st.one_of(st.integers(1, 6), st.integers(-2, 40)).map(str)
 FRACTION_TOKENS = st.one_of(
     st.sampled_from(["1", "1/2", "5/2", "3"]),
-    st.sampled_from(["0", "-1", "1/0", "nan", "inf", "1e400", "abc", "pow:", "foo:1"]),
+    st.sampled_from(["0", "-1", "-1/2", "-1e400", "1/0", "nan", "inf", "1e400", "abc",
+                     "pow:", "foo:1"]),
 )
 RULE_TOKENS = st.one_of(
     st.sampled_from(["pow:0.5", "pow:1", "linear:1", "linear:0.5"]),
@@ -780,7 +827,9 @@ RULE_TOKENS = st.one_of(
 @st.composite
 def command_lines(draw):
     """argv for sample, sweep, bounds or construct, each option given as
-    --name=value so that a negative value is read as a value."""
+    --name=value so that a negative value is read as a value; --mu and
+    --theta, which read a negative value either way, are given as two
+    tokens in about half the runs."""
     command = draw(st.sampled_from(["sample", "sweep", "bounds", "construct"]))
     if command == "sample":
         opts = {"chi": draw(ARG_COUNTS), "n": draw(ARG_COUNTS),
@@ -793,7 +842,12 @@ def command_lines(draw):
     else:
         opts = {"theta": draw(FRACTION_TOKENS), "g-min": draw(ARG_COUNTS),
                 "g-max": draw(st.integers(-1, 6)), "guard": draw(st.integers(-1, 30))}
-    return [command, *(f"--{name}={value}" for name, value in opts.items())]
+    apart = draw(st.booleans())
+    argv = [command]
+    for name, value in opts.items():
+        two = apart and name in ("mu", "theta")
+        argv += [f"--{name}", value] if two else [f"--{name}={value}"]
+    return argv
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
