@@ -13,7 +13,12 @@ levels.
 Every caller hands the engine one bound per graph, as two int64 arrays
 that it reads live: each subset carries its forced cut, the edges from it
 to the vertices its subtree may never add, and a subtree whose forced cut
-shows that no subset in it can beat its graph's bound is not grown.
+shows that no subset in it can beat its graph's bound is not grown.  The
+bound enters as one cut limit per graph, the largest forced cut it lets
+through.  Siblings are pruned before any of their arrays is built: each
+candidate v is a neighbour of S, so e(S, v) >= 1, and the j-th child of a
+row has forced cut at least f + j, so only its first limit - f + 1
+children can pass.
 cheeger runs min_ratio_cuts (min_ratio_cut for one graph), which lowers
 each graph's bound to its best ratio so far; bounds counts N_{a,b,s} under
 the bound best_k = 0, which prunes nothing.
@@ -26,11 +31,25 @@ from typing import Iterator, Sequence
 import numpy as np
 
 MAX_VERTICES = 63  # the widest graph the uint64 subset masks hold
+# the cut limit of a graph without a bound, far above any forced cut
+NO_LIMIT = np.iinfo(np.int64).max // 2
 
 # Rows per batch.  Roots and the children of one batch are split into
 # batches of this size and stacked, so the pending work stays small
-# (depth-first).
-BATCH = 1024
+# (depth-first).  On the 33-37 connected 20-vertex graphs of a 40-trial
+# F_{16,4} block, 8192 rows take about 0.67 of the time of 1024 (2-core
+# host, numpy 2.4), for a tracemalloc peak of 0.9-1.8 MB against 0.4 MB.
+# 16384 gains little more there, and makes a 40-vertex search slower with
+# a 5.4 MB peak against 2.8 MB.  A one-graph search tightens its bound
+# later and visits more rows (43682 against 40505 over the one-graph
+# searches of one exact-certify benchmark pass).
+# Against 1024 rows without the prefix prune, in ten alternating warm
+# runs: the 40-vertex search and count_all_Nabs on 20-vertex graphs take
+# 0.42-0.53 of the time and construct 1.01; for the 1-3 ms searches of
+# 20-28 vertices (cheeger_exact, cheeger_at_least) the medians read
+# 0.74-0.90 but neither side wins reliably, so their cost here is
+# unresolved.
+BATCH = 8192
 
 _ONE = np.uint64(1)
 _POW2 = _ONE << np.arange(64, dtype=np.uint64)
@@ -65,12 +84,11 @@ def stack_graphs(views: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.nda
     return adj, mult, nv
 
 
-def _alive(
-    f: np.ndarray, graph: np.ndarray, half: np.ndarray, best_s: np.ndarray, best_k: np.ndarray
-) -> np.ndarray:
-    """Rows whose subtree may still hold a subset at or below the bound:
-    the strict test f * best_k <= best_s * half, per row's graph."""
-    return f * best_k[graph] <= best_s[graph] * half[graph]
+def _cut_limits(half: np.ndarray, best_s: np.ndarray, best_k: np.ndarray) -> np.ndarray:
+    """The largest forced cut f each graph's bound lets through: f * best_k
+    <= best_s * half is f <= best_s * half // best_k, as f is an integer;
+    NO_LIMIT where best_k = 0."""
+    return np.where(best_k > 0, best_s * half // np.maximum(best_k, 1), NO_LIMIT)
 
 
 def _edges_into(masks: np.ndarray, levels: np.ndarray, gv: np.ndarray) -> np.ndarray:
@@ -114,19 +132,26 @@ def connected_subsets(
     best_s and best_k hold each graph's bound, the ratio best_s/best_k to
     beat, with best_k = 0 for none.  They belong to the caller, who may
     lower them in place as it reads the batches: the engine reads them
-    live, every time it tests a row.  Each row carries its forced cut
-    f = e(S, F), the edges from S to its forbidden set F, counted with
-    multiplicity.  Every descendant T of the row keeps S inside and F
-    outside, with |T| <= half, so |boundary(T)| >= f and
-    |boundary(T)|/|T| >= f/half.  So a row with f * best_k > best_s * half
-    (for its graph) is dropped with its whole subtree, the row itself
-    included: tested when the row is made, before its S, nbrs and s are
-    built, and again when it is popped, before it is yielded and
-    expanded, since the bound may have tightened in between.  The test
-    (_alive) is strict, so every connected S with |boundary(S)| * best_k
+    live, once after each batch it yields, into one cut limit per graph
+    (_cut_limits).  Each row carries its forced cut f = e(S, F), the edges
+    from S to its forbidden set F, counted with multiplicity.  Every
+    descendant T of the row keeps S inside and F outside, with
+    |T| <= half, so |boundary(T)| >= f and |boundary(T)|/|T| >= f/half.
+    So a row with f * best_k > best_s * half (for its graph), that is
+    f > limit = best_s * half // best_k, is dropped with its whole
+    subtree, the row itself included: tested when the row is made, before
+    its S, nbrs and s are built, and again when it is popped, before it is
+    yielded and expanded, since the bound may have tightened in between.
+    The test is strict, so every connected S with |boundary(S)| * best_k
     <= best_s * |S| is still yielded, ties included: each ancestor A of S
     has S inside and F_A outside, so e(A, F_A) <= |boundary(S)|.  Graphs
     share batches but never bounds.
+
+    Before a child's arrays are built, a row keeps only its first
+    limit - f + 1 children (v ascending): child j (0-based) forbids the j
+    candidates below its v, each a neighbour of S with e(S, u) >= 1, so
+    its forced cut is at least f + j.  The children this drops are the
+    ones the test above drops, so it changes no batch.
     """
     if not adj.size:
         return
@@ -157,22 +182,33 @@ def connected_subsets(
             stack.append((size, graph[j], S[j], nbrs[j], forbidden[j], s[j], f[j]))
 
     push(1, graph, _POW2[v], flat_adj[gv], _POW2[v] - _ONE, degw[gv], f)
+    limit = _cut_limits(half, best_s, best_k)
     while stack:
         size, graph, S, nbrs, forbidden, s, f = stack.pop()
-        keep = _alive(f, graph, half, best_s, best_k)
+        keep = f <= limit[graph]
         if not keep.all():
             graph, S, nbrs, forbidden = graph[keep], S[keep], nbrs[keep], forbidden[keep]
             s, f = s[keep], f[keep]
             if not len(S):
                 continue
         yield size, graph, S, nbrs, s
+        # the caller may have lowered its bounds while it read the batch
+        limit = _cut_limits(half, best_s, best_k)
         cand = np.where(size < half[graph], nbrs & ~S & ~forbidden, 0)
+        # child j of a row (0-based, v ascending) has f' >= f + j, so a row
+        # keeps at most its first limit - f + 1 children
+        count = popcount(cand)
+        room = np.clip(limit[graph] - f + 1, 0, count)
         # (row, v) for each set bit v of each row's cand, row-major
         cand_bits = np.unpackbits(
             cand.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :nbytes],
             axis=1, bitorder="little",
         )
         row, v = np.divmod(np.flatnonzero(cand_bits.view(bool)), 8 * nbytes)
+        if (room < count).any():
+            j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+            keep = j < room[row]
+            row, v = row[keep], v[keep]
         if not row.size:
             continue
         cg = graph[row]
@@ -185,10 +221,10 @@ def connected_subsets(
         # child's first sibling, so the middle term is an exclusive cumsum
         # of e(S, v) restarted there.
         before = np.cumsum(eSv) - eSv
-        first = np.searchsorted(row, row)
+        first = np.repeat(np.cumsum(room) - room, room)
         eVF = _edges_into(cF, levels, gv)
         cf = f[row] + before - before[first] + eVF
-        keep = _alive(cf, cg, half, best_s, best_k)
+        keep = cf <= limit[cg]
         if not keep.all():
             row, cg, gv, bit = row[keep], cg[keep], gv[keep], bit[keep]
             eSv, cF, cf = eSv[keep], cF[keep], cf[keep]

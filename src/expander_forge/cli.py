@@ -36,6 +36,9 @@ from .graph_core import (
 from .sampler import SampleConfig, estimate_connectivity, sample_partition
 from .sampler import sample_graph  # noqa: F401  perfbench/selftest.py traces it here
 
+# Interior and boundary vertices per block of `sample` trials.
+SAMPLE_BLOCK_VERTICES = 1024
+
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
@@ -99,9 +102,10 @@ def _sample_trials(cfg: SampleConfig, guard: int) -> Iterator[tuple]:
     in order; sigma1 is None unless the trial is connected with n >= 2, and
     the certificate is cheeger_exact_within's, None for a disconnected trial.
 
-    A block holds as many trials as one engine pass of _mincut_py.BATCH
-    vertices (at least one, so one from 1025 vertices on), and only one
-    block is held at a time.  Its trials are drawn by sample_partition and
+    A block holds as many trials as SAMPLE_BLOCK_VERTICES vertices (at
+    least one, so one from 1025 vertices on), and only one block is held at
+    a time: the stacked dense spectra keep their size however wide the
+    engine's batches are.  Its trials are drawn by sample_partition and
     their label pairs stacked: one sampler._block_verdicts search gives the
     connected flags, label_owners the vertex pairs, and the connected
     trials, one GraphBlock, get one spectra.lambda1, one stacked
@@ -112,12 +116,11 @@ def _sample_trials(cfg: SampleConfig, guard: int) -> Iterator[tuple]:
     import numpy as np
 
     from . import spectra
-    from ._mincut_py import BATCH
     from .cheeger import cheeger_exact_block
     from .sampler import _block_verdicts
 
     chi, n = cfg.chi, cfg.n
-    per_block = max(1, BATCH // (chi + n))
+    per_block = max(1, SAMPLE_BLOCK_VERTICES // (chi + n))
     owner = np.array(label_owners(chi, n))
     for first in range(0, cfg.trials, per_block):
         trials = range(first, min(first + per_block, cfg.trials))
@@ -386,13 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _signed_values_joined(argv: list[str]) -> list[str]:
-    """argv with a --theta or --mu value that starts with one "-" joined to
-    its option, as --theta=-1/2: argparse reads a separate token such as
-    -1/2 or -1e400 as an unknown option, so the value check, which names
-    the token or says the value must be positive, would never see it."""
+    """argv with a --theta, --mu or --chi-list value that starts with one
+    "-" joined to its option, as --theta=-1/2: argparse reads a separate
+    token such as -1/2, -1e400 or -1,5 as an unknown option, so the value
+    check, which names the token or says the value must be positive (every
+    chi >= 1), would never see it."""
     out: list[str] = []
     for token in argv:
-        after = out and out[-1] in ("--theta", "--mu")
+        after = out and out[-1] in ("--theta", "--mu", "--chi-list")
         if after and token.startswith("-") and not token.startswith("--"):
             out[-1] += "=" + token
         else:

@@ -441,6 +441,23 @@ def test_pruning_reads_the_tightened_bound(graph, half, want):
     assert py_min_ratio_cut(*_bitmask_inputs(g), g.num_vertices, half) == want
 
 
+def test_prefix_prune_keeps_every_row_at_a_fixed_batch_cap(monkeypatch):
+    """The sibling-prefix prune drops only children that the forced-cut test
+    drops anyway, so at a fixed batch cap it moves no row: with 1024 rows a
+    batch, the engine visits the 27772 subsets over the 37 connected
+    trials of one 40-trial F_{16,4} block that it visited before the prune,
+    and the certificates do not depend on the cap."""
+    cfg = SampleConfig(chi=16, n=4, trials=40, seed=11)
+    graphs = [g for g in (sample_graph(cfg, t) for t in range(40)) if is_connected(g)]
+    assert len(graphs) == 37
+    adj, mult, nv = _mincut_py.stack_graphs([_bitmask_inputs(g) for g in graphs])
+    wide = _mincut_py.min_ratio_cuts(adj, mult, nv, nv // 2)
+    monkeypatch.setattr(_mincut_py, "BATCH", 1024)
+    cuts = _mincut_py.min_ratio_cuts(adj, mult, nv, nv // 2)
+    assert sum(cut[3] for cut in cuts) == 27772
+    assert [cut[:3] for cut in cuts] == [cut[:3] for cut in wide]
+
+
 def test_engine_yields_each_connected_subset_once():
     """Every batch has one subset size and at most BATCH rows; together the
     batches hold each connected S once, with the reference's cut and

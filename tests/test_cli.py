@@ -197,10 +197,15 @@ def test_non_finite_mu_or_theta_names_the_token(tmp_path, capsys, command, token
      "error: not a finite number: '-1e400'"),
     (["construct", "--g-min", "1", "--g-max", "1", "--theta"], "-inf",
      "error: not a finite number: '-inf'"),
+    (["sweep", "--rule", "pow:0.5", "--chi-list"], "-1,5",
+     "error: every chi must be >= 1, got '-1,5'"),
+    (["sweep", "--rule", "pow:0.5", "--chi-list"], "-2",
+     "error: every chi must be >= 1, got '-2'"),
 ])
 def test_negative_mu_or_theta_as_a_separate_token(tmp_path, capsys, command, token, message):
-    """A value that starts with "-" after --mu or --theta is the value, not
-    an option: the value check answers it with its one error line."""
+    """A value that starts with "-" after --mu, --theta or --chi-list is the
+    value, not an option: the value check answers it with its one error
+    line, no usage line."""
     out = tmp_path / "out"
     assert main(command + [token, "--out", str(out / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
@@ -827,9 +832,9 @@ RULE_TOKENS = st.one_of(
 @st.composite
 def command_lines(draw):
     """argv for sample, sweep, bounds or construct, each option given as
-    --name=value so that a negative value is read as a value; --mu and
-    --theta, which read a negative value either way, are given as two
-    tokens in about half the runs."""
+    --name=value so that a negative value is read as a value; --mu,
+    --theta and --chi-list, which read a negative value either way, are
+    given as two tokens in about half the runs."""
     command = draw(st.sampled_from(["sample", "sweep", "bounds", "construct"]))
     if command == "sample":
         opts = {"chi": draw(ARG_COUNTS), "n": draw(ARG_COUNTS),
@@ -845,13 +850,14 @@ def command_lines(draw):
     apart = draw(st.booleans())
     argv = [command]
     for name, value in opts.items():
-        two = apart and name in ("mu", "theta")
+        two = apart and name in ("mu", "theta", "chi-list")
         argv += [f"--{name}", value] if two else [f"--{name}={value}"]
     return argv
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(argv=["sweep", "--chi-list", "-1,5", "--rule=pow:0.5", "--trials=2"])
 @given(argv=command_lines())
 def test_fuzzed_arguments_exit_with_a_documented_code(tmp_path, capsys, argv):
     """Never a traceback: the commands that take no graph file either
