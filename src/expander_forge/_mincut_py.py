@@ -1,11 +1,13 @@
 """The package's one enumerator of connected vertex subsets,
-connected_subsets, and the minimum-ratio-cut kernel built on it.
+connected_subsets, the minimum-ratio-cut kernel built on it, and the one
+builder of their input, bitmask_stack.
 
 The engine grows subsets level by level in numpy batches, so a batch of
 subsets costs a handful of array operations instead of one Python call per
 subset; on graphs of a few dozen vertices the fixed cost per batch
-dominates.  So the engine takes many graphs at once: each row carries the
-index of its graph, and one batch mixes the rows of many small graphs.
+dominates.  So the engine takes a stack of graphs of one size, built
+from their vertex pairs: each row carries the index of its graph, and one
+batch mixes the rows of many small graphs.
 Edges are counted as popcounts: each vertex has one uint64 neighbour mask
 per multiplicity level, the neighbours joined to it by more than k edges,
 so the edges from v into a mask are a sum of np.bitwise_count over the
@@ -26,7 +28,7 @@ the bound best_k = 0, which prunes nothing.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -69,22 +71,21 @@ def _bit_reverse(x: np.ndarray) -> np.ndarray:
     return _REV8[x.byteswap().view(np.uint8)].view(np.uint64)
 
 
-def stack_graphs(views: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The engine's input for graphs given as (adj, mult) bitmask views:
-    adj as a (G, N) uint64 array, mult as a (G, N, N) int64 array, both
-    zero-padded to the widest graph's N vertices, and nv, the vertex
-    counts."""
-    nv = np.array([len(adj) for adj, _ in views], dtype=np.int64)
-    width = int(nv.max()) if len(nv) else 0
-    adj = np.zeros((len(nv), width), dtype=np.uint64)
-    mult = np.zeros((len(nv), width, width), dtype=np.int64)
-    for i, (a, m) in enumerate(views):
-        adj[i, : nv[i]] = a
-        mult[i, : nv[i], : nv[i]] = m
-    return adj, mult, nv
+def bitmask_stack(edges: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's input for k graphs on nv vertices each, given as a
+    (k, E, 2) integer array of vertex pairs: adj, the (k, nv) uint64
+    neighbour masks, and mult, the (k, nv, nv) int64 edge multiplicities;
+    bit v of adj[i, u] is set where mult[i, u, v] > 0.  Loops are left out
+    of both, since a loop never crosses a cut."""
+    u, v = edges[..., 0], edges[..., 1]
+    cell = ((np.arange(len(edges))[:, None] * nv + u) * nv + v)[u != v]
+    mult = np.bincount(cell, minlength=len(edges) * nv * nv).reshape(len(edges), nv, nv)
+    mult = mult + mult.transpose(0, 2, 1)
+    adj = np.bitwise_or.reduce(np.where(mult > 0, _POW2[:nv], 0), axis=-1)
+    return adj, mult
 
 
-def _cut_limits(half: np.ndarray, best_s: np.ndarray, best_k: np.ndarray) -> np.ndarray:
+def _cut_limits(half: int, best_s: np.ndarray, best_k: np.ndarray) -> np.ndarray:
     """The largest forced cut f each graph's bound lets through: f * best_k
     <= best_s * half is f <= best_s * half // best_k, as f is an integer;
     NO_LIMIT where best_k = 0."""
@@ -104,21 +105,20 @@ def _edges_into(masks: np.ndarray, levels: np.ndarray, gv: np.ndarray) -> np.nda
 def connected_subsets(
     adj: np.ndarray,
     mult: np.ndarray,
-    nv: np.ndarray,
-    half: np.ndarray,
+    half: int,
     best_s: np.ndarray,
     best_k: np.ndarray,
 ) -> Iterator[Batch]:
     """Yield batches (size, graph, S, nbrs, s) covering, for each graph i,
     the vertex masks S that induce a connected subgraph of graph i with
-    |S| <= half[i] and that its bound (best_s[i], best_k[i]) lets through,
+    |S| <= half and that its bound (best_s[i], best_k[i]) lets through,
     each exactly once; best_k[i] = 0 lets every such S through.
 
-    The graphs are stacked as stack_graphs makes them: adj[i] holds graph
-    i's neighbour masks and mult[i] its edge multiplicities, loops left out
-    of both, zero-padded beyond its nv[i] vertices.  In a batch every row
-    has |S| = size; graph (each row's graph index), S, nbrs (the union of
-    adj over S) and s (|boundary(S)|) are arrays of equal length, at most
+    The graphs, all of one size N, are stacked as bitmask_stack makes them:
+    adj[i] holds graph i's neighbour masks and mult[i] its edge
+    multiplicities, loops left out of both.  In a batch every row has
+    |S| = size; graph (each row's graph index), S, nbrs (the union of adj
+    over S) and s (|boundary(S)|) are arrays of equal length, at most
     BATCH.  The level masks (_edges_into), degrees and adj of vertex v of
     graph i are read at row i*N + v of the flattened arrays.
 
@@ -126,8 +126,8 @@ def connected_subsets(
     forbidden.  A row's candidates are its neighbours outside S and outside
     its forbidden set; the child that adds candidate v also forbids the
     candidates below v, so each connected S is reached by one path only.
-    The cut updates as v joins: its edges into S turn inward.  A row stops
-    growing at its own graph's half.
+    The cut updates as v joins: its edges into S turn inward.  A batch of
+    size >= half is yielded without computing children.
 
     best_s and best_k hold each graph's bound, the ratio best_s/best_k to
     beat, with best_k = 0 for none.  They belong to the caller, who may
@@ -170,8 +170,8 @@ def connected_subsets(
 
     # a row is (graph, S, nbrs, forbidden, s, f).
     # The roots: every vertex of every graph, graph by graph, ascending.
-    graph, v = np.nonzero(np.arange(width_v) < nv[:, None])
-    gv = graph * width_v + v
+    gv = np.arange(adj.size)
+    graph, v = np.divmod(gv, width_v)
     # a root's forced cut: its edges to the vertices below it
     f = _edges_into(_POW2[v] - _ONE, levels, gv)
     stack: list = []
@@ -194,7 +194,9 @@ def connected_subsets(
         yield size, graph, S, nbrs, s
         # the caller may have lowered its bounds while it read the batch
         limit = _cut_limits(half, best_s, best_k)
-        cand = np.where(size < half[graph], nbrs & ~S & ~forbidden, 0)
+        if size >= half:
+            continue
+        cand = nbrs & ~S & ~forbidden
         # child j of a row (0-based, v ascending) has f' >= f + j, so a row
         # keeps at most its first limit - f + 1 children
         count = popcount(cand)
@@ -233,25 +235,25 @@ def connected_subsets(
 
 
 def min_ratio_cuts(
-    adj: np.ndarray, mult: np.ndarray, nv: np.ndarray, half: np.ndarray
+    adj: np.ndarray, mult: np.ndarray, half: int
 ) -> list[tuple[int, int, int, int]]:
     """min_ratio_cut of each graph of a stack, all in one engine pass: the
-    graphs stacked as connected_subsets takes them (adj, mult and nv as
-    stack_graphs makes them) and half[i], graph i's largest subset size.
+    graphs of one size stacked as connected_subsets takes them (adj and
+    mult as bitmask_stack makes them) and half, the largest subset size.
 
     Each graph keeps its own best (s, k, mask) and its own bound.  A
     batch's rows that beat their graph's best are sorted by (graph, s,
     lexicographic), and the first row of each graph becomes its best.
     """
-    if ((nv < 1) | (nv > MAX_VERTICES)).any():
+    graphs, nv = adj.shape
+    if not 1 <= nv <= MAX_VERTICES:
         raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
-    best_s = np.zeros(len(nv), dtype=np.int64)
-    best_k = np.zeros(len(nv), dtype=np.int64)
-    best_mask = np.zeros(len(nv), dtype=np.uint64)
-    visited = np.zeros(len(nv), dtype=np.int64)
-    batches = connected_subsets(adj, mult, nv, half, best_s, best_k)
-    for size, graph, S, _nbrs, s in batches:
-        visited += np.bincount(graph, minlength=len(nv))
+    best_s = np.zeros(graphs, dtype=np.int64)
+    best_k = np.zeros(graphs, dtype=np.int64)
+    best_mask = np.zeros(graphs, dtype=np.uint64)
+    visited = np.zeros(graphs, dtype=np.int64)
+    for size, graph, S, _nbrs, s in connected_subsets(adj, mult, half, best_s, best_k):
+        visited += np.bincount(graph, minlength=graphs)
         k = best_k[graph]
         cross = s * k - best_s[graph] * size
         d = S ^ best_mask[graph]
@@ -267,8 +269,9 @@ def min_ratio_cuts(
     return list(zip(best_s.tolist(), best_k.tolist(), best_mask.tolist(), visited.tolist()))
 
 
-def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
-    """Exact min of boundary/|S| over connected S, |S| <= half.
+def min_ratio_cut(adj_masks: np.ndarray, mult_matrix: np.ndarray, nv: int, half: int):
+    """Exact min of boundary/|S| over connected S, |S| <= half, on one graph
+    of nv vertices as bitmask_stack makes it.
 
     Returns (s, k, mask, visited): the minimum of the order (s/k, then k,
     then lexicographic, i.e. the lowest differing vertex in S wins) and the
@@ -301,5 +304,5 @@ def min_ratio_cut(adj_masks, mult_matrix, nv: int, half: int):
     the best ratio never drops below the minimum, and ties are never
     pruned.
     """
-    adj, mult, _ = stack_graphs([(adj_masks, mult_matrix)])
-    return min_ratio_cuts(adj, mult, np.array([nv]), np.array([half]))[0]
+    adj, mult = adj_masks.reshape(1, nv), mult_matrix.reshape(1, nv, nv)
+    return min_ratio_cuts(adj, mult, half)[0]

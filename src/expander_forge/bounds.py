@@ -31,10 +31,11 @@ keep the X*Y*Z form, so they bound the interior-cut class only.
 
 Both counts come from one pass of _mincut_py.connected_subsets, the batched
 engine of the exact Cheeger search, run under the bound best_k = 0, which
-prunes nothing, and tallied with array operations; one pass takes any
-number of graphs and sums their counts.  numpy and the engine are
-imported only inside _connected_subset_counts, the engine tally, so the
-exact rational tables (and the `bounds` command) never load numpy.
+prunes nothing, and tallied with array operations; one pass takes the
+graphs of one size, one graph or the members of one family, and sums
+their counts.  numpy and the engine are imported only inside
+_connected_subset_counts, the engine tally, so the exact rational tables
+(and the `bounds` command) never load numpy.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import GuardExceededError
-from .graph_core import (
-    MultiGraph, _bitmask_inputs, check_parity, exact_fraction, is_connected
-)
+from .graph_core import MultiGraph, check_parity, exact_fraction, is_connected
 from .sampler import Z95, SampleConfig, count_family, matching_count, sample_graph
 
 NABS_INTERIOR_GUARD = 20
@@ -234,13 +233,16 @@ def mu_pair_sum(chi: int, n: int, mu) -> Fraction:
 def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Counter]:
     """Counters of (a, b, s) over every connected vertex subset of the
     graphs and over the interior-cut ones, summed over the graphs and
-    filled in one engine pass; a disconnected graph counts nothing."""
+    filled in one engine pass; a disconnected graph counts nothing.  The
+    connected graphs must have one vertex count and one edge count, as the
+    members of one family do."""
     import numpy as np
 
-    from ._mincut_py import MAX_VERTICES, connected_subsets, popcount, stack_graphs
+    from ._mincut_py import MAX_VERTICES, bitmask_stack, connected_subsets, popcount
+    from .spectra import _edge_array
 
     unrestricted, interior_cut = Counter(), Counter()
-    views, pendants = [], []
+    edges, pendants = [], []
     for g in graphs:
         if not is_connected(g):
             continue
@@ -254,13 +256,18 @@ def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Cou
             raise GuardExceededError(
                 f"{g.num_vertices} vertices exceed {MAX_VERTICES}-bit subset masks"
             )
-        views.append(_bitmask_inputs(g))
+        if edges and g.num_vertices != nv:
+            raise ValueError(f"graphs of {nv} and {g.num_vertices} vertices in one pass")
+        nv = g.num_vertices
+        edges.append(_edge_array(g))
         pendants.append(sum(1 << v for v, d in enumerate(degs) if d == 1))
-    adj, mult, nv = stack_graphs(views)
+    if not edges:
+        return unrestricted, interior_cut
+    adj, mult = bitmask_stack(np.stack(edges), nv)
     pendants = np.array(pendants, dtype=np.uint64)
 
-    none = np.zeros(len(nv), dtype=np.int64)  # best_k = 0: nothing is pruned
-    for size, graph, S, nbrs, s in connected_subsets(adj, mult, nv, nv, none, none):
+    none = np.zeros(len(edges), dtype=np.int64)  # best_k = 0: nothing is pruned
+    for size, graph, S, nbrs, s in connected_subsets(adj, mult, nv, none, none):
         p = pendants[graph]
         # a degree-1 vertex p has one neighbour, so p is in nbrs exactly
         # when that neighbour is in S, and p's edge crosses exactly when p

@@ -3,9 +3,11 @@
 The exact search minimises over connected subsets only, with the batched
 bitmask kernel of _mincut_py; that minimum is the definition's, and its
 witness has a connected complement too (_mincut_py.min_ratio_cut proves
-both).  The kernel prunes by the forced cut: it stops growing a subset
-once the edges to the vertices it may never add show that nothing it grows
-into can beat the best ratio so far.  Ties are never pruned, so the
+both).  Every search reads the input _mincut_py.bitmask_stack builds from
+a block's edges, a MultiGraph being a block of one.  The kernel prunes by
+the forced cut: it stops growing a subset once the edges to the vertices
+it may never add show that nothing it grows into can beat the best ratio
+so far.  Ties are never pruned, so the
 certificate, witness included, is the unpruned search's.  cheeger_exact
 searches one graph (cheeger_exact_within when the guard decides whether
 the graph gets the search); cheeger_exact_block searches a block of
@@ -24,10 +26,8 @@ import numpy as np
 
 from . import _mincut_py as _kernel
 from .errors import DEFAULT_GUARD, ExpanderForgeError, GuardExceededError
-from .graph_core import (
-    GraphBlock, MultiGraph, _bitmask_inputs, boundary_size, is_connected
-)
-from .spectra import combinatorial_laplacian, normalized_laplacian
+from .graph_core import GraphBlock, MultiGraph, boundary_size, is_connected
+from .spectra import _as_block, normalized_laplacian
 
 HAVE_COMPILED_KERNEL = False  # no compiled kernel; perfbench/run.py records it
 
@@ -64,9 +64,10 @@ def _searchable(g: MultiGraph) -> None:
         raise ExpanderForgeError("the Cheeger constant needs at least 2 vertices")
 
 
-def _search_input(g: MultiGraph) -> tuple:
-    nv = g.num_vertices
-    return (*_bitmask_inputs(g), nv, nv // 2)
+def _bitmask_inputs(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The engine input (adj, mult) of g, a stack of one graph."""
+    b = _as_block(g)
+    return _kernel.bitmask_stack(b.edges, b.num_vertices)
 
 
 def _certificate(s: int, k: int, mask: int) -> CheegerCertificate:
@@ -89,7 +90,7 @@ def cheeger_exact(g: MultiGraph, guard: int = DEFAULT_GUARD) -> CheegerCertifica
         raise GuardExceededError(
             f"|V| = {nv} exceeds min(guard, mask width) = {_limit(guard)}"
         )
-    s, k, mask, _visited = _kernel.min_ratio_cut(*_search_input(g))
+    s, k, mask, _visited = _kernel.min_ratio_cut(*_bitmask_inputs(g), nv, nv // 2)
     return _certificate(s, k, mask)
 
 
@@ -103,30 +104,17 @@ def cheeger_exact_within(g: MultiGraph, guard: int) -> CheegerCertificate | None
     return cheeger_exact(g, guard)
 
 
-def _block_search_inputs(b: GraphBlock) -> tuple[np.ndarray, ...]:
-    """The engine input (adj, mult, nv, half) of block b, stacked as
-    _kernel.connected_subsets takes it: mult, the (k, nv, nv) edge
-    multiplicities, is -L off the diagonal of the stacked L = D - A, with
-    no loop since a loop never crosses a cut, and bit v of adj[i, u] is set
-    where mult[i, u, v] > 0; as _bitmask_inputs views one graph."""
-    k, nv = len(b.edges), b.num_vertices
-    mult = -combinatorial_laplacian(b).astype(np.int64)
-    mult.reshape(k, nv * nv)[:, :: nv + 1] = 0
-    bits = np.left_shift(np.uint64(1), np.arange(nv, dtype=np.uint64))
-    adj = np.bitwise_or.reduce(np.where(mult > 0, bits, np.uint64(0)), axis=-1)
-    return adj, mult, np.full(k, nv), np.full(k, nv // 2)
-
-
 def cheeger_exact_block(b: GraphBlock, guard: int) -> list[CheegerCertificate | None]:
     """cheeger_exact_within(g, guard) for each graph g of block b, in one
     engine pass of _kernel.min_ratio_cuts over the whole block; no pass when
     the block is empty or the search does not take its graphs' size.  The
     graphs must be connected, which the caller vouches for: the search
     would certify h = 0 for a disconnected one."""
-    k = len(b.edges)
-    if not k or b.num_vertices > _limit(guard):
+    k, nv = len(b.edges), b.num_vertices
+    if not k or nv > _limit(guard):
         return [None] * k
-    return [_certificate(*cut[:3]) for cut in _kernel.min_ratio_cuts(*_block_search_inputs(b))]
+    cuts = _kernel.min_ratio_cuts(*_kernel.bitmask_stack(b.edges, nv), nv // 2)
+    return [_certificate(*cut[:3]) for cut in cuts]
 
 
 def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
@@ -144,10 +132,9 @@ def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
         raise GuardExceededError(
             f"|V| = {g.num_vertices} exceeds the mask width {_kernel.MAX_VERTICES}"
         )
-    adj, mult, _, half = _search_input(g)
     p, q = Fraction(bound).as_integer_ratio()
-    bounds = (np.array([b]) for b in (half, p, q))
-    batches = _kernel.connected_subsets(*_kernel.stack_graphs([(adj, mult)]), *bounds)
+    bounds = g.num_vertices // 2, np.array([p]), np.array([q])
+    batches = _kernel.connected_subsets(*_bitmask_inputs(g), *bounds)
     return not any((q * s < p * size).any() for size, _, _, _, s in batches)
 
 

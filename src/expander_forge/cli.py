@@ -106,18 +106,18 @@ def _sample_trials(cfg: SampleConfig, guard: int) -> Iterator[tuple]:
     least one, so one from 1025 vertices on), and only one block is held at
     a time: the stacked dense spectra keep their size however wide the
     engine's batches are.  Its trials are drawn by sample_partition and
-    their label pairs stacked: one sampler._block_verdicts search gives the
-    connected flags, label_owners the vertex pairs, and the connected
-    trials, one GraphBlock, get one spectra.lambda1, one stacked
-    steklov_spectrum and one cheeger_exact_block engine pass; no
-    MultiGraph is built.  The spectra choose their dense or sparse solves
-    by the block's size.
+    their label pairs stacked: one sampler._interior_connected search (the
+    block is within sampler.BLOCK_VERTICES) gives the connected flags,
+    label_owners the vertex pairs, and the connected trials, one
+    GraphBlock, get one spectra.lambda1, one stacked steklov_spectrum and
+    one cheeger_exact_block engine pass; no MultiGraph is built.  The
+    spectra choose their dense or sparse solves by the block's size.
     """
     import numpy as np
 
     from . import spectra
     from .cheeger import cheeger_exact_block
-    from .sampler import _block_verdicts
+    from .sampler import _interior_connected
 
     chi, n = cfg.chi, cfg.n
     per_block = max(1, SAMPLE_BLOCK_VERTICES // (chi + n))
@@ -125,7 +125,7 @@ def _sample_trials(cfg: SampleConfig, guard: int) -> Iterator[tuple]:
     for first in range(0, cfg.trials, per_block):
         trials = range(first, min(first + per_block, cfg.trials))
         pairs = np.array([sample_partition(cfg, t).pairs for t in trials])
-        connected = _block_verdicts(pairs, chi)
+        connected = _interior_connected(pairs, chi)
         block = GraphBlock(chi, n, owner[pairs[connected] - 1])
         lam1 = np.zeros(len(trials))
         sigma1 = certs = []
@@ -282,8 +282,15 @@ def cmd_construct(args) -> dict[Path, str]:
 def _read_graph(args) -> tuple[MultiGraph, Topology]:
     """The graph of a graph file and its topology, checked by from_text (its
     records) and topology (the model-graph rule); ExpanderForgeError (exit
-    2) otherwise."""
-    g = from_text(Path(args.graphfile).read_text())
+    2) otherwise, and when the file cannot be read."""
+    try:
+        text = Path(args.graphfile).read_text()
+    except OSError as exc:
+        raise ExpanderForgeError(
+            f"cannot read graph file {args.graphfile!r}: "
+            f"{type(exc).__name__}: {exc.strerror or exc}"
+        ) from None
+    g = from_text(text)
     return g, topology(g)
 
 

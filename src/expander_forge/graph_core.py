@@ -233,23 +233,6 @@ def spanning_forest(
     return kept, closing
 
 
-def _bitmask_inputs(g: MultiGraph) -> tuple[list[int], list[list[int]]]:
-    """The bitmask view of g: Python-int neighbour masks (bit v of adj[u]
-    set when an edge joins u and v) and the edge multiplicity matrix, loops
-    left out of both since a loop never crosses a cut."""
-    nv = g.num_vertices
-    adj = [0] * nv
-    mult = [[0] * nv for _ in range(nv)]
-    for u, v in g.edges:
-        if u == v:
-            continue
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        mult[u][v] += 1
-        mult[v][u] += 1
-    return adj, mult
-
-
 def boundary_size(g: MultiGraph, subset: set[int] | frozenset[int]) -> int:
     """|edges leaving subset| with multiplicity; loops never count."""
     s = 0

@@ -1,7 +1,8 @@
 """Reference kernel for tests: a recursive connected-subset enumerator
 that handles one subset per call, and the minimum-ratio-cut search built on
 it, as an oracle independent of the batched engine in
-expander_forge._mincut_py.
+expander_forge._mincut_py.  Its input is its own: bitmask_inputs views a
+MultiGraph as Python ints, edge by edge, with no numpy.
 
 connected_subsets calls visit(S, size, s, nbrs) once per connected S,
 depth first, with no pruning; min_ratio_cut returns the same (s, k, mask)
@@ -10,6 +11,23 @@ connected S with |S| <= half, an upper bound on the batched kernel's.
 """
 
 from __future__ import annotations
+
+
+def bitmask_inputs(g) -> tuple[list[int], list[list[int]]]:
+    """The bitmask view of MultiGraph g: Python-int neighbour masks (bit v
+    of adj[u] set when an edge joins u and v) and the edge multiplicity
+    matrix, loops left out of both since a loop never crosses a cut."""
+    nv = g.num_vertices
+    adj = [0] * nv
+    mult = [[0] * nv for _ in range(nv)]
+    for u, v in g.edges:
+        if u == v:
+            continue
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        mult[u][v] += 1
+        mult[v][u] += 1
+    return adj, mult
 
 
 def _lex_less(a: int, b: int) -> bool:
@@ -24,7 +42,7 @@ def connected_subsets(adj: list[int], mult: list[list[int]], half: int, visit):
     connected subgraph with size = |S| <= half, depth first in increasing
     vertex order; s = |boundary(S)| and nbrs is the union of adj over S.
 
-    adj and mult are graph_core's bitmask view.  s is updated as each
+    adj and mult are bitmask_inputs' view.  s is updated as each
     vertex v joins: v's edges into S turn inward.
     """
     degw = [sum(row) for row in mult]

@@ -296,15 +296,24 @@ def test_nabs_counters_match_brute_force():
     assert any(u == v for g in graphs for u, v in g.edges)  # loops
     assert any(len(set(g.edges)) < g.num_edges for g in graphs)  # parallel edges
     assert any(not is_connected(g) for g in graphs)
-    summed = Counter(), Counter()
+    families = {}
     for g in graphs:
         unrestricted, interior_cut = _nabs_brute_force(g)
         assert count_all_Nabs(g) == unrestricted, g.edges
         assert count_all_Nabs_interior_cut(g) == interior_cut, g.edges
-        summed[0].update(unrestricted)
-        summed[1].update(interior_cut)
-    # one engine pass over all the graphs at once sums the same counts
-    assert _connected_subset_counts(graphs) == summed
+        summed = families.setdefault((g.chi, g.n), ([], Counter(), Counter()))
+        summed[0].append(g)
+        summed[1].update(unrestricted)
+        summed[2].update(interior_cut)
+    # one engine pass over the graphs of a family sums the same counts
+    assert len(families) == 10
+    for members, unrestricted, interior_cut in families.values():
+        assert _connected_subset_counts(members) == (unrestricted, interior_cut)
+    # a pass takes graphs of one size only, also where the edge counts agree
+    six, eight = families[6, 0][0], families[5, 3][0]
+    assert any(map(is_connected, six)) and any(map(is_connected, eight))
+    with pytest.raises(ValueError, match="graphs of 6 and 8 vertices"):
+        _connected_subset_counts(six + eight)
 
 
 def test_interior_cut_count_is_a_subset():

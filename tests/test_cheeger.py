@@ -161,11 +161,11 @@ def test_batched_kernel_matches_recursive_reference():
     cases = [(g, _halves(g.num_vertices)) for g in REFERENCE_GRAPHS]
     cases += [(g, [g.num_vertices // 2]) for g in samples_20]
     for g, halves in cases:
-        adj, mult = _bitmask_inputs(g)
+        engine_input, reference_input = _bitmask_inputs(g), reference_kernel.bitmask_inputs(g)
         nv = g.num_vertices
         for half in halves:
-            *got, visited = py_min_ratio_cut(adj, mult, nv, half)
-            *want, all_connected = reference_kernel.min_ratio_cut(adj, mult, nv, half)
+            *got, visited = py_min_ratio_cut(*engine_input, nv, half)
+            *want, all_connected = reference_kernel.min_ratio_cut(*reference_input, nv, half)
             assert got == want, (g.edges, half, got, want)
             assert visited <= all_connected
 
@@ -173,8 +173,8 @@ def test_batched_kernel_matches_recursive_reference():
 def test_kernels_minimise_over_connected_subsets():
     """At |S| <= 1 the search takes the cut vertex, whose complement is
     disconnected; at |V|/2 and |V| the minima are the definition's."""
-    adj, mult = _bitmask_inputs(TWO_K4_CUT_VERTEX)
-    for kernel in _kernels():
+    for kernel, view in _kernels():
+        adj, mult = view(TWO_K4_CUT_VERTEX)
         assert kernel(adj, mult, 9, 1)[:3] == (2, 1, 1 << 4)
         assert kernel(adj, mult, 9, 4)[:3] == (1, 4, 0b1111)
         assert kernel(adj, mult, 9, 9)[:3] == (0, 9, (1 << 9) - 1)
@@ -200,12 +200,13 @@ def test_every_witness_has_a_connected_complement():
 
 
 def test_cross_graph_kernel_matches_one_graph_calls():
-    """min_ratio_cuts over mixed lists of graphs gives each graph the (s, k,
+    """min_ratio_cuts over stacks of graphs gives each graph the (s, k,
     mask) of its one-graph min_ratio_cut and of the recursive reference,
     and visits no more subsets than the reference: every REFERENCE_GRAPHS
     case (sizes 4 to 28, halves 1, |V|/2 and |V|, loops and parallel
     edges), shuffled into lists of 1 to 150 graphs, and 63-vertex graphs
-    next to small ones."""
+    next to small ones.  A pass takes one size and one half, so each list
+    is grouped by both, one pass per group."""
     cases = [(g, half) for g in REFERENCE_GRAPHS for half in _halves(g.num_vertices)]
     random.Random(22).shuffle(cases)
     lists, i = [], 0
@@ -215,25 +216,33 @@ def test_cross_graph_kernel_matches_one_graph_calls():
     lists += [cases[i + j : i + j + 60] for j in range(0, len(cases) - i, 60)]
     lists.append([(STAR, 1), (_cycle(63), 31), (LOOPY[0], 3), (_path(63), 31), (STAR, 2)])
     assert sum(map(len, lists)) == len(cases) + 5
+    passes = 0
     for part in lists:
-        inputs = [(*_bitmask_inputs(g), g.num_vertices, half) for g, half in part]
-        adj, mult, nv = _mincut_py.stack_graphs([inp[:2] for inp in inputs])
-        halves = np.array([half for _, half in part])
-        cuts = _mincut_py.min_ratio_cuts(adj, mult, nv, halves)
-        for (g, half), inp, got in zip(part, inputs, cuts):
-            *want, all_connected = reference_kernel.min_ratio_cut(*inp)
-            assert got[:3] == py_min_ratio_cut(*inp)[:3] == tuple(want), (g.edges, half)
-            assert got[3] <= all_connected
-    empty = _mincut_py.stack_graphs([])
-    assert _mincut_py.min_ratio_cuts(*empty, np.zeros(0, dtype=np.int64)) == []
+        groups = {}
+        for g, half in part:
+            groups.setdefault((g.num_vertices, half), []).append(g)
+        for (nv, half), graphs in groups.items():
+            inputs = [_bitmask_inputs(g) for g in graphs]
+            adj = np.concatenate([a for a, _ in inputs])
+            mult = np.concatenate([m for _, m in inputs])
+            cuts = _mincut_py.min_ratio_cuts(adj, mult, half)
+            passes += len(graphs) > 1
+            for g, inp, got in zip(graphs, inputs, cuts):
+                ref = reference_kernel.bitmask_inputs(g)
+                *want, all_connected = reference_kernel.min_ratio_cut(*ref, nv, half)
+                one = py_min_ratio_cut(*inp, nv, half)
+                assert got[:3] == one[:3] == tuple(want), (g.edges, half)
+                assert got[3] <= all_connected
+    assert passes > 10
+    empty = _mincut_py.bitmask_stack(np.zeros((0, 0, 2), dtype=np.intp), 4)
+    assert _mincut_py.min_ratio_cuts(*empty, 2) == []
 
 
 def _batches(g, half, bound=(0, 0)):
     """The engine's batches over g alone, as a one-graph stack, under the
     fixed bound (s, k); k = 0 prunes nothing."""
-    adj, mult, nv = _mincut_py.stack_graphs([_bitmask_inputs(g)])
     best_s, best_k = (np.array([b]) for b in bound)
-    return _mincut_py.connected_subsets(adj, mult, nv, np.array([half]), best_s, best_k)
+    return _mincut_py.connected_subsets(*_bitmask_inputs(g), half, best_s, best_k)
 
 
 def _yielded(g, half, bound=(0, 0)):
@@ -254,7 +263,7 @@ def test_fixed_bound_keeps_every_subset_at_or_below_it():
     smallest four ratios of connected subsets, and h of the graph."""
     pruned = 0
     for g in SAMPLES_12[::3] + CUBIC_22[:2] + LOOPY + [plant_trees(theta_base(), 3)]:
-        adj, mult = _bitmask_inputs(g)
+        adj, mult = reference_kernel.bitmask_inputs(g)
         nv = g.num_vertices
         for half in _halves(nv):
             want = {}
@@ -303,7 +312,7 @@ def test_level_masks_count_cuts_with_multiplicity():
     assert {3, 4, 5} <= set(mults)
     pruned = 0
     for g in graphs:
-        adj, mult = _bitmask_inputs(g)
+        adj, mult = reference_kernel.bitmask_inputs(g)
         for half in _halves(g.num_vertices):
             want = {}
             reference_kernel.connected_subsets(
@@ -328,6 +337,34 @@ def test_level_masks_count_cuts_with_multiplicity():
 
 def _members(mask):
     return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def test_engine_input_matches_the_reference_view():
+    """The engine's one input builder, _mincut_py.bitmask_stack, gives each
+    graph the reference's Python-int view, loops left out: one graph at a
+    time on 300 random multigraphs of 1 to 63 vertices with loops and
+    parallel edges, and stacked on the 37 connected trials of one 40-trial
+    F_{16,4} block."""
+    rng = random.Random(39)
+    graphs = []
+    for _ in range(300):
+        nv = rng.randint(1, 63)
+        edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 2 * nv))]
+        edges += edges[:1] * rng.randint(1, 3) + [(v, v) for v in range(0, nv, 7)]
+        graphs.append(MultiGraph(chi=nv, n=0, edges=tuple(edges)))
+    assert {g.num_vertices for g in graphs} >= {1, 2, 63}
+    assert sum(len(set(g.edges)) < len(g.edges) for g in graphs) > 250
+    for g in graphs:
+        adj, mult = _bitmask_inputs(g)
+        assert (adj.dtype, mult.dtype) == (np.uint64, np.int64)
+        assert (adj[0].tolist(), mult[0].tolist()) == reference_kernel.bitmask_inputs(g), g.edges
+    cfg = SampleConfig(chi=16, n=4, trials=40, seed=11)
+    block = [g for g in (sample_graph(cfg, t) for t in range(40)) if is_connected(g)]
+    assert len(block) == 37 and any(u == v for g in block for u, v in g.edges)
+    adj, mult = _mincut_py.bitmask_stack(np.array([g.edges for g in block]), 20)
+    assert [list(view) for view in zip(adj.tolist(), mult.tolist())] == [
+        list(reference_kernel.bitmask_inputs(g)) for g in block
+    ]
 
 
 def test_popcount_matches_bit_count():
@@ -450,10 +487,10 @@ def test_prefix_prune_keeps_every_row_at_a_fixed_batch_cap(monkeypatch):
     cfg = SampleConfig(chi=16, n=4, trials=40, seed=11)
     graphs = [g for g in (sample_graph(cfg, t) for t in range(40)) if is_connected(g)]
     assert len(graphs) == 37
-    adj, mult, nv = _mincut_py.stack_graphs([_bitmask_inputs(g) for g in graphs])
-    wide = _mincut_py.min_ratio_cuts(adj, mult, nv, nv // 2)
+    adj, mult = _mincut_py.bitmask_stack(np.array([g.edges for g in graphs]), 20)
+    wide = _mincut_py.min_ratio_cuts(adj, mult, 10)
     monkeypatch.setattr(_mincut_py, "BATCH", 1024)
-    cuts = _mincut_py.min_ratio_cuts(adj, mult, nv, nv // 2)
+    cuts = _mincut_py.min_ratio_cuts(adj, mult, 10)
     assert sum(cut[3] for cut in cuts) == 27772
     assert [cut[:3] for cut in cuts] == [cut[:3] for cut in wide]
 
@@ -464,7 +501,7 @@ def test_engine_yields_each_connected_subset_once():
     neighbourhood."""
     split = False
     for g in CUBIC_22[:1] + LOOPY[:5] + [plant_trees(theta_base(), 3)]:
-        adj, mult = _bitmask_inputs(g)
+        adj, mult = reference_kernel.bitmask_inputs(g)
         nv = g.num_vertices
         for half in _halves(nv):
             want = {}
@@ -495,7 +532,11 @@ def _path(nv):
 
 
 def _kernels():
-    return [py_min_ratio_cut, reference_kernel.min_ratio_cut]
+    """Each kernel with the builder of its own input."""
+    return [
+        (py_min_ratio_cut, _bitmask_inputs),
+        (reference_kernel.min_ratio_cut, reference_kernel.bitmask_inputs),
+    ]
 
 
 def test_one_exact_search_path():
@@ -510,18 +551,16 @@ def test_top_bit_cycle_and_path():
     the path; both minima are the arc or interval {0..30}."""
     arc = (1 << 31) - 1
     for g, want in ((_cycle(63), (2, 31, arc, 63 * 31)), (_path(63), (1, 31, arc, 1488))):
-        adj, mult = _bitmask_inputs(g)
-        for kernel in _kernels():
-            assert kernel(adj, mult, 63, 31) == want
+        for kernel, view in _kernels():
+            assert kernel(*view(g), 63, 31) == want
     assert cheeger_exact(_cycle(63), guard=63).h == Fraction(2, 31)
     assert cheeger_exact(_path(63), guard=63).h == Fraction(1, 31)
 
 
 def test_kernels_reject_64_vertices():
-    adj, mult = _bitmask_inputs(_cycle(64))
-    for kernel in _kernels():
+    for kernel, view in _kernels():
         with pytest.raises(ValueError):
-            kernel(adj, mult, 64, 32)
+            kernel(*view(_cycle(64)), 64, 32)
     with pytest.raises(GuardExceededError):
         cheeger_exact(_cycle(64), guard=64)
 

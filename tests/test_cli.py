@@ -339,9 +339,9 @@ def engine_passes(monkeypatch):
     passes = []
     kernel = _mincut_py.min_ratio_cuts
 
-    def counted(adj, mult, nv, half):
-        passes.append(len(nv))
-        return kernel(adj, mult, nv, half)
+    def counted(adj, mult, half):
+        passes.append(len(adj))
+        return kernel(adj, mult, half)
 
     monkeypatch.setattr(_mincut_py, "min_ratio_cuts", counted)
     return passes
@@ -665,6 +665,22 @@ def test_bad_graph_file_exit_2_without_traceback(tmp_path, capsys, command, text
     assert captured.err == f"error: {BAD_GRAPH_ERRORS[text]}\n"
 
 
+@pytest.mark.parametrize("command", ["cheeger", "spectra", "split"])
+@pytest.mark.parametrize(
+    "name, error",
+    [("missing.txt", "FileNotFoundError: No such file or directory"),
+     (".", "IsADirectoryError: Is a directory")],
+)
+def test_unreadable_graph_file_exit_2_without_traceback(tmp_path, capsys, command, name, error):
+    """A graph file that is missing or a directory is one `error:` line
+    naming the path and the error class, not a traceback."""
+    path = tmp_path / name
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read graph file {str(path)!r}: {error}\n"
+
+
 @pytest.mark.parametrize(
     "header", ["G \u0662 0", "G " + "1" * 4301 + " 0"], ids=["arabic-indic-2", "4301-digits"]
 )
@@ -979,19 +995,17 @@ def test_parser_and_bounds_never_import_numpy(tmp_path, argv, code):
 
 
 def test_model_graph_layer_never_imports_numpy(tmp_path):
-    # gluing a pairing, the text format, the model-graph rule, components
-    # and the bitmask view are integer work
+    # gluing a pairing, the text format, the model-graph rule and
+    # components are integer work
     code = """
 import sys
 from expander_forge.graph_core import (
-    HalfEdgePairing, _bitmask_inputs, build_graph, components, from_text, to_text,
-    topology,
+    HalfEdgePairing, build_graph, components, from_text, to_text, topology,
 )
 g = build_graph(HalfEdgePairing(chi=2, n=2, pairs=((1, 7), (2, 4), (3, 5), (6, 8))))
 g = from_text(to_text(g))
 topology(g)
 components(g.num_vertices, g.edges)
-_bitmask_inputs(g)
 print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
 """
     assert _fresh_python(tmp_path, code, []) == "[]\n"
