@@ -20,10 +20,18 @@ bound enters as one cut limit per graph, the largest forced cut it lets
 through.  Siblings are pruned before any of their arrays is built: each
 candidate v is a neighbour of S, so e(S, v) >= 1, and the j-th child of a
 row has forced cut at least f + j, so only its first limit - f + 1
-children can pass.
+children can pass; they are picked by repeated lowest-set-bit extraction.
 cheeger runs min_ratio_cuts (min_ratio_cut for one graph), which lowers
 each graph's bound to its best ratio so far; bounds counts N_{a,b,s} under
 the bound best_k = 0, which prunes nothing.
+At half = |V| // 2 the Cheeger searches (min_ratio_cuts, and
+cheeger.cheeger_at_least) grow subsets over pendant bundles: a pendant, a
+vertex whose one distinct neighbour (its anchor) has at least two, joins
+a subset only together with its anchor, and on its own is a root with no
+children.  The minimum is always among those subsets (min_ratio_cut
+proves it), and the rows shrink: a model graph's n boundary vertices are
+pendants, and so is every leaf of a planted tree.  The N_{a,b,s} counters
+keep single vertices, since they must count every connected subset.
 """
 
 from __future__ import annotations
@@ -38,19 +46,13 @@ NO_LIMIT = np.iinfo(np.int64).max // 2
 
 # Rows per batch.  Roots and the children of one batch are split into
 # batches of this size and stacked, so the pending work stays small
-# (depth-first).  On the 33-37 connected 20-vertex graphs of a 40-trial
-# F_{16,4} block, 8192 rows take about 0.67 of the time of 1024 (2-core
-# host, numpy 2.4), for a tracemalloc peak of 0.9-1.8 MB against 0.4 MB.
-# 16384 gains little more there, and makes a 40-vertex search slower with
-# a 5.4 MB peak against 2.8 MB.  A one-graph search tightens its bound
-# later and visits more rows (43682 against 40505 over the one-graph
-# searches of one exact-certify benchmark pass).
-# Against 1024 rows without the prefix prune, in ten alternating warm
-# runs: the 40-vertex search and count_all_Nabs on 20-vertex graphs take
-# 0.42-0.53 of the time and construct 1.01; for the 1-3 ms searches of
-# 20-28 vertices (cheeger_exact, cheeger_at_least) the medians read
-# 0.74-0.90 but neither side wins reliably, so their cost here is
-# unresolved.
+# (depth-first).  Over pendant bundles (2-core host, numpy 2.4, median of
+# 9 alternating warm runs), 8192 rows take 0.60 of the time of 1024 on the
+# five 40-trial F_{16,4} blocks of one exact-certify benchmark pass (14.4
+# against 23.9 ms, tracemalloc peak 0.7 against 0.4 MB), 0.63 on the
+# 40-vertex family member (3.1 ms, 0.9 MB) and 0.50 on the 56-vertex one
+# (36 ms, 2.8 MB); 16384 gains nothing more, with a 5.1 MB peak on the
+# 56-vertex search.
 BATCH = 8192
 
 _ONE = np.uint64(1)
@@ -58,8 +60,8 @@ _POW2 = _ONE << np.arange(64, dtype=np.uint64)
 # bit reversal of each byte
 _REV8 = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
-# (size, graph, S, nbrs, s): one subset size, and per row its graph's index
-Batch = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# (size, graph, S, nbrs, s): per row its subset size and its graph's index
+Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def popcount(x: np.ndarray) -> np.ndarray:
@@ -102,32 +104,71 @@ def _edges_into(masks: np.ndarray, levels: np.ndarray, gv: np.ndarray) -> np.nda
     return e
 
 
+def _pendant_masks(adj: np.ndarray) -> np.ndarray:
+    """Each graph's pendants as one uint64 mask: the vertices with exactly
+    one distinct neighbour (adj leaves loops out) whose neighbour has at
+    least two."""
+    deg = np.bitwise_count(adj)
+    bits = _POW2[: adj.shape[1]]
+    hubs = np.bitwise_or.reduce(np.where(deg >= 2, bits, 0), axis=1)
+    pendant = (deg == 1) & ((adj & hubs[:, None]) != 0)
+    return np.bitwise_or.reduce(np.where(pendant, bits, 0), axis=1)
+
+
+def _lowest_bits(cand: np.ndarray, rounds: int) -> np.ndarray:
+    """(rounds, len(cand)) uint64: entry [j, i] is the j-th lowest set bit
+    of cand[i] (0-based), or 0 where cand[i] has no more."""
+    bits = np.empty((rounds, len(cand)), dtype=np.uint64)
+    cand = cand.copy()
+    for low in bits:
+        np.bitwise_and(cand, np.negative(cand), out=low)
+        cand ^= low
+    return bits
+
+
 def connected_subsets(
     adj: np.ndarray,
     mult: np.ndarray,
     half: int,
     best_s: np.ndarray,
     best_k: np.ndarray,
+    bundles: bool = False,
 ) -> Iterator[Batch]:
     """Yield batches (size, graph, S, nbrs, s) covering, for each graph i,
     the vertex masks S that induce a connected subgraph of graph i with
     |S| <= half and that its bound (best_s[i], best_k[i]) lets through,
-    each exactly once; best_k[i] = 0 lets every such S through.
+    each exactly once; best_k[i] = 0 lets every such S through.  With
+    bundles, only the bundle-closed S among them and the pendant
+    singletons (below).
 
     The graphs, all of one size N, are stacked as bitmask_stack makes them:
     adj[i] holds graph i's neighbour masks and mult[i] its edge
-    multiplicities, loops left out of both.  In a batch every row has
-    |S| = size; graph (each row's graph index), S, nbrs (the union of adj
-    over S) and s (|boundary(S)|) are arrays of equal length, at most
-    BATCH.  The level masks (_edges_into), degrees and adj of vertex v of
-    graph i are read at row i*N + v of the flattened arrays.
+    multiplicities, loops left out of both.  A batch holds at most BATCH
+    rows; size (|S|, one value per batch without bundles), graph (each
+    row's graph index), S, nbrs (the union of adj over S) and s
+    (|boundary(S)|) are arrays of one length.  The level masks
+    (_edges_into), degrees and adj of vertex v of graph i are read at row
+    i*N + v of the flattened arrays.
 
     Each S grows from its least vertex r, with the vertices below r
     forbidden.  A row's candidates are its neighbours outside S and outside
     its forbidden set; the child that adds candidate v also forbids the
     candidates below v, so each connected S is reached by one path only.
-    The cut updates as v joins: its edges into S turn inward.  A batch of
-    size >= half is yielded without computing children.
+    The cut updates as v joins: its edges into S turn inward.  A row of
+    size >= half gets no children.
+
+    With bundles, a pendant (_pendant_masks: one distinct neighbour, its
+    anchor, which has at least two) joins S only together with its anchor:
+    a vertex v enters as its bundle, v and the pendants anchored at v, so
+    the subsets grown are the connected subsets of the graph without its
+    pendants, each grown from its least vertex and closed up with its
+    anchors' pendants; a bundle that would pass half is not added, nor is
+    a root whose bundle does.  On its own a pendant p is a root with no
+    children: its forbidden set is its anchor, so its forced cut is its
+    cut.  Pendants are never forbidden otherwise, and an edge from a
+    bundle-closed S to a pendant ends inside S, so the forced cut and the
+    cut update read the anchor's edges only.  min_ratio_cut says when this
+    keeps the minimum.
 
     best_s and best_k hold each graph's bound, the ratio best_s/best_k to
     beat, with best_k = 0 for none.  They belong to the caller, who may
@@ -148,10 +189,11 @@ def connected_subsets(
     share batches but never bounds.
 
     Before a child's arrays are built, a row keeps only its first
-    limit - f + 1 children (v ascending): child j (0-based) forbids the j
-    candidates below its v, each a neighbour of S with e(S, u) >= 1, so
-    its forced cut is at least f + j.  The children this drops are the
-    ones the test above drops, so it changes no batch.
+    limit - f + 1 children (v ascending), picked by repeated lowest-set-bit
+    extraction (_lowest_bits): child j (0-based) forbids the j candidates
+    below its v, each a neighbour of S with e(S, u) >= 1, so its forced
+    cut is at least f + j.  The children this drops are the ones the test
+    above drops, so it changes no batch.
     """
     if not adj.size:
         return
@@ -165,73 +207,84 @@ def connected_subsets(
         for k in range(max(int(flat_mult.max()), 1))
     ])
     degw = flat_mult.sum(axis=1)
-    # bytes of a little-endian mask that hold bits 0 .. N-1
-    nbytes = (width_v + 7) // 8
 
-    # a row is (graph, S, nbrs, forbidden, s, f).
-    # The roots: every vertex of every graph, graph by graph, ascending.
+    # a row is (graph, S, nbrs, forbidden, s, f); its size is popcount(S)
     gv = np.arange(adj.size)
     graph, v = np.divmod(gv, width_v)
-    # a root's forced cut: its edges to the vertices below it
-    f = _edges_into(_POW2[v] - _ONE, levels, gv)
+    bit = _POW2[v]
+    # each vertex's bundle (unit), the cut and the union of adj over it,
+    # and the forbidden set of its root: the vertices below v
+    unit, unit_cut, unit_adj, forbidden = bit, degw, flat_adj, bit - _ONE
+    pend = _pendant_masks(adj)[graph] if bundles else np.zeros(0, np.uint64)
+    bundled = pend.any()
+    if bundled:
+        # v and, for a non-pendant v, its pendants, whose edges all end at
+        # v; a non-pendant's root forbids no pendant, a pendant's root its
+        # anchor
+        lone = (pend & bit) != 0
+        unit = np.where(lone, bit, bit | (flat_adj & pend))
+        unit_size = popcount(unit)
+        unit_cut = degw - _edges_into(unit ^ bit, levels, gv)
+        unit_adj = flat_adj | np.where(unit == bit, 0, bit)
+        forbidden = np.where(lone, flat_adj, forbidden & ~pend)
+    # The roots: every vertex of every graph, graph by graph, ascending,
+    # with no bundle wider than half.
+    roots = graph, unit, unit_adj, forbidden, unit_cut, _edges_into(forbidden, levels, gv)
+    if bundled:
+        roots = tuple(a[unit_size <= half] for a in roots)
     stack: list = []
 
-    def push(size, graph, S, nbrs, forbidden, s, f):
-        for i in range(0, len(S), BATCH):
-            j = slice(i, i + BATCH)
-            stack.append((size, graph[j], S[j], nbrs[j], forbidden[j], s[j], f[j]))
+    def push(*row):
+        for i in range(0, len(row[0]), BATCH):
+            stack.append(tuple(a[i : i + BATCH] for a in row))
 
-    push(1, graph, _POW2[v], flat_adj[gv], _POW2[v] - _ONE, degw[gv], f)
+    push(*roots)
     limit = _cut_limits(half, best_s, best_k)
     while stack:
-        size, graph, S, nbrs, forbidden, s, f = stack.pop()
+        graph, S, nbrs, forbidden, s, f = stack.pop()
         keep = f <= limit[graph]
         if not keep.all():
             graph, S, nbrs, forbidden = graph[keep], S[keep], nbrs[keep], forbidden[keep]
             s, f = s[keep], f[keep]
             if not len(S):
                 continue
+        size = popcount(S)
         yield size, graph, S, nbrs, s
         # the caller may have lowered its bounds while it read the batch
         limit = _cut_limits(half, best_s, best_k)
-        if size >= half:
+        grow = size < half
+        if not grow.any():
             continue
         cand = nbrs & ~S & ~forbidden
         # child j of a row (0-based, v ascending) has f' >= f + j, so a row
         # keeps at most its first limit - f + 1 children
-        count = popcount(cand)
-        room = np.clip(limit[graph] - f + 1, 0, count)
-        # (row, v) for each set bit v of each row's cand, row-major
-        cand_bits = np.unpackbits(
-            cand.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :nbytes],
-            axis=1, bitorder="little",
-        )
-        row, v = np.divmod(np.flatnonzero(cand_bits.view(bool)), 8 * nbytes)
-        if (room < count).any():
-            j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-            keep = j < room[row]
-            row, v = row[keep], v[keep]
+        room = np.clip(limit[graph] - f + 1, 0, popcount(cand)) * grow
+        # each child's row, the index of its first sibling, and its
+        # candidate: the j-th lowest of its row's, j its index among them
+        row = np.repeat(np.arange(len(S)), room)
         if not row.size:
             continue
-        cg = graph[row]
-        gv = cg * width_v + v
-        bit = _POW2[v]
-        eSv = _edges_into(S[row], levels, gv)
-        cF = forbidden[row] | (cand[row] & (bit - _ONE))
-        # f' = f + e(S, candidates below v) + e(v, F').  A row's children
-        # are contiguous with v ascending, and first is the index of each
-        # child's first sibling, so the middle term is an exclusive cumsum
-        # of e(S, v) restarted there.
-        before = np.cumsum(eSv) - eSv
         first = np.repeat(np.cumsum(room) - room, room)
+        bit = _lowest_bits(cand, int(room.max()))[np.arange(len(row)) - first, row]
+        cg = graph[row]
+        below = bit - _ONE
+        gv = cg * width_v + popcount(below)
+        eSv = _edges_into(S[row], levels, gv)
+        cF = forbidden[row] | (cand[row] & below)
+        # f' = f + e(S, candidates below v) + e(v, F').  A row's children
+        # are contiguous with v ascending, so the middle term is an
+        # exclusive cumsum of e(S, v) restarted at each first sibling.
+        before = np.cumsum(eSv) - eSv
         eVF = _edges_into(cF, levels, gv)
         cf = f[row] + before - before[first] + eVF
         keep = cf <= limit[cg]
+        if bundled:
+            keep &= size[row] + unit_size[gv] <= half
         if not keep.all():
-            row, cg, gv, bit = row[keep], cg[keep], gv[keep], bit[keep]
+            row, cg, gv = row[keep], cg[keep], gv[keep]
             eSv, cF, cf = eSv[keep], cF[keep], cf[keep]
-        cs = s[row] + degw[gv] - 2 * eSv
-        push(size + 1, cg, S[row] | bit, nbrs[row] | flat_adj[gv], cF, cs, cf)
+        cs = s[row] + unit_cut[gv] - 2 * eSv
+        push(cg, S[row] | unit[gv], nbrs[row] | unit_adj[gv], cF, cs, cf)
 
 
 def min_ratio_cuts(
@@ -242,8 +295,10 @@ def min_ratio_cuts(
     mult as bitmask_stack makes them) and half, the largest subset size.
 
     Each graph keeps its own best (s, k, mask) and its own bound.  A
-    batch's rows that beat their graph's best are sorted by (graph, s,
-    lexicographic), and the first row of each graph becomes its best.
+    batch's rows that beat their graph's best are sorted by (graph, s/k,
+    k, lexicographic), and the first row of each graph becomes its best.
+    At half = nv // 2 the pass grows pendant bundles, which keeps every
+    minimum (min_ratio_cut).
     """
     graphs, nv = adj.shape
     if not 1 <= nv <= MAX_VERTICES:
@@ -252,7 +307,8 @@ def min_ratio_cuts(
     best_k = np.zeros(graphs, dtype=np.int64)
     best_mask = np.zeros(graphs, dtype=np.uint64)
     visited = np.zeros(graphs, dtype=np.int64)
-    for size, graph, S, _nbrs, s in connected_subsets(adj, mult, half, best_s, best_k):
+    batches = connected_subsets(adj, mult, half, best_s, best_k, bundles=half == nv // 2)
+    for size, graph, S, _nbrs, s in batches:
         visited += np.bincount(graph, minlength=graphs)
         k = best_k[graph]
         cross = s * k - best_s[graph] * size
@@ -261,11 +317,16 @@ def min_ratio_cuts(
         (idx,) = np.nonzero((k == 0) | (cross < 0) | tie)
         if not idx.size:
             continue
-        # ascending lexicographic order is descending bit-reversed mask
-        idx = idx[np.lexsort((~_bit_reverse(S[idx]), s[idx], graph[idx]))]
+        # ascending lexicographic order is descending bit-reversed mask.
+        # s / size orders the ratios exactly: both are integers (s < 2**31,
+        # size <= 63) and the quotient is correctly rounded, so equal
+        # ratios give equal floats, and unequal ones, at least 1/63**2
+        # apart, stay apart by far more than the rounding.
+        order = (~_bit_reverse(S[idx]), size[idx], s[idx] / size[idx], graph[idx])
+        idx = idx[np.lexsort(order)]
         g, first = np.unique(graph[idx], return_index=True)
         idx = idx[first]
-        best_s[g], best_k[g], best_mask[g] = s[idx], size, S[idx]
+        best_s[g], best_k[g], best_mask[g] = s[idx], size[idx], S[idx]
     return list(zip(best_s.tolist(), best_k.tolist(), best_mask.tolist(), visited.tolist()))
 
 
@@ -303,6 +364,25 @@ def min_ratio_cut(adj_masks: np.ndarray, mult_matrix: np.ndarray, nv: int, half:
     The bound-pruning stays sound: every interim best is a real cut, so
     the best ratio never drops below the minimum, and ties are never
     pruned.
+
+    So at half = |V| // 2 min_ratio_cuts grows pendant bundles
+    (connected_subsets): a pendant p, whose one distinct neighbour a has
+    at least two, joins S only with a, or stands alone.  On a connected
+    graph with |V| >= 3 the minimum S* is among those subsets:
+    - p outside S* with a inside: p's edges all end at a, so p is a
+      component of V - S*, which is connected, so V - S* = {p}.  But
+      |V - S*| >= |V| - |V| // 2 >= 2.
+    - p inside S* with a outside: p's edges all leave S*, which is
+      connected, so S* = {p}, a root of its own.
+    So S* is p alone or closed under its anchors' pendants, and the
+    forced-cut argument of connected_subsets carries over to the bundled
+    tree.  At |V| = 2 the rule bundles nothing: each vertex's one
+    neighbour has only one itself.  (On a disconnected graph the minimum is
+    a smallest component, a union of bundles too.)  At another half V - S*
+    need not be connected: at half = |V| - 1 a star's minimum leaves out
+    one leaf and keeps the centre.  So min_ratio_cuts bundles only at
+    half = |V| // 2, and the N_{a,b,s} counters, which count every
+    connected subset, never do.
     """
     adj, mult = adj_masks.reshape(1, nv), mult_matrix.reshape(1, nv, nv)
     return min_ratio_cuts(adj, mult, half)[0]

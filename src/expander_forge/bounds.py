@@ -31,7 +31,8 @@ keep the X*Y*Z form, so they bound the interior-cut class only.
 
 Both counts come from one pass of _mincut_py.connected_subsets, the batched
 engine of the exact Cheeger search, run under the bound best_k = 0, which
-prunes nothing, and tallied with array operations; one pass takes the
+prunes nothing, and without pendant bundles, since every connected subset
+counts; the batches are tallied with array operations; one pass takes the
 graphs of one size, one graph or the members of one family, and sums
 their counts.  numpy and the engine are imported only inside
 _connected_subset_counts, the engine tally, so the exact rational tables
@@ -273,16 +274,17 @@ def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Cou
         # when that neighbour is in S, and p's edge crosses exactly when p
         # is in one of S and nbrs
         inner = (p & (S ^ nbrs)) == 0
-        # one key per (a, s, interior-cut flag); b = size - a
+        # one key per (a, size, s, interior-cut flag); b = size - a
         base = int(s.max()) + 1
-        keys = 2 * (popcount(S & p) * base + s) + inner
+        keys = 2 * ((popcount(S & p) * (nv + 1) + size) * base + s) + inner
         counts = np.bincount(keys)
         (uniq,) = np.nonzero(counts)
         for key, c in zip(uniq.tolist(), counts[uniq].tolist()):
-            a, rest = divmod(key, 2 * base)
-            triple = (a, size - a, rest // 2)
+            rest, s_key = divmod(key, 2 * base)
+            a, k = divmod(rest, nv + 1)
+            triple = (a, k - a, s_key // 2)
             unrestricted[triple] += c
-            if rest % 2:
+            if s_key % 2:
                 interior_cut[triple] += c
     return unrestricted, interior_cut
 

@@ -8,7 +8,10 @@ a block's edges, a MultiGraph being a block of one.  The kernel prunes by
 the forced cut: it stops growing a subset once the edges to the vertices
 it may never add show that nothing it grows into can beat the best ratio
 so far.  Ties are never pruned, so the
-certificate, witness included, is the unpruned search's.  cheeger_exact
+certificate, witness included, is the unpruned search's.  A pendant (a
+vertex whose one distinct neighbour has at least two, as every boundary
+vertex of a model graph) joins a subset only with that neighbour, or
+stands alone: the minimum is always such a subset.  cheeger_exact
 searches one graph (cheeger_exact_within when the guard decides whether
 the graph gets the search); cheeger_exact_block searches a block of
 connected graphs of one size in one shared engine pass, so the fixed cost
@@ -121,11 +124,13 @@ def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
     """Whether h(g) >= bound, for g of at most MAX_VERTICES vertices,
     whatever the guard.
 
-    One engine pass under the fixed bound p/q = bound: it yields every
-    connected S with |S| <= |V|/2 and q |boundary(S)| <= p |S|, and the
-    minimum over connected S is h (_mincut_py.min_ratio_cut).  So h < p/q
-    exactly when a yielded S has q |boundary(S)| < p |S|; the pass stops
-    at the first batch that holds one.
+    One engine pass over pendant bundles under the fixed bound p/q =
+    bound: it yields every connected S with |S| <= |V|/2 and
+    q |boundary(S)| <= p |S| that is closed under its anchors' pendants or
+    a pendant alone, and the minimum, of ratio h, is one of them
+    (_mincut_py.min_ratio_cut).  So h < p/q exactly when a yielded S has
+    q |boundary(S)| < p |S|; the pass stops at the first batch that holds
+    one.
     """
     _searchable(g)
     if g.num_vertices > _kernel.MAX_VERTICES:  # before the nv x nv view is built
@@ -134,7 +139,7 @@ def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
         )
     p, q = Fraction(bound).as_integer_ratio()
     bounds = g.num_vertices // 2, np.array([p]), np.array([q])
-    batches = _kernel.connected_subsets(*_bitmask_inputs(g), *bounds)
+    batches = _kernel.connected_subsets(*_bitmask_inputs(g), *bounds, bundles=True)
     return not any((q * s < p * size).any() for size, _, _, _, s in batches)
 
 

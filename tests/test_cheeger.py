@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -250,9 +251,9 @@ def _yielded(g, half, bound=(0, 0)):
     got = {}
     for size, graph, S, nbrs, s in _batches(g, half, bound):
         assert not graph.any()
-        for row in zip(S.tolist(), s.tolist(), nbrs.tolist()):
+        for row in zip(S.tolist(), size.tolist(), s.tolist(), nbrs.tolist()):
             assert row[0] not in got
-            got[row[0]] = (size, row[1], row[2])
+            got[row[0]] = row[1:]
     return got
 
 
@@ -403,25 +404,129 @@ def test_pruned_search_matches_naive_oracle_on_random_multigraphs():
         assert cheeger_exact(g) == cheeger_exact_naive(g), g.edges
 
 
+def _pendant_multigraphs(count, seed, max_nv):
+    """Connected multigraphs of 2 to max_nv vertices rich in pendants: a
+    core of 1 to 14 vertices (a random spanning tree, extra edges, loops
+    and parallel copies) with pendants hung on random core vertices in
+    groups of 1 to 3, each joined by one or two parallel edges and
+    sometimes carrying a loop (the cut-pendant of a model graph); the
+    vertex labels are shuffled, so pendants fall below and above their
+    anchors."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        core = rng.randint(1, min(14, max_nv - 1))
+        edges = [(v, rng.randrange(v)) for v in range(1, core)]
+        for _ in range(rng.randint(0, core)):
+            u = rng.randrange(core)
+            edges.append(rng.choice([(u, rng.randrange(core)), (u, u)] + edges[:1]))
+        nv = core
+        while nv < max_nv and (nv == core or rng.random() < 0.7):
+            a = rng.randrange(core)
+            for _ in range(min(rng.randint(1, 3), max_nv - nv)):
+                edges += [(a, nv)] * rng.choice((1, 1, 2))
+                if rng.random() < 0.3:
+                    edges.append((nv, nv))
+                nv += 1
+        perm = list(range(nv))
+        rng.shuffle(perm)
+        edges = tuple((perm[u], perm[v]) for u, v in edges)
+        out.append(MultiGraph(chi=nv, n=0, edges=edges))
+    return out
+
+
+def _pendants(g):
+    """{pendant: anchor}: vertices with one distinct neighbour, loops
+    ignored, whose neighbour has at least two, read off the edge list."""
+    nbrs = {v: set() for v in range(g.num_vertices)}
+    for u, v in g.edges:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return {
+        v: a
+        for v, ns in nbrs.items()
+        if len(ns) == 1 and len(nbrs[a := next(iter(ns))]) >= 2
+    }
+
+
+def _reference_cut(g, half):
+    """The unbundled recursive reference's (s, k, mask) on g."""
+    view = reference_kernel.bitmask_inputs(g)
+    return reference_kernel.min_ratio_cut(*view, g.num_vertices, half)[:3]
+
+
+F11 = build_graph(HalfEdgePairing(chi=1, n=1, pairs=((1, 4), (2, 3))))
+PENDANT_SMALL = [F11, STAR] + _pendant_multigraphs(150, seed=40, max_nv=NAIVE_GUARD)
+PENDANT_LARGE = [
+    plant_trees(k4_graph(), 1),
+    plant_trees(theta_base(), 2),
+    expander_family(FamilySpec.from_theta("3"), 3).graph,
+    expander_family(FamilySpec.from_theta("3"), 4).graph,
+    expander_family(FamilySpec.from_theta("6"), 3).graph,
+] + _pendant_multigraphs(40, seed=41, max_nv=28)[::2]
+
+
+def test_pendant_bundles_keep_every_certificate():
+    """At half = |V| // 2 the search grows pendant bundles: a pendant joins
+    a subset only with its anchor, or stands alone.  Its (s, k, mask),
+    witnesses included, equal cheeger_exact_naive's up to 12 vertices and
+    the unbundled recursive reference's up to 63, on pendant-rich
+    multigraphs: F_{1,1} (two vertices, nothing bundled), F_{1,3} (a star,
+    h = 1 from a pendant on its own), anchors of 2 or 3 pendants, pendants
+    with a loop or a doubled edge, planted graphs and family members, the
+    63-path and the connected trials of an F_{16,4} block, searched
+    together.  At the other halves (1, |V| - 1, |V|; on the graphs of at
+    most 12 vertices and the path) nothing is bundled, and the engine still
+    equals the reference."""
+    assert [len(_pendants(g)) for g in (F11, STAR)] == [0, 3]
+    small = PENDANT_SMALL
+    pendants = [_pendants(g) for g in small + PENDANT_LARGE]
+    anchors = [Counter(p.values()) for p in pendants]
+    assert sum(max(a.values(), default=0) >= 2 for a in anchors) > 50
+    assert sum(any(u == v and u in p for u, v in g.edges)
+               for g, p in zip(small + PENDANT_LARGE, pendants)) > 30
+    assert sum(any(v < a for v, a in p.items()) for p in pendants) > 50
+    assert {g.num_vertices for g in small} >= set(range(2, NAIVE_GUARD + 1))
+    assert max(g.num_vertices for g in PENDANT_LARGE) >= 24
+    for g in small:
+        assert cheeger_exact(g) == cheeger_exact_naive(g), g.edges
+    cases = [(g, {1, g.num_vertices // 2, g.num_vertices - 1, g.num_vertices})
+             for g in small[::3] + [_path(63)]]
+    cases += [(g, {g.num_vertices // 2}) for g in PENDANT_LARGE]
+    for g, halves in cases:
+        for half in sorted(halves):
+            got = py_min_ratio_cut(*_bitmask_inputs(g), g.num_vertices, half)[:3]
+            assert got == _reference_cut(g, half), (g.edges, half)
+    cfg = SampleConfig(chi=16, n=4, trials=40, seed=40)
+    block = [g for g in (sample_graph(cfg, t) for t in range(40)) if is_connected(g)]
+    assert len(block) > 30 and all(len(_pendants(g)) >= 4 for g in block)
+    b = graph_core.GraphBlock(chi=16, n=4, edges=np.array([g.edges for g in block]))
+    for g, cert in zip(block, cheeger.cheeger_exact_block(b, guard=20)):
+        mask = sum(1 << v for v in cert.witness)
+        assert (cert.boundary_size, len(cert.witness), mask) == _reference_cut(g, 10)
+
+
 def test_decision_matches_the_exact_search():
     """cheeger_at_least(g, b) is cheeger_exact(g).h >= b on 400 seeded
     multigraphs of at most 28 vertices, loops and parallel edges included,
-    and on connected model samples of 20 to 28 vertices, at b = h (a tie),
-    h +- 1/97, 2/11 and 1/3; cheeger_exact_naive agrees up to 12
-    vertices."""
+    on connected model samples of 20 to 28 vertices and on the pendant-rich
+    graphs of test_pendant_bundles_keep_every_certificate, whose searches
+    and decisions grow pendant bundles, at b = h (a tie), h +- 1/97, 2/11
+    and 1/3; cheeger_exact_naive agrees up to 12 vertices."""
     graphs = _random_multigraphs(400, seed=35, max_nv=28) + _connected_samples(
         [(16, 4), (20, 6), (22, 0), (24, 4)], trials=4, seed=35
     )
     assert sum(g.num_vertices > 20 for g in graphs) > 100
     naive = 0
-    for g in graphs:
+    for g in graphs + PENDANT_SMALL + PENDANT_LARGE:
         h = cheeger_exact(g, guard=28).h
         if g.num_vertices <= NAIVE_GUARD:
             assert cheeger_exact_naive(g).h == h, g.edges
             naive += 1
         for b in (h, h - Fraction(1, 97), h + Fraction(1, 97), Fraction(2, 11), Fraction(1, 3)):
             assert cheeger_at_least(g, b) == (h >= b), (g.edges, b)
-    assert naive > 100
+    assert naive > 250
 
 
 def test_decision_takes_up_to_the_mask_width_whatever_the_guard():
@@ -461,11 +566,24 @@ def test_pinned_40_vertex_family_certificate():
     }
 
 
+def test_pinned_56_vertex_family_certificate():
+    """The theta = 3, g = 8 member (G 35 21, 56 vertices): h = 3/14, a cut
+    of 6 over 28 vertices, as the unbundled search found it."""
+    g = expander_family(FamilySpec.from_theta("3"), 8).graph
+    assert (g.chi, g.n) == (35, 21)
+    cert = cheeger_exact(g, guard=63)
+    witness = [f"v{i}" for i in (*range(1, 9), *range(15, 19), 20, 21, 22, 24, 26, 27)]
+    witness += [f"w{i}" for i in (1, 2, 3, 4, 6, 7, 8, 10, 12, 13)]
+    assert cert.to_json(g) == {
+        "h_num": 3, "h_den": 14, "omega": witness, "boundary": 6, "exact": True
+    }
+
+
 @pytest.mark.parametrize(
     "graph, half, want",
     [
-        (lambda: plant_trees(k4_graph(), 2), 14, (3, 13, 4129777, 2720)),
-        (lambda: plant_trees(theta_base(), 3), 10, (1, 5, 14360, 221)),
+        (lambda: plant_trees(k4_graph(), 2), 14, (3, 13, 4129777, 615)),
+        (lambda: plant_trees(theta_base(), 3), 10, (1, 5, 14360, 71)),
         (heawood_graph, 7, (6, 6, 63, 1547)),
     ],
 )
@@ -473,7 +591,10 @@ def test_pruning_reads_the_tightened_bound(graph, half, want):
     """min_ratio_cut's (s, k, mask, visited), visited included.  The engine
     must prune against the best ratio as min_ratio_cuts lowers it: an
     engine that copied the bound on entry keeps every certificate but
-    visits more subsets (84533, 1728 and 1974 here)."""
+    visits more subsets (2482, 154 and 1974 here).  At half = |V| // 2 the
+    search grows pendant bundles, so the two planted graphs, whose trees
+    end in pendants, visit fewer subsets than the unbundled search did
+    (2720 and 221)."""
     g = graph()
     assert py_min_ratio_cut(*_bitmask_inputs(g), g.num_vertices, half) == want
 
@@ -481,9 +602,10 @@ def test_pruning_reads_the_tightened_bound(graph, half, want):
 def test_prefix_prune_keeps_every_row_at_a_fixed_batch_cap(monkeypatch):
     """The sibling-prefix prune drops only children that the forced-cut test
     drops anyway, so at a fixed batch cap it moves no row: with 1024 rows a
-    batch, the engine visits the 27772 subsets over the 37 connected
-    trials of one 40-trial F_{16,4} block that it visited before the prune,
-    and the certificates do not depend on the cap."""
+    batch, the engine visits the 12297 subsets over the 37 connected
+    trials of one 40-trial F_{16,4} block that it visits without the
+    prune (27772 without pendant bundles), and the certificates do not
+    depend on the cap."""
     cfg = SampleConfig(chi=16, n=4, trials=40, seed=11)
     graphs = [g for g in (sample_graph(cfg, t) for t in range(40)) if is_connected(g)]
     assert len(graphs) == 37
@@ -491,7 +613,7 @@ def test_prefix_prune_keeps_every_row_at_a_fixed_batch_cap(monkeypatch):
     wide = _mincut_py.min_ratio_cuts(adj, mult, 10)
     monkeypatch.setattr(_mincut_py, "BATCH", 1024)
     cuts = _mincut_py.min_ratio_cuts(adj, mult, 10)
-    assert sum(cut[3] for cut in cuts) == 27772
+    assert sum(cut[3] for cut in cuts) == 12297
     assert [cut[:3] for cut in cuts] == [cut[:3] for cut in wide]
 
 
@@ -514,11 +636,11 @@ def test_engine_yields_each_connected_subset_once():
             got = {}
             for size, graph, S, nbrs, s in _batches(g, half):
                 assert 0 < len(S) <= _mincut_py.BATCH
-                assert not graph.any()
+                assert not graph.any() and len(set(size.tolist())) == 1
                 split |= len(S) == _mincut_py.BATCH
-                for row in zip(S.tolist(), s.tolist(), nbrs.tolist()):
+                for row in zip(S.tolist(), size.tolist(), s.tolist(), nbrs.tolist()):
                     assert row[0] not in got
-                    got[row[0]] = (size, row[1], row[2])
+                    got[row[0]] = row[1:]
             assert got == want
     assert split  # some level spans several batches
 
@@ -547,12 +669,15 @@ def test_one_exact_search_path():
 
 def test_top_bit_cycle_and_path():
     """Vertex 62 uses the top bit of the 63-bit masks.  Connected subsets
-    of size <= 31 are the 63 * 31 arcs of the cycle and the intervals of
-    the path; both minima are the arc or interval {0..30}."""
+    of size <= 31 are the 63 * 31 arcs of the cycle and the 1488 intervals
+    of the path; both minima are the arc or interval {0..30}.  The batched
+    engine bundles the path's end vertices with their neighbours, so it
+    skips the 62 intervals that hold 1 but not 0, or 61 but not 62."""
     arc = (1 << 31) - 1
-    for g, want in ((_cycle(63), (2, 31, arc, 63 * 31)), (_path(63), (1, 31, arc, 1488))):
-        for kernel, view in _kernels():
-            assert kernel(*view(g), 63, 31) == want
+    cases = ((_cycle(63), (2, 31, arc, 63 * 31), 63 * 31), (_path(63), (1, 31, arc, 1488), 1426))
+    for g, want, batched in cases:
+        assert reference_kernel.min_ratio_cut(*reference_kernel.bitmask_inputs(g), 63, 31) == want
+        assert py_min_ratio_cut(*_bitmask_inputs(g), 63, 31) == (*want[:3], batched)
     assert cheeger_exact(_cycle(63), guard=63).h == Fraction(2, 31)
     assert cheeger_exact(_path(63), guard=63).h == Fraction(1, 31)
 
