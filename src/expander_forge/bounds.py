@@ -12,10 +12,31 @@ first-moment argument gives the exact rational X*Y*Z with
 and Y = 0 whenever parity or negativity makes the configuration vacuous.
 Since i + o + s = M, Y is 2^s times a multinomial coefficient, an integer,
 and so is Z: the product is the integer Z*Y over C(3chi, 3b), which depends
-on b alone.  A sum over many triples therefore adds integer numerators per
-denominator and reduces one Fraction per b (sum_terms), instead of
-normalising three Fractions of factorials for every triple; mu_pair_terms
-yields the integers and xyz_bound is a view of the same formulas.
+on b alone.  _y is the one statement of the Y formula; xyz_bound reads it
+for an arbitrary triple.
+
+The mu-pair table goes one (a, b) group at a time (mu_pair_groups): the
+mu-pairs of one (a, b) are s = 1..s_max, and C(3chi, 3b), Z and the row
+text around s are fixed within a group.  i = (3b-a-s)/2 is an integer only
+when s has the parity of 3b-a (and then so is o, as i + o = M - s), so Y
+is 0 at every s of the other parity; within that parity Y steps exactly:
+
+    Y(s+2) = Y(s) * 4 i o / ((s+1)(s+2)),  i and o taken at s,
+
+the ratio of the two factorial formulas.  Y(s) and Y(s+2) are both
+integers, so the integer Y(s) 4 i o divided by (s+1)(s+2) leaves no
+remainder.  i and o fall by one a step, so once either is 0 the step gives
+Y = 0, and every later Y of the group is 0 too: only the first Y of the
+parity comes from _y.  A sum over the groups (group_sum) adds the integer
+Z * sum(Y) of each group to the numerator of its denominator and reduces
+one Fraction per b, instead of normalising three Fractions of factorials
+for every triple.  The table's product Z*Y/C is reduced with
+
+    gcd(Z*Y, C) = g gcd(Y, C/g),  g = gcd(Z, C),
+
+since Z/g and C/g are coprime: g once per group and a gcd of Y and C/g
+per row (cli._pair_rows), never a gcd of the product.  mu_pair_terms
+flattens the groups into (a, b, s, C, Y, Z) rows.
 
 The construction pairs every crossing half-edge of the subset with a
 half-edge of an outside degree-3 vertex, and X*Y*Z is exactly E_{0,0}
@@ -41,7 +62,6 @@ _connected_subset_counts, the engine tally, so the exact rational tables
 
 from __future__ import annotations
 
-import functools
 import math
 import statistics
 from collections import Counter, defaultdict
@@ -57,6 +77,8 @@ NABS_INTERIOR_GUARD = 20
 
 # (a, b, s, C, Y, Z): a triple and its integer factors, X*Y*Z = Z*Y/C
 Term = tuple[int, int, int, int, int, int]
+# (a, b, C, Z, ys): the mu-pairs (a, b, s) of one (a, b), ys[s - 1] their Y
+Group = tuple[int, int, int, int, list[int]]
 
 
 @dataclass(frozen=True)
@@ -91,31 +113,24 @@ def is_mu_pair(a: int, b: int, s: int, chi: int, n: int, mu) -> bool:
     return b >= a + s - 2
 
 
-def _xyz_terms(
-    chi: int, n: int, triples: Iterable[tuple[int, int, int]]
-) -> Iterator[Term]:
-    """(a, b, s, C, Y, Z) per triple, all ints, with X = 1/C: the one site
-    of the X, Y, Z formulas (see the module docstring).  C(3chi, 3b) is
-    computed once per b."""
-    check_parity(chi, n)
-    m = (3 * chi - n) // 2
-    denominator = functools.cache(lambda b: math.comb(3 * chi, 3 * b))
-    for a, b, s in triples:
-        if not (0 <= a <= n and 0 <= b <= chi):
-            raise ValueError("need 0 <= a <= n and 0 <= b <= chi")
-        inner = 3 * b - a - s
-        outer = 3 * chi - n - (3 * b - a) - s
-        if inner < 0 or outer < 0 or inner % 2 != 0 or outer % 2 != 0:
-            y = 0
-        else:
-            y = math.comb(m, s) * math.comb(m - s, inner // 2) << s
-        yield a, b, s, denominator(b), y, math.comb(n, a) * math.comb(chi, b)
+def _y(m: int, s: int, inner: int) -> int:
+    """Y = 2^s M! / (s! i! o!) with M = m, i = inner/2 and o = M - s - i,
+    the direct formula: 0 unless inner is even and 0 <= i <= M - s."""
+    if inner < 0 or inner % 2 or inner > 2 * (m - s):
+        return 0
+    return math.comb(m, s) * math.comb(m - s, inner // 2) << s
 
 
 def xyz_bound(chi: int, n: int, a: int, b: int, s: int) -> MuPairBound:
     """Exact X, Y, Z factors; Y = 0 for vacuous (parity/negativity) cases."""
-    [(_, _, _, c, y, z)] = _xyz_terms(chi, n, [(a, b, s)])
-    return MuPairBound(x=Fraction(1, c), y=Fraction(y), z=Fraction(z))
+    check_parity(chi, n)
+    if not (0 <= a <= n and 0 <= b <= chi):
+        raise ValueError("need 0 <= a <= n and 0 <= b <= chi")
+    return MuPairBound(
+        x=Fraction(1, math.comb(3 * chi, 3 * b)),
+        y=Fraction(_y((3 * chi - n) // 2, s, 3 * b - a - s)),
+        z=Fraction(math.comb(n, a) * math.comb(chi, b)),
+    )
 
 
 def _falling(x: int, j: int) -> int:
@@ -183,9 +198,9 @@ def first_moment_bound(chi: int, n: int, a: int, b: int, s: int) -> Fraction:
     return xyz_bound(chi, n, a, b, s).product + pendant_term(chi, n, a, b, s)
 
 
-def iter_mu_pairs(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
-    """All mu-pairs (a, b, s) for the given model parameters, in (a, b, s)
-    order; ValueError if mu <= 0."""
+def _mu_pair_ranges(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
+    """(a, b, s_max) for each (a, b) with mu-pairs (a, b, s), s = 1..s_max,
+    in (a, b) order; ValueError if mu <= 0."""
     mu = _as_mu(mu)
     for a in range(0, n + 1):
         for b in range(0, chi + 1):
@@ -194,25 +209,57 @@ def iter_mu_pairs(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
                 continue
             # s <= floor(mu*tot) and b >= a + s - 2
             s_max = min(mu.numerator * tot // mu.denominator, b - a + 2)
-            for s in range(1, s_max + 1):
-                yield (a, b, s)
+            if s_max >= 1:
+                yield a, b, s_max
+
+
+def iter_mu_pairs(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
+    """All mu-pairs (a, b, s) for the given model parameters, in (a, b, s)
+    order; ValueError if mu <= 0."""
+    for a, b, s_max in _mu_pair_ranges(chi, n, mu):
+        for s in range(1, s_max + 1):
+            yield (a, b, s)
+
+
+def mu_pair_groups(chi: int, n: int, mu) -> Iterator[Group]:
+    """(a, b, C, Z, ys) per (a, b) group of mu-pairs, in iter_mu_pairs
+    order: ys[s - 1] is the Y of (a, b, s) for s = 1..len(ys), and X*Y*Z =
+    Z*Y/C.  Y is stepped in s within its parity (module docstring); the
+    other parity is vacuous, and its entries stay 0."""
+    check_parity(chi, n)
+    m = (3 * chi - n) // 2
+    z_a = [math.comb(n, a) for a in range(n + 1)]
+    z_b = [math.comb(chi, b) for b in range(chi + 1)]
+    denominator = [math.comb(3 * chi, 3 * b) for b in range(chi + 1)]
+    for a, b, s_max in _mu_pair_ranges(chi, n, mu):
+        ys = [0] * s_max
+        inner = 3 * b - a  # 3b - a - s at s = 0
+        s = 2 - inner % 2  # the first s of the parity of inner
+        y = _y(m, s, inner - s)
+        while y and s <= s_max:
+            ys[s - 1] = y
+            y = y * (inner - s) * (2 * m - inner - s) // ((s + 1) * (s + 2))
+            s += 2
+        yield a, b, denominator[b], z_a[a] * z_b[b], ys
 
 
 def mu_pair_terms(chi: int, n: int, mu) -> Iterator[Term]:
     """(a, b, s, C, Y, Z) over the mu-pairs: X*Y*Z = Fraction(Z*Y, C)."""
-    return _xyz_terms(chi, n, iter_mu_pairs(chi, n, mu))
+    for a, b, c, z, ys in mu_pair_groups(chi, n, mu):
+        for s, y in enumerate(ys, 1):
+            yield a, b, s, c, y, z
 
 
-def sum_terms(terms: Iterable[Term]) -> Fraction:
-    """Exact sum of Z*Y/C over (a, b, s, C, Y, Z) terms.
+def group_sum(groups: Iterable[Group]) -> Fraction:
+    """Exact sum of Z*Y/C over the rows of (a, b, C, Z, ys) groups.
 
-    The numerators are integers, so they are added per denominator C (at
-    most one per b) and only those few sums become Fractions; the terms are
-    streamed, not stored.
+    The numerators are integers, so each group adds Z * sum(ys) to its
+    denominator C (one per b) and only those few sums become Fractions;
+    the groups are streamed, not stored.
     """
     numerators: dict[int, int] = defaultdict(int)
-    for _, _, _, c, y, z in terms:
-        numerators[c] += z * y
+    for _, _, c, z, ys in groups:
+        numerators[c] += z * sum(ys)
     return sum((Fraction(num, c) for c, num in numerators.items()), Fraction(0))
 
 
@@ -220,15 +267,15 @@ def mu_pair_sum(chi: int, n: int, mu) -> Fraction:
     """Sum of the X*Y*Z bound over all mu-pairs, exact.
 
     X = 1/C(3chi, 3b) and Y, Z are integers, so the sum takes one Fraction
-    per b (sum_terms), not three per mu-pair.
+    per b (group_sum), not three per mu-pair.
 
     X*Y*Z bounds only interior-cut subsets (count_all_Nabs_interior_cut),
-    so this sum, and the `bounds` CLI table, which sums the same terms,
+    so this sum, and the `bounds` CLI table, which sums the same groups,
     leaves out the pendant terms.  They can dominate: at chi=20, n=4, mu=1/2 the sum is
     555.6 and the pendant terms over the same mu-pairs add 734.9.  Sum
     first_moment_bound instead for a bound on the unrestricted count.
     """
-    return sum_terms(mu_pair_terms(chi, n, mu))
+    return group_sum(mu_pair_groups(chi, n, mu))
 
 
 def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Counter]:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
-from .bounds import mu_pair_terms, sum_terms
+from .bounds import group_sum, mu_pair_groups
 from .errors import DEFAULT_GUARD, ExpanderForgeError, ParityError, exit_code
 from .graph_core import (
     GraphBlock, MultiGraph, Topology, exact_fraction, from_text, genus, label_owners,
@@ -207,13 +207,16 @@ def cmd_sweep(args) -> dict[Path, str]:
     return {Path(args.out): "\n".join(lines) + "\n"}
 
 
-# One `bounds` pair as json.dumps(..., indent=2) writes it inside the table.
-# Every field is an int or str(Fraction) text, which uses only [-0-9/]:
-# JSON escapes none of those, so the row needs no encoder.
-_PAIR_JSON = (
-    '    {{\n      "a": {},\n      "b": {},\n      "s": {},\n      "x": "{}",\n'
-    '      "y": "{}",\n      "z": "{}",\n      "product": "{}"\n    }}'
-)
+# One `bounds` pair as json.dumps(..., indent=2) writes it inside the table,
+# after the "," that ends the pair before it, cut where its fields change:
+# _PAIR_HEAD per (a, b) group, then s, then _PAIR_MID with x, then y,
+# _PAIR_Z with z, then the product and _PAIR_END.  Every field is an int or
+# str(Fraction) text, which uses only [-0-9/]: JSON escapes none of those,
+# so the row needs no encoder.
+_PAIR_HEAD = ',\n    {{\n      "a": {},\n      "b": {},\n      "s": '
+_PAIR_MID = ',\n      "x": "{}",\n      "y": "'
+_PAIR_Z = '",\n      "z": "{}",\n      "product": "'
+_PAIR_END = '"\n    }'
 
 
 def _quotient(p: int, q: int) -> str:
@@ -222,31 +225,50 @@ def _quotient(p: int, q: int) -> str:
     return f"{p // d}/{q // d}" if d != q else str(p // d)
 
 
+def _pair_rows(groups, pairs: list[str]):
+    """Append the JSON text of each group's pairs to `pairs` and pass the
+    groups on.  A row with Y = 0 is the group's zero template after its s;
+    a product Z*Y/C is reduced by g = gcd(Z, C), once per group, and then
+    gcd(Y, C/g), since gcd(Z*Y, C) = g * gcd(Y, C/g)."""
+    x_text = {}  # X = 1/C(3chi, 3b) per denominator
+    for a, b, c, z, ys in groups:
+        if c not in x_text:
+            x_text[c] = _quotient(1, c)
+        head = _PAIR_HEAD.format(a, b)
+        mid = _PAIR_MID.format(x_text[c])
+        z_text = _PAIR_Z.format(z)
+        zero = f"{mid}0{z_text}0{_PAIR_END}"
+        g = math.gcd(z, c)
+        z_g, c_g = z // g, c // g
+        for s, y in enumerate(ys, 1):
+            if not y:
+                pairs.append(f"{head}{s}{zero}")
+                continue
+            h = math.gcd(y, c_g)
+            num = z_g * (y // h)
+            product = f"{num}/{c_g // h}" if h != c_g else str(num)
+            pairs.append(f"{head}{s}{mid}{y}{z_text}{product}{_PAIR_END}")
+        yield a, b, c, z, ys
+
+
 def cmd_bounds(args) -> dict[Path, str]:
     mu = _parse_fraction(args.mu)
-    pairs = []
-    x_text = {}  # X = 1/C(3chi, 3b) per denominator
-
-    def recorded(terms):
-        for a, b, s, c, y, z in terms:
-            if c not in x_text:
-                x_text[c] = _quotient(1, c)
-            pairs.append(_PAIR_JSON.format(a, b, s, x_text[c], y, z, _quotient(z * y, c)))
-            yield a, b, s, c, y, z
-
-    total = sum_terms(recorded(mu_pair_terms(args.chi, args.n, mu)))
-    table = "[\n" + ",\n".join(pairs) + "\n  ]" if pairs else "[]"
-    base = Path(args.out)
+    pairs: list[str] = []
+    total = group_sum(_pair_rows(mu_pair_groups(args.chi, args.n, mu), pairs))
+    # the first pair's "," becomes the table's "["; one join makes the JSON
+    # text, so the table is never copied whole
+    table = ["[" + pairs[0][1:], *pairs[1:], "\n  ]"] if pairs else ["[]"]
+    base = Path(args.out)  # a basename: a dot in it starts no suffix
     return {
-        base.with_suffix(".csv"): (
+        base.with_name(base.name + ".csv"): (
             "chi,n,mu,sum_num,sum_den,sum_float\n"
             f"{args.chi},{args.n},{mu},{total.numerator},{total.denominator},"
             f"{_fmt(float(total))}\n"
         ),
-        base.with_suffix(".json"): (
+        base.with_name(base.name + ".json"): "".join([
             f'{{\n  "chi": {args.chi},\n  "n": {args.n},\n  "mu": "{mu}",\n'
-            f'  "sum": "{total}",\n  "pairs": {table}\n}}\n'
-        ),
+            f'  "sum": "{total}",\n  "pairs": ', *table, "\n}\n",
+        ]),
     }
 
 

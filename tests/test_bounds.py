@@ -172,6 +172,36 @@ def test_bounds_table_matches_factorial_oracle(chi, half_n, mu):
     assert mu_pair_sum(chi, n, mu) == total
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    chi=st.integers(25, 300),
+    half_n=st.integers(0, 6),
+    mu=st.fractions(Fraction(1, 40), Fraction(1, 8), max_denominator=40),
+)
+def test_group_route_matches_direct_formula_at_large_chi(chi, half_n, mu):
+    """mu_pair_terms steps Y in s within each (a, b) group, and the table
+    reduces each product by gcd(Z, C) and then gcd(Y, C/gcd(Z, C)): every
+    row must equal xyz_bound's direct per-triple values, far beyond the
+    chi of the factorial oracle."""
+    n = 2 * half_n + chi % 2
+    terms = list(mu_pair_terms(chi, n, mu))
+    assert [t[:3] for t in terms] == list(iter_mu_pairs(chi, n, mu))
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "b"
+        argv = ["bounds", "--chi", str(chi), "--n", str(n), "--mu",
+                f"{mu.numerator}/{mu.denominator}", "--out", str(base)]
+        assert main(argv) == 0
+        doc = json.loads(base.with_suffix(".json").read_text())
+    assert len(doc["pairs"]) == len(terms)
+    for (a, b, s, c, y, z), q in zip(terms, doc["pairs"]):
+        bound = xyz_bound(chi, n, a, b, s)
+        assert (Fraction(1, c), Fraction(y), Fraction(z)) == (bound.x, bound.y, bound.z)
+        assert (q["a"], q["b"], q["s"], q["x"], q["y"], q["z"], q["product"]) == (
+            a, b, s, str(bound.x), str(bound.y), str(bound.z), str(bound.product)
+        )
+    assert Fraction(doc["sum"]) == mu_pair_sum(chi, n, mu)
+
+
 # (chi, n, mu) tables for the JSON writer: (1, 3, 2) has only b = 0 rows,
 # most tables have y = 0 rows, and mu = 1/50 at chi = 10 is the empty table
 WRITER_GRID = [(1, 3, "2"), (2, 4, "1"), (3, 3, "2"), (4, 2, "3/2"), (5, 1, "3"),

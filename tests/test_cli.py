@@ -145,6 +145,22 @@ def test_bounds_outputs(tmp_path):
             "product": "8/11"} in js["pairs"]
 
 
+def test_bounds_out_is_a_basename_kept_whole(tmp_path):
+    # a dot in --out starts no suffix: mu0.5 and mu0.25 are two tables side
+    # by side, neither overwriting the other
+    argv = ["bounds", "--chi", "20", "--n", "4", "--mu"]
+    for mu in ("0.5", "0.25"):
+        assert main(argv + [mu, "--out", str(tmp_path / f"mu{mu}")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "mu0.25.csv", "mu0.25.csv.manifest.json", "mu0.25.json",
+        "mu0.5.csv", "mu0.5.csv.manifest.json", "mu0.5.json",
+    ]
+    for tag, mu in (("0.5", "1/2"), ("0.25", "1/4")):
+        assert json.loads((tmp_path / f"mu{tag}.json").read_text())["mu"] == mu
+        csv = (tmp_path / f"mu{tag}.csv").read_text().splitlines()
+        assert csv[1].startswith(f"20,4,{mu},")
+
+
 def test_bounds_parity_exit_2(tmp_path):
     code = main(
         ["bounds", "--chi", "1", "--n", "2", "--mu", "0.5",
