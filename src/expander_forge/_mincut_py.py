@@ -1,6 +1,7 @@
 """The package's one enumerator of connected vertex subsets,
 connected_subsets, the minimum-ratio-cut kernel built on it, and the one
-builder of their input, bitmask_stack.
+builder of their input, bitmask_stack, which is also the one place that
+checks the mask width: 1 to MAX_VERTICES vertices.
 
 The engine grows subsets level by level in numpy batches, so a batch of
 subsets costs a handful of array operations instead of one Python call per
@@ -40,6 +41,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import GuardExceededError
+
 MAX_VERTICES = 63  # the widest graph the uint64 subset masks hold
 # the cut limit of a graph without a bound, far above any forced cut
 NO_LIMIT = np.iinfo(np.int64).max // 2
@@ -78,7 +81,11 @@ def bitmask_stack(edges: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
     (k, E, 2) integer array of vertex pairs: adj, the (k, nv) uint64
     neighbour masks, and mult, the (k, nv, nv) int64 edge multiplicities;
     bit v of adj[i, u] is set where mult[i, u, v] > 0.  Loops are left out
-    of both, since a loop never crosses a cut."""
+    of both, since a loop never crosses a cut.  GuardExceededError unless
+    1 <= nv <= MAX_VERTICES, the widths the uint64 subset masks hold,
+    before any nv x nv array is built."""
+    if not 1 <= nv <= MAX_VERTICES:
+        raise GuardExceededError(f"{nv} vertices: the subset masks take 1..{MAX_VERTICES}")
     u, v = edges[..., 0], edges[..., 1]
     cell = ((np.arange(len(edges))[:, None] * nv + u) * nv + v)[u != v]
     mult = np.bincount(cell, minlength=len(edges) * nv * nv).reshape(len(edges), nv, nv)
@@ -298,11 +305,9 @@ def min_ratio_cuts(
     batch's rows that beat their graph's best are sorted by (graph, s/k,
     k, lexicographic), and the first row of each graph becomes its best.
     At half = nv // 2 the pass grows pendant bundles, which keeps every
-    minimum (min_ratio_cut).
+    minimum (min_ratio_cut).  The mask width is bitmask_stack's check.
     """
     graphs, nv = adj.shape
-    if not 1 <= nv <= MAX_VERTICES:
-        raise ValueError(f"kernel supports 1..{MAX_VERTICES} vertices")
     best_s = np.zeros(graphs, dtype=np.int64)
     best_k = np.zeros(graphs, dtype=np.int64)
     best_mask = np.zeros(graphs, dtype=np.uint64)

@@ -35,8 +35,9 @@ for every triple.  The table's product Z*Y/C is reduced with
     gcd(Z*Y, C) = g gcd(Y, C/g),  g = gcd(Z, C),
 
 since Z/g and C/g are coprime: g once per group and a gcd of Y and C/g
-per row (cli._pair_rows), never a gcd of the product.  mu_pair_terms
-flattens the groups into (a, b, s, C, Y, Z) rows.
+per row (cli._pair_rows), never a gcd of the product.  mu_pair_groups
+is the one reader of the mu-pair rule, and is_mu_pair its statement for
+one triple.
 
 The construction pairs every crossing half-edge of the subset with a
 half-edge of an outside degree-3 vertex, and X*Y*Z is exactly E_{0,0}
@@ -53,11 +54,14 @@ keep the X*Y*Z form, so they bound the interior-cut class only.
 Both counts come from one pass of _mincut_py.connected_subsets, the batched
 engine of the exact Cheeger search, run under the bound best_k = 0, which
 prunes nothing, and without pendant bundles, since every connected subset
-counts; the batches are tallied with array operations; one pass takes the
-graphs of one size, one graph or the members of one family, and sums
-their counts.  numpy and the engine are imported only inside
-_connected_subset_counts, the engine tally, so the exact rational tables
-(and the `bounds` command) never load numpy.
+counts.  Each batch is tallied by one np.unique over its (a, b, s,
+interior-cut) rows, each raveled into one index by np.ravel_multi_index
+(np.unique(axis=1) over the rows took about 40 times as long).  One pass
+takes the graphs of one size, one graph or the members of one family,
+and sums their counts.  The engine's mask width (MAX_VERTICES) is checked
+where its input is built, _mincut_py.bitmask_stack.  numpy and the engine
+are imported only inside _connected_subset_counts, the engine tally, so
+the exact rational tables (and the `bounds` command) never load numpy.
 """
 
 from __future__ import annotations
@@ -75,8 +79,6 @@ from .sampler import Z95, SampleConfig, count_family, matching_count, sample_gra
 
 NABS_INTERIOR_GUARD = 20
 
-# (a, b, s, C, Y, Z): a triple and its integer factors, X*Y*Z = Z*Y/C
-Term = tuple[int, int, int, int, int, int]
 # (a, b, C, Z, ys): the mu-pairs (a, b, s) of one (a, b), ys[s - 1] their Y
 Group = tuple[int, int, int, int, list[int]]
 
@@ -198,56 +200,34 @@ def first_moment_bound(chi: int, n: int, a: int, b: int, s: int) -> Fraction:
     return xyz_bound(chi, n, a, b, s).product + pendant_term(chi, n, a, b, s)
 
 
-def _mu_pair_ranges(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
-    """(a, b, s_max) for each (a, b) with mu-pairs (a, b, s), s = 1..s_max,
-    in (a, b) order; ValueError if mu <= 0."""
-    mu = _as_mu(mu)
-    for a in range(0, n + 1):
-        for b in range(0, chi + 1):
-            tot = a + b
-            if tot < 1 or 2 * tot > chi + n:
-                continue
-            # s <= floor(mu*tot) and b >= a + s - 2
-            s_max = min(mu.numerator * tot // mu.denominator, b - a + 2)
-            if s_max >= 1:
-                yield a, b, s_max
-
-
-def iter_mu_pairs(chi: int, n: int, mu) -> Iterator[tuple[int, int, int]]:
-    """All mu-pairs (a, b, s) for the given model parameters, in (a, b, s)
-    order; ValueError if mu <= 0."""
-    for a, b, s_max in _mu_pair_ranges(chi, n, mu):
-        for s in range(1, s_max + 1):
-            yield (a, b, s)
-
-
 def mu_pair_groups(chi: int, n: int, mu) -> Iterator[Group]:
-    """(a, b, C, Z, ys) per (a, b) group of mu-pairs, in iter_mu_pairs
-    order: ys[s - 1] is the Y of (a, b, s) for s = 1..len(ys), and X*Y*Z =
-    Z*Y/C.  Y is stepped in s within its parity (module docstring); the
-    other parity is vacuous, and its entries stay 0."""
+    """(a, b, C, Z, ys) per (a, b) group of mu-pairs, in (a, b) order: the
+    mu-pairs of (a, b) are (a, b, s) for s = 1..len(ys), ys[s - 1] is the Y
+    of (a, b, s), and X*Y*Z = Z*Y/C.  Y is stepped in s within its parity
+    (module docstring); the other parity is vacuous, and its entries stay
+    0.  ParityError for a bad (chi, n), then ValueError if mu <= 0."""
     check_parity(chi, n)
+    mu = _as_mu(mu)
     m = (3 * chi - n) // 2
     z_a = [math.comb(n, a) for a in range(n + 1)]
     z_b = [math.comb(chi, b) for b in range(chi + 1)]
     denominator = [math.comb(3 * chi, 3 * b) for b in range(chi + 1)]
-    for a, b, s_max in _mu_pair_ranges(chi, n, mu):
-        ys = [0] * s_max
-        inner = 3 * b - a  # 3b - a - s at s = 0
-        s = 2 - inner % 2  # the first s of the parity of inner
-        y = _y(m, s, inner - s)
-        while y and s <= s_max:
-            ys[s - 1] = y
-            y = y * (inner - s) * (2 * m - inner - s) // ((s + 1) * (s + 2))
-            s += 2
-        yield a, b, denominator[b], z_a[a] * z_b[b], ys
-
-
-def mu_pair_terms(chi: int, n: int, mu) -> Iterator[Term]:
-    """(a, b, s, C, Y, Z) over the mu-pairs: X*Y*Z = Fraction(Z*Y, C)."""
-    for a, b, c, z, ys in mu_pair_groups(chi, n, mu):
-        for s, y in enumerate(ys, 1):
-            yield a, b, s, c, y, z
+    for a in range(n + 1):
+        # 1 <= a + b <= (chi + n) / 2
+        for b in range(max(0, 1 - a), min(chi, (chi + n) // 2 - a) + 1):
+            # s <= floor(mu (a + b)) and b >= a + s - 2
+            s_max = min(mu.numerator * (a + b) // mu.denominator, b - a + 2)
+            if s_max < 1:
+                continue
+            ys = [0] * s_max
+            inner = 3 * b - a  # 3b - a - s at s = 0
+            s = 2 - inner % 2  # the first s of the parity of inner
+            y = _y(m, s, inner - s)
+            while y and s <= s_max:
+                ys[s - 1] = y
+                y = y * (inner - s) * (2 * m - inner - s) // ((s + 1) * (s + 2))
+                s += 2
+            yield a, b, denominator[b], z_a[a] * z_b[b], ys
 
 
 def group_sum(groups: Iterable[Group]) -> Fraction:
@@ -281,28 +261,25 @@ def mu_pair_sum(chi: int, n: int, mu) -> Fraction:
 def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Counter]:
     """Counters of (a, b, s) over every connected vertex subset of the
     graphs and over the interior-cut ones, summed over the graphs and
-    filled in one engine pass; a disconnected graph counts nothing.  The
-    connected graphs must have one vertex count and one edge count, as the
-    members of one family do."""
+    filled in one engine pass; a disconnected graph counts nothing, and
+    nor does the empty one.  The connected graphs must have one vertex
+    count and one edge count, as the members of one family do, of at most
+    MAX_VERTICES vertices (GuardExceededError from bitmask_stack)."""
     import numpy as np
 
-    from ._mincut_py import MAX_VERTICES, bitmask_stack, connected_subsets, popcount
+    from ._mincut_py import bitmask_stack, connected_subsets, popcount
     from .spectra import _edge_array
 
     unrestricted, interior_cut = Counter(), Counter()
     edges, pendants = [], []
     for g in graphs:
-        if not is_connected(g):
+        if not g.num_vertices or not is_connected(g):
             continue
         degs = g.degrees()
         n_interior = sum(1 for d in degs if d == 3)
         if n_interior > NABS_INTERIOR_GUARD:
             raise GuardExceededError(
                 f"{n_interior} interior vertices exceed guard {NABS_INTERIOR_GUARD}"
-            )
-        if g.num_vertices > MAX_VERTICES:
-            raise GuardExceededError(
-                f"{g.num_vertices} vertices exceed {MAX_VERTICES}-bit subset masks"
             )
         if edges and g.num_vertices != nv:
             raise ValueError(f"graphs of {nv} and {g.num_vertices} vertices in one pass")
@@ -317,22 +294,20 @@ def _connected_subset_counts(graphs: Iterable[MultiGraph]) -> tuple[Counter, Cou
     none = np.zeros(len(edges), dtype=np.int64)  # best_k = 0: nothing is pruned
     for size, graph, S, nbrs, s in connected_subsets(adj, mult, nv, none, none):
         p = pendants[graph]
+        a = popcount(S & p)
         # a degree-1 vertex p has one neighbour, so p is in nbrs exactly
         # when that neighbour is in S, and p's edge crosses exactly when p
         # is in one of S and nbrs
         inner = (p & (S ^ nbrs)) == 0
-        # one key per (a, size, s, interior-cut flag); b = size - a
-        base = int(s.max()) + 1
-        keys = 2 * ((popcount(S & p) * (nv + 1) + size) * base + s) + inner
-        counts = np.bincount(keys)
-        (uniq,) = np.nonzero(counts)
-        for key, c in zip(uniq.tolist(), counts[uniq].tolist()):
-            rest, s_key = divmod(key, 2 * base)
-            a, k = divmod(rest, nv + 1)
-            triple = (a, k - a, s_key // 2)
-            unrestricted[triple] += c
-            if s_key % 2:
-                interior_cut[triple] += c
+        dims = (nv + 1, nv + 1, int(s.max()) + 1, 2)  # (a, b, s, interior-cut)
+        keys, counts = np.unique(
+            np.ravel_multi_index((a, size - a, s, inner), dims), return_counts=True
+        )
+        rows = np.transpose(np.unravel_index(keys, dims)).tolist()
+        for (*triple, inside), c in zip(rows, counts.tolist()):
+            unrestricted[tuple(triple)] += c
+            if inside:
+                interior_cut[tuple(triple)] += c
     return unrestricted, interior_cut
 
 
@@ -343,12 +318,6 @@ def count_all_Nabs(g: MultiGraph) -> dict[tuple[int, int, int], int]:
     with multiplicity, loops never crossing.
     """
     return dict(_connected_subset_counts([g])[0])
-
-
-def count_Nabs(g: MultiGraph, a: int, b: int, s: int) -> int:
-    """Number of connected subsets with the given statistics; 0 for a
-    disconnected graph by convention."""
-    return count_all_Nabs(g).get((a, b, s), 0)
 
 
 def count_all_Nabs_interior_cut(g: MultiGraph) -> dict[tuple[int, int, int], int]:
@@ -389,7 +358,7 @@ def audit_first_moment(
     half-width.
     """
     cfg = SampleConfig(chi=chi, n=n, trials=trials, seed=seed)
-    values = [count_Nabs(sample_graph(cfg, t), a, b, s) for t in range(trials)]
+    values = [count_all_Nabs(sample_graph(cfg, t)).get((a, b, s), 0) for t in range(trials)]
     mean = statistics.fmean(values)
     half = Z95 * statistics.stdev(values) / math.sqrt(trials) if trials > 1 else 0.0
     bound = float(first_moment_bound(chi, n, a, b, s))

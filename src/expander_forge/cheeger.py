@@ -130,13 +130,11 @@ def cheeger_at_least(g: MultiGraph, bound: Fraction) -> bool:
     a pendant alone, and the minimum, of ratio h, is one of them
     (_mincut_py.min_ratio_cut).  So h < p/q exactly when a yielded S has
     q |boundary(S)| < p |S|; the pass stops at the first batch that holds
-    one.
+    one.  Above MAX_VERTICES vertices the input's builder,
+    _mincut_py.bitmask_stack, raises GuardExceededError before any
+    nv x nv array is built.
     """
     _searchable(g)
-    if g.num_vertices > _kernel.MAX_VERTICES:  # before the nv x nv view is built
-        raise GuardExceededError(
-            f"|V| = {g.num_vertices} exceeds the mask width {_kernel.MAX_VERTICES}"
-        )
     p, q = Fraction(bound).as_integer_ratio()
     bounds = g.num_vertices // 2, np.array([p]), np.array([q])
     batches = _kernel.connected_subsets(*_bitmask_inputs(g), *bounds, bundles=True)

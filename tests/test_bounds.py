@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from expander_forge.bounds import (
     _connected_subset_counts,
     audit_first_moment,
-    count_Nabs,
     count_all_Nabs,
     count_all_Nabs_interior_cut,
     first_moment_bound,
     is_mu_pair,
-    iter_mu_pairs,
+    mu_pair_groups,
     mu_pair_sum,
-    mu_pair_terms,
     pendant_term,
     subset_mean_rt,
     xyz_bound,
@@ -42,6 +40,16 @@ from expander_forge.sampler import (
 
 STAR = build_graph(HalfEdgePairing(chi=1, n=3, pairs=((1, 4), (2, 5), (3, 6))))
 THETA = build_graph(HalfEdgePairing(chi=2, n=0, pairs=((1, 4), (2, 5), (3, 6))))
+
+
+def _terms(chi, n, mu):
+    """(a, b, s, C, Y, Z) per mu-pair, X*Y*Z = Z*Y/C: the groups of
+    mu_pair_groups row by row."""
+    return [
+        (a, b, s, c, y, z)
+        for a, b, c, z, ys in mu_pair_groups(chi, n, mu)
+        for s, y in enumerate(ys, 1)
+    ]
 
 
 def test_is_mu_pair_examples():
@@ -114,13 +122,13 @@ def test_xyz_bound_nonnegative_and_iter_consistent(a, b, s):
     assert bound.x > 0 and bound.z >= 0 and bound.y >= 0
     assert bound.product == bound.x * bound.y * bound.z
     mu = Fraction(3, 4)
-    in_iter = (a, b, s) in set(iter_mu_pairs(chi, n, mu))
+    in_iter = (a, b, s) in {t[:3] for t in _terms(chi, n, mu)}
     assert in_iter == (s >= 1 and is_mu_pair(a, b, s, chi, n, mu))
 
 
 def _xyz_oracle(chi, n, a, b, s):
     """X, Y, Z straight from the factorial formulas, one Fraction each: the
-    reference for the integer tables of mu_pair_terms."""
+    reference for the integer tables of mu_pair_groups."""
     fact = math.factorial
     x = Fraction(fact(3 * b) * fact(3 * chi - 3 * b), fact(3 * chi))
     z = Fraction(math.comb(n, a) * math.comb(chi, b))
@@ -179,13 +187,12 @@ def test_bounds_table_matches_factorial_oracle(chi, half_n, mu):
     mu=st.fractions(Fraction(1, 40), Fraction(1, 8), max_denominator=40),
 )
 def test_group_route_matches_direct_formula_at_large_chi(chi, half_n, mu):
-    """mu_pair_terms steps Y in s within each (a, b) group, and the table
+    """mu_pair_groups steps Y in s within each (a, b) group, and the table
     reduces each product by gcd(Z, C) and then gcd(Y, C/gcd(Z, C)): every
     row must equal xyz_bound's direct per-triple values, far beyond the
     chi of the factorial oracle."""
     n = 2 * half_n + chi % 2
-    terms = list(mu_pair_terms(chi, n, mu))
-    assert [t[:3] for t in terms] == list(iter_mu_pairs(chi, n, mu))
+    terms = _terms(chi, n, mu)
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "b"
         argv = ["bounds", "--chi", str(chi), "--n", str(n), "--mu",
@@ -220,7 +227,7 @@ def test_bounds_json_is_json_dumps_indent_2_of_the_terms(tmp_path):
         assert doc["pairs"] == [
             {"a": a, "b": b, "s": s, "x": str(Fraction(1, c)), "y": str(y),
              "z": str(z), "product": str(Fraction(z * y, c))}
-            for a, b, s, c, y, z in mu_pair_terms(chi, n, Fraction(mu))
+            for a, b, s, c, y, z in _terms(chi, n, Fraction(mu))
         ]
         for q in doc["pairs"]:
             if q["b"] == 0 and q["x"] == "1":
@@ -241,11 +248,12 @@ def test_quotient_is_the_fraction_text():
 
 
 def test_count_nabs_examples():
-    assert count_Nabs(STAR, 1, 0, 1) == 3
-    assert count_Nabs(STAR, 0, 1, 3) == 1
-    assert count_Nabs(THETA, 0, 1, 3) == 2
+    assert count_all_Nabs(STAR)[1, 0, 1] == 3
+    assert count_all_Nabs(STAR)[0, 1, 3] == 1
+    assert count_all_Nabs(THETA)[0, 1, 3] == 2
     disc = MultiGraph(chi=2, n=0, edges=())
-    assert count_Nabs(disc, 0, 1, 0) == 0  # disconnected convention
+    assert count_all_Nabs(disc) == {}  # disconnected convention
+    assert count_all_Nabs(MultiGraph(chi=0, n=0, edges=())) == {}
 
 
 def test_count_nabs_total_is_all_connected_subsets():
@@ -376,7 +384,9 @@ def test_literal_mean_can_exceed_xyz_bound():
     covered by the counting construction, so the bound fails for the
     unrestricted subset count (pendant singleton in the 6-member family)."""
     chi, n = 1, 3
-    tot = sum(count_Nabs(build_graph(p), 1, 0, 1) for p in enumerate_family(chi, n))
+    tot = sum(
+        count_all_Nabs(build_graph(p)).get((1, 0, 1), 0) for p in enumerate_family(chi, n)
+    )
     mean = Fraction(tot, count_family(chi, n))
     assert mean == 3
     assert xyz_bound(chi, n, 1, 0, 1).product == 0

@@ -368,6 +368,28 @@ def test_engine_input_matches_the_reference_view():
     ]
 
 
+def test_engine_input_takes_1_to_63_vertices():
+    """bitmask_stack checks the mask width for every engine caller: 0 and
+    64 vertices are refused, and a 3000-vertex cycle is refused before any
+    nv x nv array is built (its multiplicities alone would take 72 MB)."""
+    no_edges = np.zeros((1, 0, 2), dtype=np.intp)
+    for nv in (1, 63):
+        adj, mult = _mincut_py.bitmask_stack(no_edges, nv)
+        assert adj.shape == (1, nv) and mult.shape == (1, nv, nv)
+    for nv in (0, 64):
+        with pytest.raises(GuardExceededError):
+            _mincut_py.bitmask_stack(no_edges, nv)
+    cycle = np.array([[(v, (v + 1) % 3000) for v in range(3000)]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError):
+            _mincut_py.bitmask_stack(cycle, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_popcount_matches_bit_count():
     x = np.random.default_rng(3).integers(0, 2**64, size=2000, dtype=np.uint64)
     x[:3] = 0, 2**63, 2**64 - 1
@@ -683,9 +705,12 @@ def test_top_bit_cycle_and_path():
 
 
 def test_kernels_reject_64_vertices():
-    for kernel, view in _kernels():
-        with pytest.raises(ValueError):
-            kernel(*view(_cycle(64)), 64, 32)
+    """The engine's input builder refuses 64 vertices for every engine
+    caller; the reference kernel checks its own input."""
+    with pytest.raises(GuardExceededError):
+        py_min_ratio_cut(*_bitmask_inputs(_cycle(64)), 64, 32)
+    with pytest.raises(ValueError):
+        reference_kernel.min_ratio_cut(*reference_kernel.bitmask_inputs(_cycle(64)), 64, 32)
     with pytest.raises(GuardExceededError):
         cheeger_exact(_cycle(64), guard=64)
 

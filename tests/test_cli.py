@@ -171,6 +171,19 @@ def test_bounds_parity_exit_2(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("chi,n,message", [
+    ("1", "2", "error: 3*chi - n = 1 must be a non-negative even integer"),
+    ("2", "2", "error: mu must be positive"),
+])
+def test_bounds_parity_error_comes_before_the_mu_check(tmp_path, capsys, chi, n, message):
+    """(chi, n) is checked before mu: a bad pair with --mu 0 names the
+    parity, and a good pair names mu."""
+    out = tmp_path / "x"
+    assert main(["bounds", "--chi", chi, "--n", n, "--mu", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.with_suffix(".csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
